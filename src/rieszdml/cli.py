@@ -12,7 +12,8 @@ Configuration lives in a flat key-value file::
 Values are scalars, comma-separated vectors, or semicolon-separated matrix
 rows.  Unknown keys are rejected, and every key is echoed back under
 ``config`` in the JSON output.  Exit codes: 0 success, 2 configuration
-error (the message names the offending key), 3 RMD infeasibility.  Errors
+error (the message names the offending key), 3 RMD infeasibility, 4 solver
+failure (the simplex hit its iteration limit or numerical trouble).  Errors
 are printed as single-line JSON on stderr.
 """
 
@@ -27,12 +28,13 @@ from . import jsonio
 from .dictionaries import load_csv, make_dictionary
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
-from .rmd import LambdaRule, RmdInfeasibleError, RmdProblem, solve_rmd
+from .rmd import LambdaRule, RmdInfeasibleError, RmdProblem, SolverError, solve_rmd
 from .simulation import (
     AteLogisticDgp,
     EstimatorConfig,
     SparseLinearDgp,
     dense_decay_dgp,
+    resolve_workers,
     run_monte_carlo,
 )
 
@@ -300,8 +302,8 @@ def cmd_estimate(args):
     try:
         data = load_csv(args.data, outcome, treatment, standardize)
     except KeyError as exc:
-        key = "data.outcome" if outcome in str(exc) else "data.treatment"
-        raise ConfigError(str(exc.args[0]), key=key) from None
+        message, role = exc.args
+        raise ConfigError(message, key=f"data.{role}") from None
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load data file {args.data}: {exc}") from None
 
@@ -344,7 +346,10 @@ def cmd_simulate(args):
     R = cfg.get_int("simulation.replications", required=True)
     n = cfg.get_int("simulation.n", required=True)
     seed = cfg.get_int("seed", default=0)
-    workers = cfg.get_int("simulation.workers")
+    try:
+        workers = resolve_workers(cfg.get_int("simulation.workers"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     report = run_monte_carlo(dgp, est, R=R, n=n, seed=seed, workers=workers,
                              config_echo=cfg.echo())
     _emit(report.summary(), args.output)
@@ -424,6 +429,9 @@ def run(argv):
     except RmdInfeasibleError as exc:
         sys.stderr.write(jsonio.dumps({"error": str(exc)}) + "\n")
         return 3
+    except SolverError as exc:
+        sys.stderr.write(jsonio.dumps({"error": str(exc)}) + "\n")
+        return 4
 
 
 def main():

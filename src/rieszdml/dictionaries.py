@@ -395,10 +395,11 @@ def load_csv(path, outcome, treatment=None, standardize=False):
                 rows.append([float(cell) for cell in row])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
+    # the second KeyError argument names the role of the missing column
     if outcome not in header:
-        raise KeyError(f"outcome column {outcome!r} not found in header")
+        raise KeyError(f"outcome column {outcome!r} not found in header", "outcome")
     if treatment is not None and treatment not in header:
-        raise KeyError(f"treatment column {treatment!r} not found in header")
+        raise KeyError(f"treatment column {treatment!r} not found in header", "treatment")
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"no data rows in {path}")

@@ -5,9 +5,15 @@ The orthogonal score is
     psi(W; theta, beta, rho) = theta - m(X, b)'beta - rho'b(X) (Y - b(X)'beta),
 
 whose root over a fold is available in closed form because psi is linear in
-theta.  Nuisances (beta, rho) are fitted by RMD on the complement of each
-fold; the estimator is the unweighted average of the per-fold roots, with a
-cross-fitted plug-in variance and Gaussian confidence interval.
+theta.  Every term of psi comes from two per-observation arrays, B = b(X)
+and Mx = m(X, b).  ``dml_estimate`` evaluates them once per dataset, and
+each fold slices rows from them: the complement rows give one Gram
+G_hat = E_A[b b'] shared by the BLP and Riesz RMD fits, and the fold's own
+rows give its score contributions and score-derivative sums.  The psi
+algebra lives in ``_fold_contributions`` and the derivative sums in
+``_derivative_sums``; the per-observation and per-row-set functions below
+call those two.  The estimator is the unweighted average of the per-fold
+roots, with a cross-fitted plug-in variance and Gaussian confidence interval.
 
 Per-fold pipelines are pure and independent, so they could run concurrently;
 they are executed in fold order here, which keeps results bit-reproducible.
@@ -18,9 +24,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .dictionaries import design_matrix
 from .rmd import (
@@ -28,8 +34,9 @@ from .rmd import (
     ITERATION_LIMIT,
     LambdaRule,
     RmdInfeasibleError,
-    estimate_blp,
-    estimate_riesz,
+    SolverError,
+    fit_rmd,
+    gram_and_moments,
 )
 
 
@@ -45,6 +52,8 @@ class FoldPlan:
         a = np.asarray(self.assignments, dtype=int)
         if self.K < 2:
             raise ValueError("need K >= 2 folds")
+        if np.any((a < 1) | (a > self.K)):
+            raise ValueError(f"fold ids must lie in 1..{self.K}")
         sizes = np.bincount(a, minlength=self.K + 1)[1:]
         if np.any(sizes == 0):
             raise ValueError("every fold must be non-empty")
@@ -79,12 +88,34 @@ def make_fold_plan(n, K, seed):
 
 # -- score function and derivatives -----------------------------------------
 
+def _features(data, rows, dictionary, functional):
+    """(B, Mx): b(X_i) and m(X_i, b) stacked over the rows."""
+    Mx = functional.m_rows(dictionary, data.covariates[rows])
+    return design_matrix(dictionary, data, rows), Mx
+
+
+def _fold_contributions(B, Mx, y, beta, rho):
+    """Per-row m'beta + rho'b (y - b'beta); psi = theta minus this."""
+    return Mx @ beta + (B @ rho) * (y - B @ beta)
+
+
+def _derivative_sums(B, Mx, y, beta, rho):
+    """Row sums of d psi / d beta = -m + (rho'b) b and d psi / d rho = -b (y - b'beta)."""
+    return B.T @ (B @ rho) - Mx.sum(axis=0), -B.T @ (y - B @ beta)
+
+
+def _point_features(w, dictionary, functional):
+    """(B, Mx, y) as one-row arrays for the single observation w = (y, x)."""
+    y, x = w
+    b = dictionary.evaluate(x)[np.newaxis, :]
+    m = functional.m_of_basis(dictionary, x)[np.newaxis, :]
+    return b, m, np.array([y], dtype=float)
+
+
 def score_psi(w, theta, beta, rho, dictionary, functional):
     """psi at one observation w = (y, x)."""
-    y, x = w
-    b = dictionary.evaluate(x)
-    m = functional.m_of_basis(dictionary, x)
-    return float(theta - m @ beta - (rho @ b) * (y - b @ beta))
+    B, Mx, y = _point_features(w, dictionary, functional)
+    return float(theta - _fold_contributions(B, Mx, y, beta, rho)[0])
 
 
 def score_derivatives(w, theta, beta, rho, dictionary, functional):
@@ -94,12 +125,7 @@ def score_derivatives(w, theta, beta, rho, dictionary, functional):
     these are the calculus derivatives of psi as written above, used for
     diagnostics and finite-difference checks.
     """
-    y, x = w
-    b = dictionary.evaluate(x)
-    m = functional.m_of_basis(dictionary, x)
-    d_beta = -m + (rho @ b) * b
-    d_rho = -b * (y - b @ beta)
-    return d_beta, d_rho
+    return _derivative_sums(*_point_features(w, dictionary, functional), beta, rho)
 
 
 def fold_theta(data, rows, beta, rho, dictionary, functional):
@@ -107,16 +133,8 @@ def fold_theta(data, rows, beta, rho, dictionary, functional):
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         raise ValueError("empty fold")
-    return float(np.mean(_fold_contributions(data, rows, beta, rho, dictionary, functional)))
-
-
-def _fold_contributions(data, rows, beta, rho, dictionary, functional):
-    """Per-observation m'beta + rho'b (y - b'beta) over the rows."""
-    B = design_matrix(dictionary, data, rows)
-    m = functional.m_rows(dictionary, data.covariates[rows])
-    y = data.outcome[rows]
-    resid = y - B @ beta
-    return m @ beta + (B @ rho) * resid
+    B, Mx = _features(data, rows, dictionary, functional)
+    return float(np.mean(_fold_contributions(B, Mx, data.outcome[rows], beta, rho)))
 
 
 @dataclass
@@ -185,13 +203,15 @@ class DmlResult:
         }
 
 
-def fit_and_score_fold(data, dictionary, functional, eval_rows, train_rows,
-                       blp_rule, riesz_rule, l1_bound=np.inf, opts=None,
-                       plugin_only=False, fold_id=0):
+def fit_and_score_fold(B, Mx, y, eval_rows, train_rows, blp_rule, riesz_rule,
+                       l1_bound=np.inf, opts=None, plugin_only=False, fold_id=0):
     """Fit nuisances on train_rows, evaluate the fold estimate on eval_rows.
 
-    The two index sets must be disjoint; cross-fitting hygiene is enforced
-    here, so no caller can leak evaluation rows into nuisance fitting.
+    ``B``, ``Mx`` and ``y`` hold b(X), m(X, b) and Y for every observation;
+    the two index sets select rows of them.  The sets must be disjoint;
+    cross-fitting hygiene is enforced here, so no caller can leak evaluation
+    rows into nuisance fitting.  Returns the fold's record, its per-row
+    score contributions and its score-derivative sums.
     """
     eval_rows = np.asarray(eval_rows, dtype=int)
     train_rows = np.asarray(train_rows, dtype=int)
@@ -200,25 +220,29 @@ def fit_and_score_fold(data, dictionary, functional, eval_rows, train_rows,
     if eval_rows.size == 0:
         raise ValueError("empty fold")
 
-    p = dictionary.output_dim
-    beta, blp_sol = estimate_blp(data, train_rows, dictionary, blp_rule, l1_bound, opts)
+    n_train = train_rows.size
+    G, M = gram_and_moments(B[train_rows], y[train_rows])
+    blp_sol, lambda_blp = fit_rmd(G, M, blp_rule, n_train, l1_bound, opts)
     _require_solved(blp_sol, "BLP", fold_id)
+    beta = blp_sol.t_hat
     if plugin_only:
-        rho = np.zeros(p)
-        riesz_sol = None
+        rho = np.zeros(B.shape[1])
+        riesz_sol, lambda_riesz = None, 0.0
     else:
-        rho, riesz_sol = estimate_riesz(data, train_rows, dictionary, functional,
-                                        riesz_rule, l1_bound, opts)
+        riesz_sol, lambda_riesz = fit_rmd(G, Mx[train_rows].mean(axis=0), riesz_rule,
+                                          n_train, l1_bound, opts)
         _require_solved(riesz_sol, "Riesz", fold_id)
+        rho = riesz_sol.t_hat
 
-    contrib = _fold_contributions(data, eval_rows, beta, rho, dictionary, functional)
+    held_out = (B[eval_rows], Mx[eval_rows], y[eval_rows], beta, rho)
+    contrib = _fold_contributions(*held_out)
     record = FoldRecord(
         fold=fold_id,
         n_eval=int(eval_rows.size),
-        n_train=int(train_rows.size),
+        n_train=int(n_train),
         theta=float(contrib.mean()),
-        lambda_blp=blp_rule.lam(train_rows.size, p),
-        lambda_riesz=0.0 if plugin_only else riesz_rule.lam(train_rows.size, p),
+        lambda_blp=lambda_blp,
+        lambda_riesz=lambda_riesz,
         beta=beta,
         rho=rho,
         blp_l1=blp_sol.l1_norm,
@@ -228,14 +252,14 @@ def fit_and_score_fold(data, dictionary, functional, eval_rows, train_rows,
         riesz_residual=0.0 if plugin_only else riesz_sol.max_residual,
         riesz_iterations=0 if plugin_only else riesz_sol.iterations,
     )
-    return record, contrib
+    return record, contrib, _derivative_sums(*held_out)
 
 
 def _require_solved(sol, which, fold_id):
     if sol.status == INFEASIBLE:
         raise RmdInfeasibleError(f"{which} RMD fit certified infeasible in fold {fold_id}")
     if sol.status == ITERATION_LIMIT:
-        raise RuntimeError(f"{which} RMD fit hit the iteration limit in fold {fold_id}")
+        raise SolverError(f"{which} RMD fit hit the iteration limit in fold {fold_id}")
 
 
 def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
@@ -262,24 +286,21 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
             raise ValueError("fold plan length does not match the dataset")
         K = plan.K
 
+    B, Mx = _features(data, np.arange(n), dictionary, functional)
     records = []
     contribs = np.empty(n)
-    d_beta_sum = np.zeros(dictionary.output_dim)
-    d_rho_sum = np.zeros(dictionary.output_dim)
+    d_beta_sum = np.zeros(B.shape[1])
+    d_rho_sum = np.zeros(B.shape[1])
     for k in range(1, K + 1):
         eval_rows = plan.fold_rows(k)
-        record, contrib = fit_and_score_fold(
-            data, dictionary, functional, eval_rows, plan.complement_rows(k),
+        record, contrib, (d_beta, d_rho) = fit_and_score_fold(
+            B, Mx, data.outcome, eval_rows, plan.complement_rows(k),
             rule, riesz_rule, l1_bound, opts, plugin_only, fold_id=k,
         )
         records.append(record)
         contribs[eval_rows] = contrib
-        # cross-fitted score-derivative averages on the evaluation fold
-        B = design_matrix(dictionary, data, eval_rows)
-        m = functional.m_rows(dictionary, data.covariates[eval_rows])
-        resid = data.outcome[eval_rows] - B @ record.beta
-        d_beta_sum += B.T @ (B @ record.rho) - m.sum(axis=0)
-        d_rho_sum += -B.T @ resid
+        d_beta_sum += d_beta
+        d_rho_sum += d_rho
 
     per_fold_theta = np.array([rec.theta for rec in records])
     theta_hat = float(per_fold_theta.mean())
@@ -289,7 +310,7 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
     warn_list = []
     if sigma_hat == 0.0:
         warn_list.append("degenerate score: psi is constant across observations; zero-width CI")
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * sigma_hat / np.sqrt(n)
     ci = (theta_hat - half, theta_hat + half)
 
@@ -329,14 +350,10 @@ def orthogonality_report(data, dictionary, functional, beta_hat, rho_hat,
     if rows is None:
         rows = np.arange(data.n)
     rows = np.asarray(rows, dtype=int)
-    B = design_matrix(dictionary, data, rows)
-    m = functional.m_rows(dictionary, data.covariates[rows])
-    n = rows.size
-    resid = data.outcome[rows] - B @ beta_hat
-    d_beta = B.T @ (B @ rho_hat) / n - m.mean(axis=0)
-    d_rho = -B.T @ resid / n
-    d_beta_sup = float(np.abs(d_beta).max())
-    d_rho_sup = float(np.abs(d_rho).max())
+    B, Mx = _features(data, rows, dictionary, functional)
+    d_beta, d_rho = _derivative_sums(B, Mx, data.outcome[rows], beta_hat, rho_hat)
+    d_beta_sup = float(np.abs(d_beta / rows.size).max())
+    d_rho_sup = float(np.abs(d_rho / rows.size).max())
     if lambda_riesz is not None and d_beta_sup > 3.0 * lambda_riesz + 1e-7:
         warnings.warn(
             f"averaged d_beta psi sup-norm {d_beta_sup:.3g} exceeds lambda + slack "

@@ -23,6 +23,11 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
 
+
+class SolverError(RuntimeError):
+    """The simplex could not finish: numerical trouble or a spent iteration budget."""
+
+
 # Reduced-cost / ratio-test tolerances.  The RMD layer re-checks
 # feasibility of the returned point independently.
 _RC_TOL = 1e-9
@@ -171,7 +176,7 @@ class _SimplexState:
             if r < 0:
                 # Unbounded direction.  Phase-1 and l1 objectives are
                 # bounded below, so this only signals numerical trouble.
-                raise RuntimeError("simplex: unbounded direction encountered")
+                raise SolverError("simplex: unbounded direction encountered")
             step = self.x_B[r] / d[r]
             self._pivot(q, r, d)
             self.iterations += 1
@@ -242,7 +247,7 @@ class _SimplexState:
             cand = np.flatnonzero(np.abs(row) > 1e-8)
             if cand.size == 0:
                 # Cannot happen with an identity slack block; be defensive.
-                raise RuntimeError("simplex: redundant row with basic artificial")
+                raise SolverError("simplex: redundant row with basic artificial")
             q = cand[np.argmax(np.abs(row[cand]))]
             d = self.B_inv @ self.A[:, q]
             self._pivot(q, r, d)

@@ -7,22 +7,22 @@ l1-budget ||t||_1 <= B (B = inf drops it).  Two instantiations are exposed:
 * ``estimate_blp``   -- G_hat = E_A[b b'],  M_hat = E_A[Y b]   (sparse regression)
 * ``estimate_riesz`` -- G_hat = E_A[b b'],  M_hat = E_A[m(X, b)] (sparse Riesz representer)
 
-The default backend turns the problem into the LP
+Both, and the cross-fitted folds in ``dml``, reach the solver through
+``fit_rmd``, which picks lambda from the fitting sample and solves one
+instance.  The problem is written as the LP
 
     min sum(t+ + t-)  s.t.  -lambda <= G (t+ - t-) - M <= lambda,  t+- >= 0,
                             sum(t+ + t-) <= B,
 
-and solves it exactly with a dense two-phase simplex.  A first-order
-primal-dual backend is available for large p where a vertex method is
-impractical; it certifies near-optimality through a dual lower bound.
+and solved exactly with a dense two-phase simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import lp
 from .dictionaries import design_matrix
@@ -31,6 +31,7 @@ from .functional import m_hat_vector
 OPTIMAL = lp.OPTIMAL
 INFEASIBLE = lp.INFEASIBLE
 ITERATION_LIMIT = lp.ITERATION_LIMIT
+SolverError = lp.SolverError
 
 
 class RmdInfeasibleError(RuntimeError):
@@ -85,10 +86,6 @@ class RmdSolution:
 class SolverOptions:
     max_iters: int = 100_000
     feas_tol: float = 1e-7
-    backend: str = "simplex"  # "simplex" | "first_order"
-    # first-order controls
-    fo_tol: float = 1e-8
-    fo_max_iters: int = 200_000
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class LambdaRule:
         if self.method == "fixed":
             out = float(self.value)
         elif self.method == "gaussian_quantile":
-            out = self.c * norm.ppf(1.0 - self.alpha / (2.0 * p)) / np.sqrt(n_rows)
+            out = self.c * NormalDist().inv_cdf(1.0 - self.alpha / (2.0 * p)) / np.sqrt(n_rows)
         else:
             raise ValueError(f"unknown lambda rule {self.method!r}")
         if not np.isfinite(out) or out < 0.0:
@@ -157,52 +154,6 @@ def _solve_simplex(prob, opts):
     return t, res.status, res.iterations
 
 
-def _solve_first_order(prob, opts):
-    """Chambolle-Pock primal-dual iteration on min ||t||_1 + I{||Gt - M||_inf <= lam}.
-
-    Returns a point whose optimality is certified (when possible) by the
-    dual lower bound M'y - lam ||y||_1 over ||G y||_inf <= 1; the caller
-    downgrades the status when feasibility or the gap fails its tolerance.
-    """
-    G, M, lam = prob.G_hat, prob.M_hat, prob.lam
-    p = prob.p
-    Lnorm = np.linalg.norm(G, 2)
-    if Lnorm == 0.0:
-        t = np.zeros(p)
-        status = OPTIMAL if np.abs(M).max() <= lam + opts.feas_tol else INFEASIBLE
-        return t, status, 0
-    tau = 0.95 / Lnorm
-    sigma = 0.95 / Lnorm
-    t = np.zeros(p)
-    t_bar = t.copy()
-    y = np.zeros(p)
-    it = 0
-    check_every = 200
-    for it in range(1, opts.fo_max_iters + 1):
-        # dual prox: argmax over y of <y, G t_bar> - M'y - lam||y||_1 - ||y - y0||^2/(2 sigma)
-        y = y + sigma * (G @ t_bar - M)
-        y = np.sign(y) * np.maximum(np.abs(y) - sigma * lam, 0.0)
-        t_new = t - tau * (G @ y)
-        t_new = np.sign(t_new) * np.maximum(np.abs(t_new) - tau, 0.0)
-        if np.isfinite(prob.l1_bound):
-            l1 = np.abs(t_new).sum()
-            if l1 > prob.l1_bound:
-                t_new *= prob.l1_bound / l1
-        t_bar = 2.0 * t_new - t
-        t = t_new
-        if it % check_every == 0:
-            resid = np.abs(G @ t - M).max()
-            # scale y into the dual-feasible set {||G y||_inf <= 1} to get a
-            # valid lower bound -M'y - lam ||y||_1 on the optimal value
-            gy = np.abs(G @ y).max()
-            y_feas = y / max(1.0, gy)
-            lower = -(M @ y_feas) - lam * np.abs(y_feas).sum()
-            gap = np.abs(t).sum() - lower
-            if resid <= lam + 0.1 * opts.feas_tol and gap <= opts.fo_tol * (1.0 + np.abs(t).sum()):
-                return t, OPTIMAL, it
-    return t, ITERATION_LIMIT, it
-
-
 def solve_rmd(prob, opts=None):
     """Solve one RMD instance; feasibility of the answer is re-checked directly.
 
@@ -213,12 +164,7 @@ def solve_rmd(prob, opts=None):
     """
     if opts is None:
         opts = SolverOptions()
-    if opts.backend == "simplex":
-        t, status, iters = _solve_simplex(prob, opts)
-    elif opts.backend == "first_order":
-        t, status, iters = _solve_first_order(prob, opts)
-    else:
-        raise ValueError(f"unknown backend {opts.backend!r}")
+    t, status, iters = _solve_simplex(prob, opts)
 
     max_resid = float(np.abs(prob.G_hat @ t - prob.M_hat).max()) if prob.p else 0.0
     l1 = float(np.abs(t).sum())
@@ -236,16 +182,26 @@ def solve_rmd(prob, opts=None):
                        status=status, iterations=iters)
 
 
-def gram_and_moments(dictionary, data, rows, outcome=True):
-    """G_hat = E_A[b b'] and, optionally, M_hat = E_A[Y b] over the rows."""
-    rows = np.asarray(rows, dtype=int)
-    B = design_matrix(dictionary, data, rows)
+def gram_and_moments(B, y=None):
+    """G_hat = E_A[b b'] and, when ``y`` is given, M_hat = E_A[Y b].
+
+    ``B`` holds the rows b(X_i), i in A, and ``y`` the matching outcomes.
+    """
     n = B.shape[0]
     G = B.T @ B / n
-    if not outcome:
-        return G, None
-    M = B.T @ data.outcome[rows] / n
-    return G, M
+    return G, (None if y is None else B.T @ y / n)
+
+
+def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf, opts=None):
+    """Solve the RMD instance (G_hat, M_hat) at the lambda ``rule`` picks.
+
+    ``n_rows`` is the size of the fitting sample G_hat and M_hat average
+    over.  Returns (RmdSolution, lambda).
+    """
+    if n_rows < 2:
+        raise ValueError("need at least 2 rows to fit")
+    lam = rule.lam(n_rows, M.shape[0])
+    return solve_rmd(RmdProblem(G, M, lam, l1_bound), opts), lam
 
 
 def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf, opts=None):
@@ -255,11 +211,8 @@ def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf, opts=None):
     ||E_A[b (Y - b'beta_hat)]||_inf.
     """
     rows = np.asarray(rows, dtype=int)
-    if rows.size < 2:
-        raise ValueError("need at least 2 rows to fit")
-    G, M = gram_and_moments(dictionary, data, rows)
-    lam = rule.lam(rows.size, dictionary.output_dim)
-    sol = solve_rmd(RmdProblem(G, M, lam, l1_bound), opts)
+    G, M = gram_and_moments(design_matrix(dictionary, data, rows), data.outcome[rows])
+    sol, _ = fit_rmd(G, M, rule, rows.size, l1_bound, opts)
     return sol.t_hat, sol
 
 
@@ -270,11 +223,8 @@ def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf, op
     ||E_A[m(X, b)] - G_hat rho_hat||_inf.
     """
     rows = np.asarray(rows, dtype=int)
-    if rows.size < 2:
-        raise ValueError("need at least 2 rows to fit")
     functional.check_compatible(dictionary, data)
-    G, _ = gram_and_moments(dictionary, data, rows, outcome=False)
+    G, _ = gram_and_moments(design_matrix(dictionary, data, rows))
     M = m_hat_vector(functional, dictionary, data, rows)
-    lam = rule.lam(rows.size, dictionary.output_dim)
-    sol = solve_rmd(RmdProblem(G, M, lam, l1_bound), opts)
+    sol, _ = fit_rmd(G, M, rule, rows.size, l1_bound, opts)
     return sol.t_hat, sol

@@ -391,7 +391,10 @@ def _replicate(task):
 def resolve_workers(requested=None):
     """Worker count, capped by RIESZ_DML_THREADS (default: available parallelism)."""
     env = os.environ.get("RIESZ_DML_THREADS")
-    cap = int(env) if env is not None else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env is not None else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"RIESZ_DML_THREADS must be an integer, got {env!r}") from None
     cap = max(1, cap)
     if requested is None:
         return cap

@@ -24,6 +24,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def error_line(err):
+    """The single-line JSON error object on stderr."""
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert isinstance(payload, dict) and "error" in payload
+    return payload
+
+
 # -- rmd-solve -------------------------------------------------------------------
 
 def test_rmd_solve_large_lambda_zero(tmp_path, capsys):
@@ -100,6 +108,37 @@ def test_estimate_missing_outcome_column(tmp_path, capsys):
     payload = json.loads(err.strip())
     assert payload["key"] == "data.outcome"
     assert "nope" in payload["error"]
+
+
+def test_estimate_missing_treatment_column_names_its_key(tmp_path, capsys):
+    # the outcome name "t" is a substring of the error message, which must
+    # not make the error blame data.outcome
+    cfg = write(tmp_path / "c.cfg", "data.outcome = t\ndata.treatment = treat\n")
+    csv = write(tmp_path / "d.csv", "t,x1,x2\n" + "\n".join(
+        f"{i % 3},{i * 0.1},{i * 0.2}" for i in range(20)))
+    code, out, err = run_cli(capsys, "estimate", "--data", csv, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "data.treatment"
+    assert "treat" in payload["error"]
+
+
+@pytest.mark.parametrize("failure", ["iteration_limit", "unbounded"])
+def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
+    from rieszdml import lp
+
+    def failing_solve(A, b, c, max_iters=100_000):
+        if failure == "unbounded":
+            raise lp.SolverError("simplex: unbounded direction encountered")
+        return lp.LpResult(np.zeros(A.shape[1]), 0.0, lp.ITERATION_LIMIT, max_iters)
+
+    monkeypatch.setattr(lp, "solve_standard_form", failing_solve)
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
+                             "--config", EXAMPLE_CFG)
+    assert code == 4 and out == ""
+    message = error_line(err)["error"]
+    assert ("iteration limit in fold 1" if failure == "iteration_limit"
+            else "unbounded direction") in message
 
 
 def test_estimate_unknown_config_key(tmp_path, capsys):
@@ -181,6 +220,13 @@ def test_simulate_end_to_end(tmp_path, capsys):
     lines = open(csv_out).read().strip().split("\n")
     assert len(lines) == 4  # header + 3 reps
     assert lines[0].startswith("rep,status,theta_hat")
+
+
+def test_simulate_rejects_non_integer_thread_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RIESZ_DML_THREADS", "two")
+    code, out, err = run_cli(capsys, "simulate", "--config", simulate_cfg(tmp_path))
+    assert code == 2 and out == ""
+    assert "RIESZ_DML_THREADS" in error_line(err)["error"]
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):

@@ -53,6 +53,13 @@ def test_fold_plan_validation():
         FoldPlan(K=3, assignments=np.array([1, 1, 2, 2]), seed=0)  # empty fold
 
 
+@pytest.mark.parametrize("ids", [[1, 2, 3], [0, 1, 2]])
+def test_fold_plan_rejects_ids_outside_1_to_K(ids):
+    # folds 1 and 2 are balanced, so only the id range can reject these plans
+    with pytest.raises(ValueError, match="fold ids"):
+        FoldPlan(K=2, assignments=np.repeat(ids, 20), seed=0)
+
+
 # -- score function -------------------------------------------------------------
 
 def test_score_psi_zero_case():
@@ -238,9 +245,10 @@ def test_dml_scaling_in_outcome():
 
 def test_cross_fitting_leak_is_rejected():
     data, dic, f, _ = small_setup()
+    B, Mx = dic.evaluate_rows(data.covariates), f.m_rows(dic, data.covariates)
     rule = LambdaRule.fixed(0.1)
     with pytest.raises(ValueError, match="overlap"):
-        fit_and_score_fold(data, dic, f, np.arange(10), np.arange(5, 30), rule, rule)
+        fit_and_score_fold(B, Mx, data.outcome, np.arange(10), np.arange(5, 30), rule, rule)
 
 
 def test_infeasible_fold_names_the_fold():
@@ -257,6 +265,49 @@ def test_dml_plugin_only_forces_zero_rho():
     for rec in res.per_fold:
         np.testing.assert_allclose(rec.rho, 0.0)
         assert rec.riesz_l1 == 0.0
+
+
+class CountingDictionary:
+    """A dictionary that counts the rows passed to evaluate_rows."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def evaluate_rows(self, X):
+        self.rows += len(X)
+        return self.inner.evaluate_rows(X)
+
+
+class CountingFunctional:
+    """A functional that counts the rows passed to m_rows.
+
+    It evaluates m on the unwrapped dictionary, so its own b evaluations
+    are not counted as b(X) passes.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows = 0
+
+    def check_compatible(self, dictionary, data=None):
+        self.inner.check_compatible(dictionary.inner, data)
+
+    def m_rows(self, dictionary, X):
+        self.rows += len(X)
+        return self.inner.m_rows(dictionary.inner, X)
+
+
+def test_dml_evaluates_features_once_per_dataset():
+    data, dic, f, _ = small_setup(n=100, noise=0.4)
+    cdic, cf = CountingDictionary(dic), CountingFunctional(f)
+    res = dml_estimate(data, cdic, cf, K=5, rule=LambdaRule.fixed(0.1), seed=4)
+    assert (cdic.rows, cf.rows) == (data.n, data.n)
+    plain = dml_estimate(data, dic, f, K=5, rule=LambdaRule.fixed(0.1), seed=4)
+    assert res.theta_hat == plain.theta_hat
 
 
 def test_dml_k2_vs_k5_coverage():

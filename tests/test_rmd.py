@@ -155,25 +155,6 @@ def test_problem_validation():
         RmdProblem(np.eye(2), np.zeros(3), 0.1)
 
 
-def test_first_order_backend_agrees_with_simplex():
-    # first-order accuracy is certificate-driven: optimal status means the
-    # duality gap closed below fo_tol, so the l1 value is trustworthy to that
-    # tolerance; on ill-conditioned instances it reports iteration_limit instead
-    rng = np.random.default_rng(23)
-    opts = SolverOptions(backend="first_order", fo_tol=2e-4, fo_max_iters=400_000)
-    for _ in range(5):
-        p = 12
-        A = rng.standard_normal((4 * p, p))
-        G = A.T @ A / (4 * p)
-        M = rng.standard_normal(p)
-        prob = RmdProblem(G, M, 0.3)
-        exact = solve_rmd(prob)
-        approx = solve_rmd(prob, opts)
-        assert approx.status == "optimal"
-        assert approx.max_residual <= prob.lam + 1e-7
-        assert approx.l1_norm == pytest.approx(exact.l1_norm, rel=1e-3, abs=1e-3)
-
-
 # -- lambda rules ----------------------------------------------------------------
 
 def test_lambda_rules():
