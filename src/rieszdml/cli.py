@@ -13,8 +13,9 @@ Values are scalars, comma-separated vectors, or semicolon-separated matrix
 rows.  Unknown keys are rejected, and every key is echoed back under
 ``config`` in the JSON output.  Exit codes: 0 success, 2 configuration
 error (the message names the offending key), 3 RMD infeasibility, 4 solver
-failure (the simplex hit its iteration limit or numerical trouble).  Errors
-are printed as single-line JSON on stderr.
+failure (the simplex hit its iteration limit or numerical trouble, or its
+optimum failed the feasibility or duality-gap certificate).  Errors are
+printed as single-line JSON on stderr.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from .dictionaries import design_matrix
 from .rmd import (
     INFEASIBLE,
     ITERATION_LIMIT,
+    NUMERICAL_FAILURE,
     LambdaRule,
     RmdInfeasibleError,
     SolverError,
@@ -215,7 +216,9 @@ def fit_and_score_fold(B, Mx, y, eval_rows, train_rows, blp_rule, riesz_rule,
     """
     eval_rows = np.asarray(eval_rows, dtype=int)
     train_rows = np.asarray(train_rows, dtype=int)
-    if np.intersect1d(eval_rows, train_rows).size > 0:
+    in_eval = np.zeros(B.shape[0], dtype=bool)
+    in_eval[eval_rows] = True
+    if in_eval[train_rows].any():
         raise ValueError("evaluation rows and nuisance-fitting rows overlap")
     if eval_rows.size == 0:
         raise ValueError("empty fold")
@@ -260,6 +263,9 @@ def _require_solved(sol, which, fold_id):
         raise RmdInfeasibleError(f"{which} RMD fit certified infeasible in fold {fold_id}")
     if sol.status == ITERATION_LIMIT:
         raise SolverError(f"{which} RMD fit hit the iteration limit in fold {fold_id}")
+    if sol.status == NUMERICAL_FAILURE:
+        raise SolverError(f"{which} RMD fit failed its feasibility or duality-gap "
+                          f"certificate in fold {fold_id}")
 
 
 def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,

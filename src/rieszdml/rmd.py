@@ -9,12 +9,15 @@ l1-budget ||t||_1 <= B (B = inf drops it).  Two instantiations are exposed:
 
 Both, and the cross-fitted folds in ``dml``, reach the solver through
 ``fit_rmd``, which picks lambda from the fitting sample and solves one
-instance.  The problem is written as the LP
+instance.  The problem is written as the p-row LP
 
-    min sum(t+ + t-)  s.t.  -lambda <= G (t+ - t-) - M <= lambda,  t+- >= 0,
-                            sum(t+ + t-) <= B,
+    min sum(t+ + t-)  s.t.  G (t+ - t-) - s = M,  -lambda <= s <= lambda,  t+- >= 0,
+                            sum(t+ + t-) + s0 = B,  s0 >= 0,
 
-and solved exactly with a dense two-phase simplex.
+and solved exactly by a bounded-variable dual simplex started from the
+slack basis (t = 0), which is dual feasible.  Every optimum is certified
+outside the solver: its residuals are re-checked and its duality gap is
+computed from G_hat, M_hat, lambda, B and the row duals alone.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .functional import m_hat_vector
 OPTIMAL = lp.OPTIMAL
 INFEASIBLE = lp.INFEASIBLE
 ITERATION_LIMIT = lp.ITERATION_LIMIT
+NUMERICAL_FAILURE = "numerical_failure"
 SolverError = lp.SolverError
 
 
@@ -80,6 +84,7 @@ class RmdSolution:
     max_residual: float
     status: str
     iterations: int
+    gap: float  # ||t||_1 minus a certified lower bound; nan unless the simplex finished
 
 
 @dataclass
@@ -123,63 +128,74 @@ class LambdaRule:
 
 
 def _build_lp(prob):
-    """LP standard form for the RMD instance (variables t+, t-, slacks)."""
-    G, M, lam = prob.G_hat, prob.M_hat, prob.lam
+    """The p-row LP of one RMD instance and its dual-feasible slack basis.
+
+    Variables (t+, t-, s): G (t+ - t-) - s = M with t+- >= 0 and
+    -lambda <= s <= lambda; a finite l1_bound adds the row
+    1'(t+ + t-) + s0 = B with s0 >= 0.  Costs are 1 on t+- and 0 on the
+    slacks, so the slack basis (t = 0) is dual feasible.
+    """
+    G, M, lam, p = prob.G_hat, prob.M_hat, prob.lam, prob.p
+    A = np.hstack([G, -G, -np.eye(p)])
+    b = M
+    lo = np.concatenate([np.zeros(2 * p), np.full(p, -lam)])
+    hi = np.concatenate([np.full(2 * p, np.inf), np.full(p, lam)])
+    c = np.concatenate([np.ones(2 * p), np.zeros(p)])
+    if np.isfinite(prob.l1_bound):
+        budget = np.concatenate([np.ones(2 * p), np.zeros(p), [1.0]])
+        A = np.vstack([np.hstack([A, np.zeros((p, 1))]), budget])
+        b = np.append(M, prob.l1_bound)
+        lo, hi, c = np.append(lo, 0.0), np.append(hi, np.inf), np.append(c, 0.0)
+    return A, b, c, lo, hi, np.arange(2 * p, A.shape[1])
+
+
+def _duality_gap(prob, l1, y):
+    """||t||_1 minus a lower bound on the optimum, from the row duals ``y``.
+
+    The dual of the RMD LP is max M'y - lambda ||y||_1 - B mu subject to
+    ||G y||_inf <= 1 + mu, mu >= 0, with mu the dual of the budget row.  Any
+    (y, mu) divided by max(1, ||G y||_inf - mu) is feasible, so the bound
+    holds whatever ``y`` the solver returned.
+    """
     p = prob.p
     bounded = np.isfinite(prob.l1_bound)
-    m_rows = 2 * p + (1 if bounded else 0)
-    n_cols = 4 * p + (1 if bounded else 0)
-    A = np.zeros((m_rows, n_cols))
-    A[:p, :p] = G
-    A[:p, p:2 * p] = -G
-    A[:p, 2 * p:3 * p] = np.eye(p)
-    A[p:2 * p, :p] = -G
-    A[p:2 * p, p:2 * p] = G
-    A[p:2 * p, 3 * p:4 * p] = np.eye(p)
-    b = np.concatenate([M + lam, lam - M])
-    if bounded:
-        A[2 * p, :2 * p] = 1.0
-        A[2 * p, 4 * p] = 1.0
-        b = np.append(b, prob.l1_bound)
-    c = np.zeros(n_cols)
-    c[:2 * p] = 1.0
-    return A, b, c
-
-
-def _solve_simplex(prob, opts):
-    A, b, c = _build_lp(prob)
-    res = lp.solve_standard_form(A, b, c, max_iters=opts.max_iters)
-    p = prob.p
-    t = res.z[:p] - res.z[p:2 * p]
-    return t, res.status, res.iterations
+    mu = max(-y[p], 0.0) if bounded else 0.0
+    y = y[:p]
+    scale = max(1.0, np.abs(prob.G_hat @ y).max(initial=0.0) - mu)
+    dual = prob.M_hat @ y - prob.lam * np.abs(y).sum() - (prob.l1_bound * mu if bounded else 0.0)
+    return l1 - dual / scale
 
 
 def solve_rmd(prob, opts=None):
-    """Solve one RMD instance; feasibility of the answer is re-checked directly.
+    """Solve one RMD instance; the answer is certified outside the solver.
 
     ``status`` is "optimal" only when the returned point passes an
-    independent residual check; "infeasible" only when the LP is certified
-    infeasible (possible when l1_bound is below the minimal feasible l1
-    norm, or when M_hat is unreachable within lambda for a singular G_hat).
+    independent residual check and its duality gap is closed;
+    "numerical_failure" when the simplex finished but either check failed;
+    "infeasible" only when the LP is certified infeasible (possible when
+    l1_bound is below the minimal feasible l1 norm, or when M_hat is
+    unreachable within lambda for a singular G_hat).
     """
     if opts is None:
         opts = SolverOptions()
-    t, status, iters = _solve_simplex(prob, opts)
-
-    max_resid = float(np.abs(prob.G_hat @ t - prob.M_hat).max()) if prob.p else 0.0
+    res = lp.solve_standard_form(*_build_lp(prob), max_iters=opts.max_iters)
+    p = prob.p
+    t = res.z[:p] - res.z[p:2 * p]
+    status = res.status
+    max_resid = float(np.abs(prob.G_hat @ t - prob.M_hat).max(initial=0.0))
     l1 = float(np.abs(t).sum())
+    gap = float("nan")
     if status == OPTIMAL:
+        gap = float(_duality_gap(prob, l1, res.y))
         feasible = max_resid <= prob.lam + opts.feas_tol and l1 <= prob.l1_bound + opts.feas_tol
-        if not feasible:
-            # A finished simplex run always returns a feasible vertex; treat
-            # numerical dust beyond the tolerance as a failed run.
-            status = ITERATION_LIMIT
+        if not (feasible and gap <= opts.feas_tol * (1.0 + l1)):
+            status = NUMERICAL_FAILURE
     if status == INFEASIBLE:
-        t = np.zeros(prob.p)
+        t = np.zeros(p)
         l1 = 0.0
         max_resid = float(np.abs(prob.M_hat).max())
     return RmdSolution(t_hat=t, l1_norm=l1, max_residual=max_resid,
-                       status=status, iterations=iters)
+                       status=status, iterations=res.iterations, gap=gap)
 
 
 def gram_and_moments(B, y=None):

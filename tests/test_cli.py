@@ -127,7 +127,7 @@ def test_estimate_missing_treatment_column_names_its_key(tmp_path, capsys):
 def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
     from rieszdml import lp
 
-    def failing_solve(A, b, c, max_iters=100_000):
+    def failing_solve(A, b, c, lo, hi, basis, max_iters=100_000):
         if failure == "unbounded":
             raise lp.SolverError("simplex: unbounded direction encountered")
         return lp.LpResult(np.zeros(A.shape[1]), 0.0, lp.ITERATION_LIMIT, max_iters)
@@ -139,6 +139,21 @@ def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
     message = error_line(err)["error"]
     assert ("iteration limit in fold 1" if failure == "iteration_limit"
             else "unbounded direction") in message
+
+
+def test_estimate_uncertified_optimum_exit_code(monkeypatch, capsys):
+    from rieszdml import lp
+
+    def uncertified_solve(A, b, c, lo, hi, basis, max_iters=100_000):
+        # claims t = 0 optimal, which leaves the BLP residual above lambda
+        return lp.LpResult(np.zeros(A.shape[1]), 0.0, lp.OPTIMAL, 0, np.zeros(A.shape[0]))
+
+    monkeypatch.setattr(lp, "solve_standard_form", uncertified_solve)
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
+                             "--config", EXAMPLE_CFG)
+    assert code == 4 and out == ""
+    assert "BLP RMD fit failed its feasibility or duality-gap certificate in fold 1" \
+        in error_line(err)["error"]
 
 
 def test_estimate_unknown_config_key(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.stats import norm
 
 from rieszdml import (
@@ -14,6 +17,7 @@ from rieszdml import (
     estimate_riesz,
     solve_rmd,
 )
+from rieszdml import lp
 from rieszdml.rmd import LambdaRule, RmdProblem, SolverOptions
 
 from oracles import lp_vertex_oracle
@@ -153,6 +157,126 @@ def test_problem_validation():
         RmdProblem(np.eye(2), np.zeros(2), 0.1, l1_bound=0.0)
     with pytest.raises(ValueError):
         RmdProblem(np.eye(2), np.zeros(3), 0.1)
+
+
+def test_uncertified_optimum_is_numerical_failure(monkeypatch):
+    # G = I, M = (1, 0), lambda = 0.5: the optimum is t = (0.5, 0), l1 0.5.
+    prob = RmdProblem(np.eye(2), np.array([1.0, 0.0]), 0.5)
+    z_optimal = np.array([0.5, 0.0, 0.0, 0.0, 0.5, 0.0])
+    z_infeasible = np.zeros(6)  # residual 1 > lambda
+    z_gap_open = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # feasible, l1 1 > 0.5
+    y_optimal = np.array([1.0, 0.0])
+
+    def claims_optimal(z, y):
+        return lambda *args, max_iters: lp.LpResult(z, float(z[:4].sum()), lp.OPTIMAL, 1, y)
+
+    for z, y, expect in [(z_optimal, y_optimal, "optimal"),
+                         (z_infeasible, y_optimal, "numerical_failure"),
+                         (z_gap_open, y_optimal, "numerical_failure"),
+                         (z_optimal, np.zeros(2), "numerical_failure")]:
+        monkeypatch.setattr(lp, "solve_standard_form", claims_optimal(z, y))
+        sol = solve_rmd(prob)
+        assert sol.status == expect, (z, y)
+    assert sol.gap == pytest.approx(0.5)
+
+
+# -- differential test against HiGHS ------------------------------------------------
+
+def _highs_l1(G, M, lam, l1_bound):
+    """Optimal l1 norm from scipy's HiGHS on the 2p-inequality form, or None if infeasible."""
+    p = len(M)
+    A_ub = np.vstack([np.hstack([G, -G]), np.hstack([-G, G])])
+    b_ub = np.concatenate([M + lam, lam - M])
+    if np.isfinite(l1_bound):
+        A_ub = np.vstack([A_ub, np.ones(2 * p)])
+        b_ub = np.append(b_ub, l1_bound)
+    res = linprog(np.ones(2 * p), A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.fun if res.status == 0 else None
+
+
+@pytest.mark.parametrize("p", [30, 80, 160, 250])
+@pytest.mark.parametrize("budget", [None, 1.5, 0.5])
+def test_differential_against_highs(p, budget):
+    # Realistic Dantzig instances: a sparse regression Gram at n = 2p rows.
+    # ``budget`` scales the unconstrained optimum into an l1_bound: 1.5 leaves
+    # it slack, 0.5 makes the LP infeasible.  Objectives are compared, not t,
+    # since Dantzig LPs can have tied optima.
+    rng = np.random.default_rng(p)
+    n = 2 * p
+    X = rng.standard_normal((n, p))
+    y = X[:, :5] @ np.array([1.0, -0.8, 0.5, 0.3, -0.2]) + rng.standard_normal(n)
+    G, M = X.T @ X / n, X.T @ y / n
+    lam = 0.5 * np.sqrt(np.log(p) / n)
+    l1_bound = np.inf
+    if budget is not None:
+        l1_bound = budget * solve_rmd(RmdProblem(G, M, lam)).l1_norm
+    sol = solve_rmd(RmdProblem(G, M, lam, l1_bound))
+    expect = _highs_l1(G, M, lam, l1_bound)
+    if expect is None:
+        assert sol.status == "infeasible"
+        return
+    assert sol.status == "optimal"
+    assert sol.l1_norm == pytest.approx(expect, rel=1e-7)
+    assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
+
+
+# -- property tests ------------------------------------------------------------------
+# Problems are drawn on a coarse grid so that degenerate vertices, tied ratios
+# and singular Grams come up often.
+
+@st.composite
+def rmd_problems(draw, bounded=True):
+    p = draw(st.integers(1, 6))
+    k = draw(st.integers(1, p + 3))
+    X = np.array(draw(st.lists(st.integers(-4, 4), min_size=k * p, max_size=k * p)),
+                 dtype=float).reshape(k, p) / 2.0
+    M = np.array(draw(st.lists(st.integers(-8, 8), min_size=p, max_size=p)), dtype=float) / 4.0
+    lam = draw(st.integers(0, 8)) / 8.0
+    l1_bound = np.inf
+    if bounded and draw(st.booleans()):
+        l1_bound = draw(st.integers(1, 16)) / 4.0
+    return RmdProblem(X.T @ X / k, M, lam, l1_bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(prob=rmd_problems(), a=st.floats(0.1, 10.0))
+def test_property_positive_homogeneity(prob, a):
+    base = solve_rmd(prob)
+    scaled = solve_rmd(RmdProblem(prob.G_hat, a * prob.M_hat, a * prob.lam, a * prob.l1_bound))
+    assert scaled.status == base.status
+    assert scaled.l1_norm == pytest.approx(a * base.l1_norm, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(prob=rmd_problems(), data=st.data())
+def test_property_permutation_invariance(prob, data):
+    perm = np.array(data.draw(st.permutations(range(prob.p))))
+    base = solve_rmd(prob)
+    permuted = solve_rmd(RmdProblem(prob.G_hat[np.ix_(perm, perm)], prob.M_hat[perm],
+                                    prob.lam, prob.l1_bound))
+    assert permuted.status == base.status
+    assert permuted.l1_norm == pytest.approx(base.l1_norm, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(prob=rmd_problems(bounded=False), extra=st.integers(0, 4))
+def test_property_large_lambda_gives_zero(prob, extra):
+    lam = np.abs(prob.M_hat).max() + extra / 4.0
+    sol = solve_rmd(RmdProblem(prob.G_hat, prob.M_hat, lam))
+    assert sol.status == "optimal"
+    assert np.all(sol.t_hat == 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(prob=rmd_problems())
+def test_property_optimum_is_certified(prob):
+    sol = solve_rmd(prob)
+    assert sol.status in ("optimal", "infeasible")
+    if sol.status == "optimal":
+        assert np.abs(prob.G_hat @ sol.t_hat - prob.M_hat).max() <= prob.lam + 1e-7
+        assert sol.l1_norm <= prob.l1_bound + 1e-7
+        assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
 
 
 # -- lambda rules ----------------------------------------------------------------
