@@ -376,6 +376,7 @@ def cmd_rmd_solve(args):
         "max_residual": sol.max_residual,
         "status": sol.status,
         "iterations": sol.iterations,
+        "gap": sol.gap,
         "lambda": prob.lam,
         "l1_bound": prob.l1_bound,
         "p": prob.p,

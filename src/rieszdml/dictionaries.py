@@ -1,4 +1,4 @@
-"""Basis dictionaries b : R^d -> R^p, their analytic gradients, and datasets.
+"""Basis dictionaries b : R^d -> R^p, their analytic derivatives, and datasets.
 
 Four families are provided:
 
@@ -12,8 +12,12 @@ Four families are provided:
 * ``IdentityDictionary`` -- b(x) = x.
 * ``TreatmentInteractedDictionary`` -- b(x) = (b_in(z), t * b_in(z)) where t
   is the (binary) treatment coordinate and z the remaining coordinates.
-  Gradients are taken with respect to z only; the treatment column of the
-  gradient is zero by convention.
+  Derivatives are taken with respect to z only; the treatment component of
+  a direction is ignored, so the treatment column of the Jacobian is zero.
+
+Each family writes one derivative, the row-wise directional derivative
+``directional_gradient_rows(X, a)`` that m(x, b) = a' grad b(x) runs on.
+The per-point Jacobian ``gradient(x)`` is derived from it, column by column.
 
 All objects are immutable after construction and safe to share across
 workers; every operation is a pure function of its inputs.
@@ -46,7 +50,11 @@ def _check_rows(X, input_dim):
 
 
 class Dictionary:
-    """Common surface: evaluate, analytic gradient, vectorized variants."""
+    """Common surface: evaluate and differentiate, row-wise and per point.
+
+    A subclass defines ``evaluate_rows`` and ``directional_gradient_rows``;
+    ``evaluate`` and ``gradient`` are per-point views of them.
+    """
 
     kind = "abstract"
     input_dim: int
@@ -61,18 +69,18 @@ class Dictionary:
         """Row-wise evaluation: (n, d) -> (n, p)."""
         raise NotImplementedError
 
-    def gradient(self, x):
-        """Jacobian of b at x: entry (j, k) is db_j/dx_k, shape (p, d)."""
+    def directional_gradient_rows(self, X, a):
+        """Rows of (grad b(x_i)) a, shape (n, p)."""
         raise NotImplementedError
 
-    def directional_gradient_rows(self, X, a):
-        """Rows of (grad b(x_i)) a, shape (n, p); vectorized per kind."""
-        X = _check_rows(X, self.input_dim)
-        a = np.asarray(a, dtype=float)
-        out = np.empty((X.shape[0], self.output_dim))
-        for i in range(X.shape[0]):
-            out[i] = self.gradient(X[i]) @ a
-        return out
+    def gradient(self, x):
+        """Jacobian of b at x: entry (j, k) is db_j/dx_k, shape (p, d).
+
+        Column k is the directional derivative along the k-th unit vector.
+        """
+        X = _check_point(x, self.input_dim)[np.newaxis, :]
+        return np.column_stack([self.directional_gradient_rows(X, e)[0]
+                                for e in np.eye(self.input_dim)])
 
     def __repr__(self):
         return f"{type(self).__name__}(input_dim={self.input_dim}, output_dim={self.output_dim})"
@@ -117,19 +125,6 @@ class PolynomialDictionary(Dictionary):
             else:
                 _, j, k = term
                 out[:, col] = X[:, j] * X[:, k]
-        return out
-
-    def gradient(self, x):
-        x = _check_point(x, self.input_dim)
-        out = np.zeros((self.output_dim, self.input_dim))
-        for row, term in enumerate(self.terms):
-            if term[0] == "pow":
-                _, k, g = term
-                out[row, k] = g * x[k] ** (g - 1)
-            elif term[0] == "pair":
-                _, j, k = term
-                out[row, j] = x[k]
-                out[row, k] = x[j]
         return out
 
     def directional_gradient_rows(self, X, a):
@@ -180,17 +175,6 @@ class FourierDictionary(Dictionary):
             col += 2
         return out
 
-    def gradient(self, x):
-        x = _check_point(x, self.input_dim)
-        out = np.zeros((self.output_dim, self.input_dim))
-        row = 1
-        for k, j in self._freqs():
-            w = j * np.pi
-            out[row, k] = -w * np.sin(w * x[k])
-            out[row + 1, k] = w * np.cos(w * x[k])
-            row += 2
-        return out
-
     def directional_gradient_rows(self, X, a):
         X = _check_rows(X, self.input_dim)
         a = np.asarray(a, dtype=float)
@@ -218,10 +202,6 @@ class IdentityDictionary(Dictionary):
     def evaluate_rows(self, X):
         return _check_rows(X, self.input_dim).copy()
 
-    def gradient(self, x):
-        _check_point(x, self.input_dim)
-        return np.eye(self.input_dim)
-
     def directional_gradient_rows(self, X, a):
         X = _check_rows(X, self.input_dim)
         a = np.asarray(a, dtype=float)
@@ -239,12 +219,6 @@ class TreatmentInteractedDictionary(Dictionary):
         self.treatment_index = int(treatment_index)
         self.output_dim = 2 * inner.output_dim
 
-    def split(self, x):
-        x = _check_point(x, self.input_dim)
-        t = x[self.treatment_index]
-        z = np.delete(x, self.treatment_index)
-        return t, z
-
     def split_rows(self, X):
         X = _check_rows(X, self.input_dim)
         t = X[:, self.treatment_index]
@@ -256,35 +230,12 @@ class TreatmentInteractedDictionary(Dictionary):
         inner = self.inner.evaluate_rows(z)
         return np.hstack([inner, t[:, np.newaxis] * inner])
 
-    def gradient(self, x):
-        t, z = self.split(x)
-        g_in = self.inner.gradient(z)  # (p_in, d-1)
-        p_in = self.inner.output_dim
-        out = np.zeros((self.output_dim, self.input_dim))
-        z_cols = [k for k in range(self.input_dim) if k != self.treatment_index]
-        out[:p_in, z_cols] = g_in
-        out[p_in:, z_cols] = t * g_in
-        # treatment column stays zero: derivatives are taken in z only
-        return out
-
     def directional_gradient_rows(self, X, a):
-        a = np.asarray(a, dtype=float)
-        if a[self.treatment_index] != 0.0:
-            raise ValueError(
-                "derivative direction touches the treatment coordinate of a "
-                "treatment-interacted dictionary"
-            )
+        # derivatives in z only: the treatment component of a is dropped
         t, z = self.split_rows(X)
-        a_z = np.delete(a, self.treatment_index)
+        a_z = np.delete(np.asarray(a, dtype=float), self.treatment_index)
         d_in = self.inner.directional_gradient_rows(z, a_z)
         return np.hstack([d_in, t[:, np.newaxis] * d_in])
-
-
-_KINDS = {
-    "polynomial": PolynomialDictionary,
-    "fourier": FourierDictionary,
-    "identity": IdentityDictionary,
-}
 
 
 def make_dictionary(kind, input_dim, degree=None, order=None,

@@ -205,7 +205,7 @@ class DmlResult:
 
 
 def fit_and_score_fold(B, Mx, y, eval_rows, train_rows, blp_rule, riesz_rule,
-                       l1_bound=np.inf, opts=None, plugin_only=False, fold_id=0):
+                       l1_bound=np.inf, plugin_only=False, fold_id=0):
     """Fit nuisances on train_rows, evaluate the fold estimate on eval_rows.
 
     ``B``, ``Mx`` and ``y`` hold b(X), m(X, b) and Y for every observation;
@@ -225,7 +225,7 @@ def fit_and_score_fold(B, Mx, y, eval_rows, train_rows, blp_rule, riesz_rule,
 
     n_train = train_rows.size
     G, M = gram_and_moments(B[train_rows], y[train_rows])
-    blp_sol, lambda_blp = fit_rmd(G, M, blp_rule, n_train, l1_bound, opts)
+    blp_sol, lambda_blp = fit_rmd(G, M, blp_rule, n_train, l1_bound)
     _require_solved(blp_sol, "BLP", fold_id)
     beta = blp_sol.t_hat
     if plugin_only:
@@ -233,7 +233,7 @@ def fit_and_score_fold(B, Mx, y, eval_rows, train_rows, blp_rule, riesz_rule,
         riesz_sol, lambda_riesz = None, 0.0
     else:
         riesz_sol, lambda_riesz = fit_rmd(G, Mx[train_rows].mean(axis=0), riesz_rule,
-                                          n_train, l1_bound, opts)
+                                          n_train, l1_bound)
         _require_solved(riesz_sol, "Riesz", fold_id)
         rho = riesz_sol.t_hat
 
@@ -269,8 +269,7 @@ def _require_solved(sol, which, fold_id):
 
 
 def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
-                 l1_bound=np.inf, alpha=0.05, seed=0, opts=None, plugin_only=False,
-                 plan=None):
+                 l1_bound=np.inf, alpha=0.05, seed=0, plugin_only=False, plan=None):
     """Cross-fitted estimate with standard error and Gaussian confidence interval.
 
     ``rule`` drives the BLP lambda and, unless ``riesz_rule`` is given, the
@@ -301,7 +300,7 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
         eval_rows = plan.fold_rows(k)
         record, contrib, (d_beta, d_rho) = fit_and_score_fold(
             B, Mx, data.outcome, eval_rows, plan.complement_rows(k),
-            rule, riesz_rule, l1_bound, opts, plugin_only, fold_id=k,
+            rule, riesz_rule, l1_bound, plugin_only, fold_id=k,
         )
         records.append(record)
         contribs[eval_rows] = contrib

@@ -37,6 +37,9 @@ ITERATION_LIMIT = lp.ITERATION_LIMIT
 NUMERICAL_FAILURE = "numerical_failure"
 SolverError = lp.SolverError
 
+MAX_ITERS = 100_000  # pivot budget of one simplex solve
+FEAS_TOL = 1e-7  # slack allowed in the residual, l1-budget and duality-gap checks
+
 
 class RmdInfeasibleError(RuntimeError):
     """Raised when an RMD fit required by a pipeline is certified infeasible."""
@@ -85,12 +88,6 @@ class RmdSolution:
     status: str
     iterations: int
     gap: float  # ||t||_1 minus a certified lower bound; nan unless the simplex finished
-
-
-@dataclass
-class SolverOptions:
-    max_iters: int = 100_000
-    feas_tol: float = 1e-7
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ def _duality_gap(prob, l1, y):
     return l1 - dual / scale
 
 
-def solve_rmd(prob, opts=None):
+def solve_rmd(prob):
     """Solve one RMD instance; the answer is certified outside the solver.
 
     ``status`` is "optimal" only when the returned point passes an
@@ -176,9 +173,7 @@ def solve_rmd(prob, opts=None):
     l1_bound is below the minimal feasible l1 norm, or when M_hat is
     unreachable within lambda for a singular G_hat).
     """
-    if opts is None:
-        opts = SolverOptions()
-    res = lp.solve_standard_form(*_build_lp(prob), max_iters=opts.max_iters)
+    res = lp.solve_standard_form(*_build_lp(prob), max_iters=MAX_ITERS)
     p = prob.p
     t = res.z[:p] - res.z[p:2 * p]
     status = res.status
@@ -187,8 +182,8 @@ def solve_rmd(prob, opts=None):
     gap = float("nan")
     if status == OPTIMAL:
         gap = float(_duality_gap(prob, l1, res.y))
-        feasible = max_resid <= prob.lam + opts.feas_tol and l1 <= prob.l1_bound + opts.feas_tol
-        if not (feasible and gap <= opts.feas_tol * (1.0 + l1)):
+        feasible = max_resid <= prob.lam + FEAS_TOL and l1 <= prob.l1_bound + FEAS_TOL
+        if not (feasible and gap <= FEAS_TOL * (1.0 + l1)):
             status = NUMERICAL_FAILURE
     if status == INFEASIBLE:
         t = np.zeros(p)
@@ -208,7 +203,7 @@ def gram_and_moments(B, y=None):
     return G, (None if y is None else B.T @ y / n)
 
 
-def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf, opts=None):
+def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf):
     """Solve the RMD instance (G_hat, M_hat) at the lambda ``rule`` picks.
 
     ``n_rows`` is the size of the fitting sample G_hat and M_hat average
@@ -217,10 +212,10 @@ def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf, opts=None):
     if n_rows < 2:
         raise ValueError("need at least 2 rows to fit")
     lam = rule.lam(n_rows, M.shape[0])
-    return solve_rmd(RmdProblem(G, M, lam, l1_bound), opts), lam
+    return solve_rmd(RmdProblem(G, M, lam, l1_bound)), lam
 
 
-def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf, opts=None):
+def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf):
     """Sparse best-linear-predictor fit on the given rows.
 
     Returns (beta_hat, RmdSolution); the solution's max_residual equals
@@ -228,11 +223,11 @@ def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf, opts=None):
     """
     rows = np.asarray(rows, dtype=int)
     G, M = gram_and_moments(design_matrix(dictionary, data, rows), data.outcome[rows])
-    sol, _ = fit_rmd(G, M, rule, rows.size, l1_bound, opts)
+    sol, _ = fit_rmd(G, M, rule, rows.size, l1_bound)
     return sol.t_hat, sol
 
 
-def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf, opts=None):
+def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf):
     """Sparse Riesz-representer fit on the given rows.
 
     Returns (rho_hat, RmdSolution); the solution's max_residual equals
@@ -242,5 +237,5 @@ def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf, op
     functional.check_compatible(dictionary, data)
     G, _ = gram_and_moments(design_matrix(dictionary, data, rows))
     M = m_hat_vector(functional, dictionary, data, rows)
-    sol, _ = fit_rmd(G, M, rule, rows.size, l1_bound, opts)
+    sol, _ = fit_rmd(G, M, rule, rows.size, l1_bound)
     return sol.t_hat, sol

@@ -33,7 +33,7 @@ import numpy as np
 from .dictionaries import Dataset, IdentityDictionary, PolynomialDictionary
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
-from .rmd import LambdaRule
+from .rmd import LambdaRule, RmdInfeasibleError, SolverError
 
 
 class NoClosedFormError(ValueError):
@@ -382,7 +382,7 @@ def _replicate(task):
             ci_hi=result.ci[1],
             covered=bool(result.ci[0] <= theta_star <= result.ci[1]),
         )
-    except Exception as exc:  # recorded per-rep, not fatal
+    except (ValueError, RmdInfeasibleError, SolverError) as exc:  # data or solver failure
         out["status"] = "failed"
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
@@ -406,7 +406,9 @@ def run_monte_carlo(dgp, est, R, n, seed, workers=None, config_echo=None):
 
     Replication r draws its data and fold-plan seeds from
     SeedSequence([seed, r]), so the report is bit-identical for a given
-    (config, seed) regardless of ``workers``.
+    (config, seed) regardless of ``workers``.  A replication whose data or
+    solver fails (ValueError, RmdInfeasibleError, SolverError) is recorded as
+    "failed"; any other exception propagates.
     """
     if R < 1:
         raise ValueError("need R >= 1")

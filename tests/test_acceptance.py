@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import rieszdml
 from rieszdml import (
     AverageDerivative,
     IdentityDictionary,
@@ -250,7 +251,10 @@ def test_criterion_8_root_n_rmse_trend():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    # the CLI processes import the same rieszdml as this test process
+    src = os.path.dirname(os.path.dirname(rieszdml.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path)
 
     def run_twice(args):
         outs = []

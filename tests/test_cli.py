@@ -55,6 +55,21 @@ def test_rmd_solve_known_solution(tmp_path, capsys):
     np.testing.assert_allclose(payload["t_hat"], [2.0 / 3.0, 2.0 / 3.0], atol=1e-10)
 
 
+def test_rmd_solve_reports_closed_gap(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((8, 5))
+    np.savetxt(tmp_path / "G.txt", A.T @ A / 8, fmt="%.17g")
+    np.savetxt(tmp_path / "M.txt", rng.standard_normal(5), fmt="%.17g")
+    g, m = str(tmp_path / "G.txt"), str(tmp_path / "M.txt")
+    code, out, _ = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m,
+                           "--lambda", "0.1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "optimal"
+    assert payload["iterations"] > 0
+    assert abs(payload["gap"]) <= 1e-7 * (1.0 + np.abs(payload["t_hat"]).sum())
+
+
 def test_rmd_solve_bad_input(tmp_path, capsys):
     g = write(tmp_path / "G.txt", "1 0\nnot numbers\n")
     m = write(tmp_path / "M.txt", "1 1\n")

@@ -84,6 +84,20 @@ def test_gradient_matches_finite_differences(dic):
 
 
 @pytest.mark.parametrize("dic", all_kinds(), ids=lambda d: d.kind + str(d.output_dim))
+def test_directional_rows_match_gradient(dic):
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-0.9, 0.9, size=(6, dic.input_dim))
+    if dic.kind == "treatment_interacted":
+        X[:, dic.treatment_index] = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+    for _ in range(3):
+        a = rng.standard_normal(dic.input_dim)  # the treatment component is nonzero too
+        rows = dic.directional_gradient_rows(X, a)
+        for i in range(X.shape[0]):
+            np.testing.assert_allclose(rows[i], dic.gradient(X[i]) @ a,
+                                       rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dic", all_kinds(), ids=lambda d: d.kind + str(d.output_dim))
 def test_output_dim_consistency(dic):
     x = np.full(dic.input_dim, 0.25)
     assert dic.evaluate(x).shape == (dic.output_dim,)

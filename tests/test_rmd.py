@@ -17,8 +17,8 @@ from rieszdml import (
     estimate_riesz,
     solve_rmd,
 )
-from rieszdml import lp
-from rieszdml.rmd import LambdaRule, RmdProblem, SolverOptions
+from rieszdml import lp, rmd
+from rieszdml.rmd import LambdaRule, RmdProblem
 
 from oracles import lp_vertex_oracle
 
@@ -139,10 +139,11 @@ def test_degenerate_gram_duplicated_columns():
     assert np.abs(G @ sol.t_hat - M).max() <= 0.1 + 1e-7
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
     rng = np.random.default_rng(9)
     prob = random_problem(rng, 10, allow_bound=False)
-    sol = solve_rmd(prob, SolverOptions(max_iters=1))
+    monkeypatch.setattr(rmd, "MAX_ITERS", 1)
+    sol = solve_rmd(prob)
     assert sol.status == "iteration_limit"
 
 

@@ -19,6 +19,7 @@ from rieszdml import (
     true_theta,
     true_theta_info,
 )
+from rieszdml import dml
 from rieszdml.rmd import LambdaRule
 from rieszdml.simulation import rep_seeds
 
@@ -274,6 +275,16 @@ def test_run_monte_carlo_records_failures():
     assert all(r["status"] == "failed" for r in rep.per_rep)
     assert all("fold" in r["error"] for r in rep.per_rep)
     assert np.isnan(rep.bias)
+
+
+def test_run_monte_carlo_propagates_programming_errors(monkeypatch):
+    def broken_fold(*args, **kwargs):
+        raise TypeError("bug inside dml_estimate")
+
+    monkeypatch.setattr(dml, "fit_and_score_fold", broken_fold)
+    dgp = sparse_linear(noise=0.5)
+    with pytest.raises(TypeError, match="bug inside dml_estimate"):
+        run_monte_carlo(dgp, quick_estimator(dgp), R=2, n=50, seed=1, workers=1)
 
 
 def test_report_invariants():
