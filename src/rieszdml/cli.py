@@ -12,16 +12,20 @@ Configuration lives in a flat key-value file::
 Values are scalars, comma-separated vectors, or semicolon-separated matrix
 rows.  Unknown keys are rejected, and every key is echoed back under
 ``config`` in the JSON output.  Exit codes: 0 success, 2 configuration
-error (the message names the offending key), 3 RMD infeasibility, 4 solver
-failure (the simplex hit its iteration limit or numerical trouble, or its
-optimum failed the feasibility or duality-gap certificate).  Errors are
-printed as single-line JSON on stderr.
+error (the message names the offending key or flag), 3 RMD infeasibility,
+4 solver failure (the simplex hit its iteration limit or numerical trouble,
+or its optimum failed the feasibility or duality-gap certificate).  Errors
+are printed as single-line JSON on stderr.  The result goes to stdout first,
+then to the ``--output`` and ``--csv`` files, so a file that cannot be
+written fails the run (exit 2) after stdout was written.  Non-finite numbers
+are written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -287,11 +291,20 @@ def build_dgp(cfg):
 
 # -- subcommands ----------------------------------------------------------------
 
+@contextmanager
+def _writing(flag, path):
+    """Turn a failure to write ``path`` into a configuration error naming ``flag``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {flag} file {path}: {exc}") from None
+
+
 def _emit(payload, output=None):
     text = jsonio.dumps(payload) + "\n"
     sys.stdout.write(text)
     if output:
-        with open(output, "w") as fh:
+        with _writing("--output", output), open(output, "w") as fh:
             fh.write(text)
 
 
@@ -345,6 +358,8 @@ def cmd_simulate(args):
         raise ConfigError(str(exc), key="functional.type") from None
 
     R = cfg.get_int("simulation.replications", required=True)
+    if R < 1:
+        raise ConfigError("simulation.replications must be >= 1", key="simulation.replications")
     n = cfg.get_int("simulation.n", required=True)
     seed = cfg.get_int("seed", default=0)
     try:
@@ -355,7 +370,8 @@ def cmd_simulate(args):
                              config_echo=cfg.echo())
     _emit(report.summary(), args.output)
     if args.csv:
-        report.write_csv(args.csv)
+        with _writing("--csv", args.csv):
+            report.write_csv(args.csv)
     return 0
 
 

@@ -2,11 +2,13 @@
 
 Floats are written with 17 significant digits so two runs with the same
 seed produce byte-identical output; dict insertion order is preserved.
+NaN and +-inf are written as null, so the output is strict JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -20,12 +22,7 @@ def _render(obj, out):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if np.isnan(x):
-            out.append("NaN")
-        elif np.isinf(x):
-            out.append("Infinity" if x > 0 else "-Infinity")
-        else:
-            out.append(format(x, ".17g"))
+        out.append(format(x, ".17g") if math.isfinite(x) else "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

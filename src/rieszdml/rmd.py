@@ -9,15 +9,12 @@ l1-budget ||t||_1 <= B (B = inf drops it).  Two instantiations are exposed:
 
 Both, and the cross-fitted folds in ``dml``, reach the solver through
 ``fit_rmd``, which picks lambda from the fitting sample and solves one
-instance.  The problem is written as the p-row LP
-
-    min sum(t+ + t-)  s.t.  G (t+ - t-) - s = M,  -lambda <= s <= lambda,  t+- >= 0,
-                            sum(t+ + t-) + s0 = B,  s0 >= 0,
-
-and solved exactly by a bounded-variable dual simplex started from the
-slack basis (t = 0), which is dual feasible.  Every optimum is certified
-outside the solver: its residuals are re-checked and its duality gap is
-computed from G_hat, M_hat, lambda, B and the row duals alone.
+instance exactly with ``lp.solve_standard_form``, a dual simplex on the p-row
+LP  G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0  (plus a budget row when B
+is finite) that pivots on G itself and starts from the slack basis t = 0.
+Every optimum is certified outside the solver: its residuals are re-checked
+and its duality gap is computed from G_hat, M_hat, lambda, B and the row
+duals alone.
 """
 
 from __future__ import annotations
@@ -124,28 +121,6 @@ class LambdaRule:
         return out
 
 
-def _build_lp(prob):
-    """The p-row LP of one RMD instance and its dual-feasible slack basis.
-
-    Variables (t+, t-, s): G (t+ - t-) - s = M with t+- >= 0 and
-    -lambda <= s <= lambda; a finite l1_bound adds the row
-    1'(t+ + t-) + s0 = B with s0 >= 0.  Costs are 1 on t+- and 0 on the
-    slacks, so the slack basis (t = 0) is dual feasible.
-    """
-    G, M, lam, p = prob.G_hat, prob.M_hat, prob.lam, prob.p
-    A = np.hstack([G, -G, -np.eye(p)])
-    b = M
-    lo = np.concatenate([np.zeros(2 * p), np.full(p, -lam)])
-    hi = np.concatenate([np.full(2 * p, np.inf), np.full(p, lam)])
-    c = np.concatenate([np.ones(2 * p), np.zeros(p)])
-    if np.isfinite(prob.l1_bound):
-        budget = np.concatenate([np.ones(2 * p), np.zeros(p), [1.0]])
-        A = np.vstack([np.hstack([A, np.zeros((p, 1))]), budget])
-        b = np.append(M, prob.l1_bound)
-        lo, hi, c = np.append(lo, 0.0), np.append(hi, np.inf), np.append(c, 0.0)
-    return A, b, c, lo, hi, np.arange(2 * p, A.shape[1])
-
-
 def _duality_gap(prob, l1, y):
     """||t||_1 minus a lower bound on the optimum, from the row duals ``y``.
 
@@ -173,7 +148,8 @@ def solve_rmd(prob):
     l1_bound is below the minimal feasible l1 norm, or when M_hat is
     unreachable within lambda for a singular G_hat).
     """
-    res = lp.solve_standard_form(*_build_lp(prob), max_iters=MAX_ITERS)
+    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound,
+                                 max_iters=MAX_ITERS)
     p = prob.p
     t = res.z[:p] - res.z[p:2 * p]
     status = res.status

@@ -25,7 +25,6 @@ execution order and the harness may run replications across processes.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -416,6 +415,9 @@ def run_monte_carlo(dgp, est, R, n, seed, workers=None, config_echo=None):
     tasks = [(dgp, est, n, seed, rep, info.value) for rep in range(R)]
     workers = resolve_workers(workers)
     if workers > 1 and R > 1:
+        # imported here so that `estimate`, which never starts a pool, does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_replicate, tasks, chunksize=max(1, R // (workers * 8))))
     else:

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rieszdml
 from rieszdml.cli import run
 
 HERE = os.path.dirname(__file__)
@@ -142,10 +145,10 @@ def test_estimate_missing_treatment_column_names_its_key(tmp_path, capsys):
 def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
     from rieszdml import lp
 
-    def failing_solve(A, b, c, lo, hi, basis, max_iters=100_000):
+    def failing_solve(G, M, lam, l1_bound, max_iters=100_000):
         if failure == "unbounded":
             raise lp.SolverError("simplex: unbounded direction encountered")
-        return lp.LpResult(np.zeros(A.shape[1]), 0.0, lp.ITERATION_LIMIT, max_iters)
+        return lp.LpResult(np.zeros(3 * len(M)), 0.0, lp.ITERATION_LIMIT, max_iters)
 
     monkeypatch.setattr(lp, "solve_standard_form", failing_solve)
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
@@ -159,9 +162,9 @@ def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
 def test_estimate_uncertified_optimum_exit_code(monkeypatch, capsys):
     from rieszdml import lp
 
-    def uncertified_solve(A, b, c, lo, hi, basis, max_iters=100_000):
+    def uncertified_solve(G, M, lam, l1_bound, max_iters=100_000):
         # claims t = 0 optimal, which leaves the BLP residual above lambda
-        return lp.LpResult(np.zeros(A.shape[1]), 0.0, lp.OPTIMAL, 0, np.zeros(A.shape[0]))
+        return lp.LpResult(np.zeros(3 * len(M)), 0.0, lp.OPTIMAL, 0, np.zeros(len(M)))
 
     monkeypatch.setattr(lp, "solve_standard_form", uncertified_solve)
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
@@ -274,3 +277,70 @@ def test_estimate_deterministic_bytes(capsys):
                              "--config", EXAMPLE_CFG)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# -- output files, strict JSON and import cost --------------------------------------
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_rmd_solve_stdout_is_strict_json(tmp_path, capsys):
+    # G = I, M = (1, 0), lambda = 0.5: the optimum has l1 norm 0.5, so no
+    # --l1-bound leaves l1_bound infinite and --l1-bound 0.1 is infeasible (gap nan).
+    g = write(tmp_path / "G.txt", "1 0\n0 1\n")
+    m = write(tmp_path / "M.txt", "1 0\n")
+    base = ["rmd-solve", "--g-matrix", g, "--m-vector", m, "--lambda", "0.5"]
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["l1_bound"] is None
+    code, out, _ = run_cli(capsys, *base, "--l1-bound", "0.1")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["status"] == "infeasible" and payload["gap"] is None
+
+
+def test_estimate_unwritable_output_is_config_error(tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
+                             "--config", EXAMPLE_CFG, "--output", bad)
+    assert code == 2
+    assert np.isfinite(json.loads(out)["theta_hat"])  # stdout comes before --output
+    assert "--output" in error_line(err)["error"]
+
+
+@pytest.mark.parametrize("flag", ["--output", "--csv"])
+def test_simulate_unwritable_file_is_config_error(tmp_path, capsys, flag):
+    bad = str(tmp_path / "missing" / "x")
+    code, out, err = run_cli(capsys, "simulate", "--config", simulate_cfg(tmp_path), flag, bad)
+    assert code == 2
+    assert json.loads(out)["R"] == 3
+    assert flag in error_line(err)["error"]
+
+
+def test_rmd_solve_unwritable_output_is_config_error(tmp_path, capsys):
+    g = write(tmp_path / "G.txt", "1 0\n0 1\n")
+    m = write(tmp_path / "M.txt", "1 0\n")
+    code, out, err = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m,
+                             "--lambda", "0.5", "--output", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert json.loads(out)["status"] == "optimal"
+    assert "--output" in error_line(err)["error"]
+
+
+def test_simulate_rejects_zero_replications(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    simulate_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("replications = 3", "replications = 0"))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert error_line(err)["key"] == "simulation.replications"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(rieszdml.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rieszdml.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -139,6 +139,41 @@ def test_degenerate_gram_duplicated_columns():
     assert np.abs(G @ sol.t_hat - M).max() <= 0.1 + 1e-7
 
 
+def _assert_matches_highs(prob):
+    sol = solve_rmd(prob)
+    assert sol.status == "optimal"
+    assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
+    assert sol.l1_norm == pytest.approx(_highs_l1(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound),
+                                        rel=1e-7)
+
+
+def test_refactorization_path_rank_deficient_gram():
+    # p = 250 dictionary columns from 127 rows, the last a copy of the first:
+    # the rank-deficient Gram takes the simplex past _REFACTOR_EVERY pivots.
+    rng = np.random.default_rng(1)
+    n, p = 127, 250
+    X = rng.standard_normal((n, p - 1))
+    X = np.hstack([X, X[:, :1]])
+    y = X[:, :5] @ np.array([1.0, -0.8, 0.5, 0.3, -0.2]) + rng.standard_normal(n)
+    prob = RmdProblem(X.T @ X / n, X.T @ y / n, 0.25 * np.sqrt(np.log(p) / n))
+    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound)
+    assert res.iterations > lp._REFACTOR_EVERY and res.refactorizations > 0
+    _assert_matches_highs(prob)
+
+
+def test_bland_path_duplicated_columns(monkeypatch):
+    # Every column appears twice, so tied dual constraints make degenerate
+    # pivots; a stall limit of 0 turns Bland's rule on at the first of them.
+    rng = np.random.default_rng(2501)
+    X = rng.integers(-2, 3, size=(3, 8)) / 2.0
+    X[:, 4:] = X[:, :4]
+    prob = RmdProblem(X.T @ X / 3, X.T @ rng.integers(-2, 3, size=3) / 3, 0.125)
+    monkeypatch.setattr(lp, "_STALL_LIMIT_FACTOR", 0)
+    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound)
+    assert res.bland_switches > 0
+    _assert_matches_highs(prob)
+
+
 def test_iteration_limit_status(monkeypatch):
     rng = np.random.default_rng(9)
     prob = random_problem(rng, 10, allow_bound=False)
@@ -169,7 +204,8 @@ def test_uncertified_optimum_is_numerical_failure(monkeypatch):
     y_optimal = np.array([1.0, 0.0])
 
     def claims_optimal(z, y):
-        return lambda *args, max_iters: lp.LpResult(z, float(z[:4].sum()), lp.OPTIMAL, 1, y)
+        return lambda G, M, lam, l1_bound, max_iters: lp.LpResult(
+            z, float(z[:4].sum()), lp.OPTIMAL, 1, y)
 
     for z, y, expect in [(z_optimal, y_optimal, "optimal"),
                          (z_infeasible, y_optimal, "numerical_failure"),
