@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -361,6 +362,8 @@ def cmd_simulate(args):
     if R < 1:
         raise ConfigError("simulation.replications must be >= 1", key="simulation.replications")
     n = cfg.get_int("simulation.n", required=True)
+    if n < 2 * est.K:
+        raise ConfigError(f"simulation.n must be >= 2K for K = {est.K} folds", key="simulation.n")
     seed = cfg.get_int("seed", default=0)
     try:
         workers = resolve_workers(cfg.get_int("simulation.workers"))
@@ -377,8 +380,10 @@ def cmd_simulate(args):
 
 def cmd_rmd_solve(args):
     try:
-        G = np.loadtxt(args.g_matrix, ndmin=2)
-        M = np.loadtxt(args.m_vector, ndmin=1)
+        with warnings.catch_warnings():  # an empty file is reported as an empty Gram below
+            warnings.simplefilter("ignore", UserWarning)
+            G = np.loadtxt(args.g_matrix, ndmin=2)
+            M = np.loadtxt(args.m_vector, ndmin=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read matrix/vector input: {exc}") from None
     try:

@@ -14,6 +14,8 @@ Four families are provided:
   is the (binary) treatment coordinate and z the remaining coordinates.
   Derivatives are taken with respect to z only; the treatment component of
   a direction is ignored, so the treatment column of the Jacobian is zero.
+  ``evaluate_with_contrast`` also returns the ATE contrast
+  b(1, z) - b(0, z) = (0, b_in(z)), from the same single inner evaluation.
 
 Each family writes one derivative, the row-wise directional derivative
 ``directional_gradient_rows(X, a)`` that m(x, b) = a' grad b(x) runs on.
@@ -225,17 +227,31 @@ class TreatmentInteractedDictionary(Dictionary):
         z = np.delete(X, self.treatment_index, axis=1)
         return t, z
 
-    def evaluate_rows(self, X):
+    def evaluate_with_contrast(self, X):
+        """(b(X), b(1, z) - b(0, z)) from one inner pass: (b_in, t b_in) and (0, b_in)."""
         t, z = self.split_rows(X)
         inner = self.inner.evaluate_rows(z)
-        return np.hstack([inner, t[:, np.newaxis] * inner])
+        contrast = np.zeros((inner.shape[0], self.output_dim))
+        contrast[:, inner.shape[1]:] = inner
+        return _interacted(t, inner), contrast
+
+    def evaluate_rows(self, X):
+        return self.evaluate_with_contrast(X)[0]
 
     def directional_gradient_rows(self, X, a):
         # derivatives in z only: the treatment component of a is dropped
         t, z = self.split_rows(X)
         a_z = np.delete(np.asarray(a, dtype=float), self.treatment_index)
-        d_in = self.inner.directional_gradient_rows(z, a_z)
-        return np.hstack([d_in, t[:, np.newaxis] * d_in])
+        return _interacted(t, self.inner.directional_gradient_rows(z, a_z))
+
+
+def _interacted(t, inner):
+    """(inner, t * inner) side by side, written into one preallocated array."""
+    n, p = inner.shape
+    out = np.empty((n, 2 * p))
+    out[:, :p] = inner
+    np.multiply(t[:, np.newaxis], inner, out=out[:, p:])
+    return out
 
 
 def make_dictionary(kind, input_dim, degree=None, order=None,

@@ -6,10 +6,10 @@ The orthogonal score is
 
 whose root over a fold is available in closed form because psi is linear in
 theta.  Every term of psi comes from two per-observation arrays, B = b(X)
-and Mx = m(X, b).  ``dml_estimate`` evaluates them once per dataset, and
-each fold slices rows from them: the complement rows give one Gram
-G_hat = E_A[b b'] shared by the BLP and Riesz RMD fits, and the fold's own
-rows give its score contributions and score-derivative sums.  The psi
+and Mx = m(X, b).  ``dml_estimate`` gets both from one ``functional.features``
+call per dataset, and each fold slices rows from them: the complement rows
+give one Gram G_hat = E_A[b b'] shared by the BLP and Riesz RMD fits, and
+the fold's own rows give its score contributions and score-derivative sums.  The psi
 algebra lives in ``_fold_contributions`` and the derivative sums in
 ``_derivative_sums``; the per-observation and per-row-set functions below
 call those two.  The estimator is the unweighted average of the per-fold
@@ -28,7 +28,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dictionaries import design_matrix
 from .rmd import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -89,10 +88,11 @@ def make_fold_plan(n, K, seed):
 
 # -- score function and derivatives -----------------------------------------
 
-def _features(data, rows, dictionary, functional):
-    """(B, Mx): b(X_i) and m(X_i, b) stacked over the rows."""
-    Mx = functional.m_rows(dictionary, data.covariates[rows])
-    return design_matrix(dictionary, data, rows), Mx
+def _features(X, dictionary, functional):
+    """(B, Mx): b(x_i) and m(x_i, b) stacked over the rows of X."""
+    if X.shape[0] == 0:
+        raise ValueError("empty row index set")
+    return functional.features(dictionary, X)
 
 
 def _fold_contributions(B, Mx, y, beta, rho):
@@ -134,7 +134,7 @@ def fold_theta(data, rows, beta, rho, dictionary, functional):
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         raise ValueError("empty fold")
-    B, Mx = _features(data, rows, dictionary, functional)
+    B, Mx = _features(data.covariates[rows], dictionary, functional)
     return float(np.mean(_fold_contributions(B, Mx, data.outcome[rows], beta, rho)))
 
 
@@ -291,7 +291,7 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
             raise ValueError("fold plan length does not match the dataset")
         K = plan.K
 
-    B, Mx = _features(data, np.arange(n), dictionary, functional)
+    B, Mx = _features(data.covariates, dictionary, functional)
     records = []
     contribs = np.empty(n)
     d_beta_sum = np.zeros(B.shape[1])
@@ -355,7 +355,7 @@ def orthogonality_report(data, dictionary, functional, beta_hat, rho_hat,
     if rows is None:
         rows = np.arange(data.n)
     rows = np.asarray(rows, dtype=int)
-    B, Mx = _features(data, rows, dictionary, functional)
+    B, Mx = _features(data.covariates[rows], dictionary, functional)
     d_beta, d_rho = _derivative_sums(B, Mx, data.outcome[rows], beta_hat, rho_hat)
     d_beta_sup = float(np.abs(d_beta / rows.size).max())
     d_rho_sup = float(np.abs(d_rho / rows.size).max())

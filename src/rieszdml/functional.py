@@ -5,6 +5,10 @@ effect of an affine covariate shift x -> S x + c, and the average treatment
 effect on a treatment-interacted dictionary.  Everything downstream only
 relies on the componentwise vector m(x, b) = (m(x, b_1), ..., m(x, b_p)) and
 on linearity: m(x, b'beta) = m(x, b)'beta.
+
+The estimator gets b(X) and m(X, b) from one ``features(dictionary, X)`` call:
+one ``evaluate_rows`` and one ``m_rows`` by default, and a single inner pass
+of the treatment-interacted dictionary for the average treatment effect.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ class Functional:
     def m_rows(self, dictionary, X):
         """m(x_i, b) for each row: (n, d) -> (n, p)."""
         raise NotImplementedError
+
+    def features(self, dictionary, X):
+        """(b(X), m(X, b)) for the rows of X, each of shape (n, p)."""
+        return dictionary.evaluate_rows(X), self.m_rows(dictionary, X)
 
     def m_of_basis(self, dictionary, x):
         x = _check_point(x, dictionary.input_dim)
@@ -111,19 +119,12 @@ class AverageTreatmentEffect(Functional):
             if data.treatment_col != self.treatment_col:
                 raise ValueError("ATE treatment_col does not match the dataset's treatment_col")
 
-    def m_rows(self, dictionary, X):
+    def features(self, dictionary, X):
         self.check_compatible(dictionary)
-        X = _check_rows(X, dictionary.input_dim)
-        X1 = np.array(X)
-        X1[:, dictionary.treatment_index] = 1.0
-        X0 = np.array(X)
-        X0[:, dictionary.treatment_index] = 0.0
-        return dictionary.evaluate_rows(X1) - dictionary.evaluate_rows(X0)
+        return dictionary.evaluate_with_contrast(X)
 
-
-def m_of_basis(functional, dictionary, x):
-    """The p-vector (m(x, b_j))_j."""
-    return functional.m_of_basis(dictionary, x)
+    def m_rows(self, dictionary, X):
+        return self.features(dictionary, X)[1]
 
 
 def m_hat_vector(functional, dictionary, data, rows):
@@ -132,11 +133,3 @@ def m_hat_vector(functional, dictionary, data, rows):
     if rows.size == 0:
         raise ValueError("empty row index set")
     return functional.m_rows(dictionary, data.covariates[rows]).mean(axis=0)
-
-
-def m_of_gamma(functional, dictionary, x, beta):
-    """m(x, b'beta) via linearity: m(x, b)'beta."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (dictionary.output_dim,):
-        raise ValueError("beta length does not match dictionary output_dim")
-    return float(functional.m_of_basis(dictionary, x) @ beta)

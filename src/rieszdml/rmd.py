@@ -54,14 +54,15 @@ class RmdProblem:
     def __post_init__(self):
         G = np.asarray(self.G_hat, dtype=float)
         M = np.asarray(self.M_hat, dtype=float)
+        if G.size == 0:
+            raise ValueError("G_hat is empty: an RMD problem needs a p x p Gram with p >= 1")
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError("G_hat must be square")
         if M.shape != (G.shape[0],):
             raise ValueError("M_hat length must match G_hat")
         if not (np.all(np.isfinite(G)) and np.all(np.isfinite(M))):
             raise ValueError("non-finite entries in RMD problem")
-        asym = np.abs(G - G.T).max() if G.size else 0.0
-        if asym > 1e-10 * (1.0 + np.abs(G).max()):
+        if np.abs(G - G.T).max() > 1e-10 * (1.0 + np.abs(G).max()):
             raise ValueError("G_hat is not symmetric")
         self.G_hat = 0.5 * (G + G.T)
         self.M_hat = M

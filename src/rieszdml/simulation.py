@@ -13,9 +13,9 @@ Three DGP families:
   sparse here (the Gaussian score direction is a basis element), which is
   the dense-regression / sparse-representer regime.
 
-``true_theta`` is analytic where possible and otherwise falls back to
+``true_theta_info`` is analytic where possible and otherwise falls back to
 quadrature (d = 1) or a large Monte Carlo oracle with a reported standard
-error; ``true_theta_info`` says which path produced the number.
+error, and it says which path produced the number.
 
 Replications of ``run_monte_carlo`` are independent; per-replication seeds
 are derived as SeedSequence([seed, rep]), so results do not depend on
@@ -240,10 +240,6 @@ def _policy_shift_quadrature(dgp, functional, nodes=120):
     return float(w @ vals)
 
 
-def true_theta(dgp, functional):
-    return true_theta_info(dgp, functional).value
-
-
 # -- closed-form Riesz representers (simulation oracles) ---------------------
 
 def true_riesz_rows(dgp, functional, X):
@@ -267,10 +263,6 @@ def true_riesz_rows(dgp, functional, X):
     raise NoClosedFormError(
         f"no closed-form Riesz representer for ({type(dgp).__name__}, {type(functional).__name__})"
     )
-
-
-def true_riesz(dgp, functional, x):
-    return float(true_riesz_rows(dgp, functional, np.asarray(x, dtype=float)[np.newaxis, :])[0])
 
 
 def _gaussian_shift_density_ratio(X, S, c):

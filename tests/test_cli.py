@@ -82,6 +82,16 @@ def test_rmd_solve_bad_input(tmp_path, capsys):
     assert "error" in json.loads(err.strip())
 
 
+@pytest.mark.filterwarnings("error")
+def test_rmd_solve_empty_gram_is_config_error(tmp_path, capsys):
+    g = write(tmp_path / "G.txt", "")
+    m = write(tmp_path / "M.txt", "")
+    code, out, err = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m,
+                             "--lambda", "0.1")
+    assert code == 2 and out == ""
+    assert "G_hat is empty" in error_line(err)["error"]
+
+
 # -- estimate ---------------------------------------------------------------------
 
 def test_estimate_matches_golden(capsys):
@@ -335,6 +345,17 @@ def test_simulate_rejects_zero_replications(tmp_path, capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 2 and out == ""
     assert error_line(err)["key"] == "simulation.replications"
+
+
+def test_simulate_rejects_n_below_2k(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    simulate_cfg(tmp_path, extra="estimator.k_folds = 5")
+    cfg.write_text(cfg.read_text().replace("estimator.k_folds = 2\n", "")
+                   .replace("simulation.n = 80", "simulation.n = 7"))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "simulation.n" and "K = 5" in payload["error"]
 
 
 def test_cli_import_leaves_process_pool_unloaded():

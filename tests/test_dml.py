@@ -3,11 +3,13 @@ import pytest
 
 from rieszdml import (
     AverageDerivative,
+    AverageTreatmentEffect,
     Dataset,
     FoldPlan,
     IdentityDictionary,
     PolynomialDictionary,
     RmdInfeasibleError,
+    TreatmentInteractedDictionary,
     dml_estimate,
     fit_and_score_fold,
     fold_theta,
@@ -16,6 +18,7 @@ from rieszdml import (
     score_derivatives,
     score_psi,
 )
+from rieszdml.functional import Functional
 from rieszdml.rmd import LambdaRule
 
 
@@ -268,21 +271,23 @@ def test_dml_plugin_only_forces_zero_rho():
 
 
 class CountingDictionary:
-    """A dictionary that counts the rows passed to evaluate_rows."""
+    """A dictionary that counts the calls to evaluate_rows and the rows passed."""
 
     def __init__(self, inner):
         self.inner = inner
         self.rows = 0
+        self.calls = 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def evaluate_rows(self, X):
+        self.calls += 1
         self.rows += len(X)
         return self.inner.evaluate_rows(X)
 
 
-class CountingFunctional:
+class CountingFunctional(Functional):
     """A functional that counts the rows passed to m_rows.
 
     It evaluates m on the unwrapped dictionary, so its own b evaluations
@@ -308,6 +313,21 @@ def test_dml_evaluates_features_once_per_dataset():
     assert (cdic.rows, cf.rows) == (data.n, data.n)
     plain = dml_estimate(data, dic, f, K=5, rule=LambdaRule.fixed(0.1), seed=4)
     assert res.theta_hat == plain.theta_hat
+
+
+def test_ate_dml_evaluates_inner_dictionary_once():
+    rng = np.random.default_rng(8)
+    n = 120
+    t = (rng.random(n) < 0.5).astype(float)
+    Z = rng.standard_normal((n, 2))
+    y = Z[:, 0] + t + 0.3 * rng.standard_normal(n)
+    data = Dataset(y, np.column_stack([t, Z]), treatment_col=0)
+    inner = CountingDictionary(PolynomialDictionary(2, degree=2))
+    dic = TreatmentInteractedDictionary(inner, treatment_index=0)
+    res = dml_estimate(data, dic, AverageTreatmentEffect(0), K=5,
+                       rule=LambdaRule.fixed(0.05), seed=2)
+    assert (inner.calls, inner.rows) == (1, n)
+    assert np.isfinite(res.theta_hat)
 
 
 def test_dml_k2_vs_k5_coverage():

@@ -11,8 +11,6 @@ from rieszdml import (
     PolynomialDictionary,
     TreatmentInteractedDictionary,
     m_hat_vector,
-    m_of_basis,
-    m_of_gamma,
 )
 
 
@@ -23,21 +21,21 @@ def ate_dictionary():
 def test_average_derivative_equals_gradient_column():
     dic = PolynomialDictionary(1, degree=2)
     f = AverageDerivative(np.array([1.0]))
-    np.testing.assert_allclose(m_of_basis(f, dic, np.array([2.0])), [0.0, 1.0, 4.0])
+    np.testing.assert_allclose(f.m_of_basis(dic, np.array([2.0])), [0.0, 1.0, 4.0])
 
 
 def test_policy_shift_identity_is_zero():
     for dic in [PolynomialDictionary(2, 2), FourierDictionary(2, 1), IdentityDictionary(2)]:
         f = PolicyShift(np.eye(2), np.zeros(2))
         x = np.array([0.3, -0.4])
-        np.testing.assert_allclose(m_of_basis(f, dic, x), 0.0)
+        np.testing.assert_allclose(f.m_of_basis(dic, x), 0.0)
 
 
 def test_ate_componentwise_difference():
     dic = ate_dictionary()  # b(t, z) = (1, z, t, tz)
     f = AverageTreatmentEffect(0)
     np.testing.assert_allclose(
-        m_of_basis(f, dic, np.array([1.0, 0.5])), [0.0, 0.0, 1.0, 0.5]
+        f.m_of_basis(dic, np.array([1.0, 0.5])), [0.0, 0.0, 1.0, 0.5]
     )
 
 
@@ -49,7 +47,7 @@ def test_ate_matches_direct_evaluation():
         z = rng.standard_normal(2)
         x = np.concatenate([[1.0], z])
         direct = dic.evaluate(np.concatenate([[1.0], z])) - dic.evaluate(np.concatenate([[0.0], z]))
-        np.testing.assert_allclose(m_of_basis(f, dic, x), direct)
+        np.testing.assert_allclose(f.m_of_basis(dic, x), direct)
 
 
 def test_m_hat_vector_single_row():
@@ -57,7 +55,7 @@ def test_m_hat_vector_single_row():
     f = AverageDerivative(np.array([1.0]))
     data = Dataset(np.zeros(2), np.array([[2.0], [0.0]]))
     np.testing.assert_allclose(
-        m_hat_vector(f, dic, data, [0]), m_of_basis(f, dic, np.array([2.0]))
+        m_hat_vector(f, dic, data, [0]), f.m_of_basis(dic, np.array([2.0]))
     )
 
 
@@ -86,7 +84,7 @@ def test_m_hat_vector_empty_rows():
 def test_m_of_gamma_zero_beta():
     dic = PolynomialDictionary(2, degree=2)
     f = PolicyShift(np.eye(2), np.array([0.5, 0.0]))
-    assert m_of_gamma(f, dic, np.array([0.1, 0.2]), np.zeros(dic.output_dim)) == 0.0
+    assert f.m_of_basis(dic, np.array([0.1, 0.2])) @ np.zeros(dic.output_dim) == 0.0
 
 
 def test_m_of_gamma_ate_reads_tau():
@@ -94,14 +92,14 @@ def test_m_of_gamma_ate_reads_tau():
     f = AverageTreatmentEffect(0)
     tau = 2.5
     beta = np.array([0.0, 0.0, tau, 0.0])
-    assert m_of_gamma(f, dic, np.array([0.0, 0.5]), beta) == pytest.approx(tau)
+    assert f.m_of_basis(dic, np.array([0.0, 0.5])) @ beta == pytest.approx(tau)
 
 
 def test_m_of_gamma_derivative_of_square():
     dic = PolynomialDictionary(1, degree=2)
     f = AverageDerivative(np.array([1.0]))
     beta = np.array([0.0, 0.0, 1.0])  # gamma(x) = x^2
-    assert m_of_gamma(f, dic, np.array([2.0]), beta) == pytest.approx(4.0)
+    assert f.m_of_basis(dic, np.array([2.0])) @ beta == pytest.approx(4.0)
 
 
 def test_linearity_in_beta():
@@ -116,8 +114,8 @@ def test_linearity_in_beta():
             x = rng.standard_normal(3)
             b1, b2 = rng.standard_normal((2, dic.output_dim))
             c1, c2 = rng.standard_normal(2)
-            lhs = m_of_basis(f, dic, x) @ (c1 * b1 + c2 * b2)
-            rhs = c1 * m_of_gamma(f, dic, x, b1) + c2 * m_of_gamma(f, dic, x, b2)
+            lhs = f.m_of_basis(dic, x) @ (c1 * b1 + c2 * b2)
+            rhs = c1 * (f.m_of_basis(dic, x) @ b1) + c2 * (f.m_of_basis(dic, x) @ b2)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -131,8 +129,8 @@ def test_average_derivative_is_policy_shift_limit(dic):
     f_shift = PolicyShift(np.eye(2), eps * a)
     for _ in range(5):
         x = rng.uniform(-0.8, 0.8, size=2)
-        m_d = m_of_basis(f_deriv, dic, x)
-        m_s = m_of_basis(f_shift, dic, x) / eps
+        m_d = f_deriv.m_of_basis(dic, x)
+        m_s = f_shift.m_of_basis(dic, x) / eps
         scale = 1.0 + np.abs(m_d).max()
         assert np.abs(m_s - m_d).max() <= 1e-2 * scale
 
@@ -155,3 +153,22 @@ def test_compatibility_errors():
         PolicyShift(np.eye(3), np.zeros(3)).check_compatible(PolynomialDictionary(2, 1))
     with pytest.raises(ValueError):
         AverageDerivative(np.ones(3)).check_compatible(PolynomialDictionary(2, 1))
+
+
+@pytest.mark.parametrize("treatment_index", [0, 1, 3], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("inner", [PolynomialDictionary(3, 2, with_interactions=True),
+                                   FourierDictionary(3, 2), IdentityDictionary(3)],
+                         ids=["poly", "fourier", "identity"])
+def test_ate_features_match_two_evaluations_bit_for_bit(inner, treatment_index):
+    dic = TreatmentInteractedDictionary(inner, treatment_index)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(50, 4))
+    X[:, treatment_index] = rng.random(50) < 0.5
+    X1, X0 = X.copy(), X.copy()
+    X1[:, treatment_index] = 1.0
+    X0[:, treatment_index] = 0.0
+    B, Mx = AverageTreatmentEffect(treatment_index).features(dic, X)
+    b_in = inner.evaluate_rows(np.delete(X, treatment_index, axis=1))
+    np.testing.assert_array_equal(B, np.hstack([b_in, X[:, [treatment_index]] * b_in]))
+    np.testing.assert_array_equal(B, dic.evaluate_rows(X))
+    np.testing.assert_array_equal(Mx, dic.evaluate_rows(X1) - dic.evaluate_rows(X0))

@@ -195,6 +195,11 @@ def test_problem_validation():
         RmdProblem(np.eye(2), np.zeros(3), 0.1)
 
 
+def test_problem_rejects_empty_gram():
+    with pytest.raises(ValueError, match="G_hat is empty"):
+        RmdProblem(np.zeros((0, 0)), np.zeros(0), 0.1)
+
+
 def test_uncertified_optimum_is_numerical_failure(monkeypatch):
     # G = I, M = (1, 0), lambda = 0.5: the optimum is t = (0.5, 0), l1 0.5.
     prob = RmdProblem(np.eye(2), np.array([1.0, 0.0]), 0.5)

@@ -14,9 +14,7 @@ from rieszdml import (
     dense_decay_dgp,
     estimate_riesz,
     run_monte_carlo,
-    true_riesz,
     true_riesz_rows,
-    true_theta,
     true_theta_info,
 )
 from rieszdml import dml
@@ -108,12 +106,13 @@ def test_true_theta_polynomial_moments():
     dic = PolynomialDictionary(1, degree=3)
     beta = np.array([0.0, 0.0, 0.0, 1.0])
     f = AverageDerivative(np.array([1.0]))
-    assert true_theta(SparseLinearDgp(dic, beta, "normal", 1.0), f) == pytest.approx(3.0)
-    assert true_theta(SparseLinearDgp(dic, beta, "uniform", 1.0), f) == pytest.approx(1.0)
+    normal, uniform = (SparseLinearDgp(dic, beta, x_dist, 1.0) for x_dist in ("normal", "uniform"))
+    assert true_theta_info(normal, f).value == pytest.approx(3.0)
+    assert true_theta_info(uniform, f).value == pytest.approx(1.0)
 
 
 def test_true_theta_ate_additive():
-    assert true_theta(ate_dgp(tau=2.5), AverageTreatmentEffect(0)) == 2.5
+    assert true_theta_info(ate_dgp(tau=2.5), AverageTreatmentEffect(0)).value == 2.5
 
 
 def test_true_theta_policy_identity_zero():
@@ -152,7 +151,7 @@ def test_true_theta_policy_shift_monte_carlo_path():
 
 def test_true_theta_rejects_mismatched_pairs():
     with pytest.raises(ValueError):
-        true_theta(ate_dgp(), AverageDerivative(np.array([1.0, 0.0, 0.0, 0.0])))
+        true_theta_info(ate_dgp(), AverageDerivative(np.array([1.0, 0.0, 0.0, 0.0])))
 
 
 # -- true Riesz representers ------------------------------------------------------
@@ -162,28 +161,29 @@ def test_true_riesz_ate_inverse_propensity():
     z = np.array([0.4, -0.2, 0.1])
     pi = dgp.propensity(z[np.newaxis, :])[0]
     f = AverageTreatmentEffect(0)
-    assert true_riesz(dgp, f, np.concatenate([[1.0], z])) == pytest.approx(1.0 / pi)
-    assert true_riesz(dgp, f, np.concatenate([[0.0], z])) == pytest.approx(-1.0 / (1.0 - pi))
+    treated, control = np.concatenate([[1.0], z]), np.concatenate([[0.0], z])
+    assert true_riesz_rows(dgp, f, treated[np.newaxis])[0] == pytest.approx(1.0 / pi)
+    assert true_riesz_rows(dgp, f, control[np.newaxis])[0] == pytest.approx(-1.0 / (1.0 - pi))
 
 
 def test_true_riesz_gaussian_score():
     dgp = sparse_linear(x_dist="normal")
     f = AverageDerivative(np.array([1.0, 0.0, 0.0, 0.0]))
     x = np.array([0.7, -1.0, 0.2, 0.0])
-    assert true_riesz(dgp, f, x) == pytest.approx(0.7)
+    assert true_riesz_rows(dgp, f, x[np.newaxis])[0] == pytest.approx(0.7)
 
 
 def test_true_riesz_uniform_has_no_closed_form():
     dgp = sparse_linear(x_dist="uniform")
     f = AverageDerivative(np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(NoClosedFormError):
-        true_riesz(dgp, f, np.zeros(4))
+        true_riesz_rows(dgp, f, np.zeros((1, 4)))
 
 
 def test_true_riesz_policy_identity_zero():
     dgp = sparse_linear()
     f = PolicyShift(np.eye(4), np.zeros(4))
-    assert true_riesz(dgp, f, np.ones(4)) == 0.0
+    assert true_riesz_rows(dgp, f, np.ones(4)[np.newaxis])[0] == 0.0
 
 
 def test_true_riesz_density_ratio_satisfies_riesz_identity():
