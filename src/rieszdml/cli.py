@@ -34,7 +34,7 @@ from . import jsonio
 from .dictionaries import load_csv, make_dictionary
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
-from .rmd import LambdaRule, RmdInfeasibleError, RmdProblem, SolverError, solve_rmd
+from .rmd import LambdaRule, LambdaRuleError, RmdInfeasibleError, RmdProblem, SolverError, solve_rmd
 from .simulation import (
     AteLogisticDgp,
     EstimatorConfig,
@@ -72,6 +72,9 @@ _KNOWN_KEYS = {
     "simulation.outcome_coefs", "simulation.propensity_coefs",
     "simulation.decay", "simulation.scale", "simulation.workers",
 }
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class Config:
@@ -120,56 +123,35 @@ class Config:
             raise ConfigError(f"config key {key!r} must be one of {sorted(choices)}, got {v!r}", key=key)
         return v
 
-    def get_int(self, key, default=None, required=False):
+    def _typed(self, key, default, required, convert, expected):
         v = self.raw(key, None, required)
         if v is None:
             return default
         try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be an integer, got {v!r}", key=key) from None
+            return convert(v)
+        except (KeyError, ValueError):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {v!r}", key=key) from None
+
+    def get_int(self, key, default=None, required=False):
+        return self._typed(key, default, required, int, "an integer")
 
     def get_float(self, key, default=None, required=False):
-        v = self.raw(key, None, required)
-        if v is None:
-            return default
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be a number, got {v!r}", key=key) from None
+        return self._typed(key, default, required, float, "a number")
 
     def get_bool(self, key, default=None, required=False):
-        v = self.raw(key, None, required)
-        if v is None:
-            return default
-        low = v.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"config key {key!r} must be true/false, got {v!r}", key=key)
+        return self._typed(key, default, required, lambda v: _BOOLEANS[v.lower()], "true/false")
 
     def get_vector(self, key, default=None, required=False):
-        v = self.raw(key, None, required)
-        if v is None:
-            return default
-        try:
-            return np.array([float(tok) for tok in v.split(",")])
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be comma-separated numbers", key=key) from None
+        return self._typed(key, default, required,
+                           lambda v: np.array([float(tok) for tok in v.split(",")]),
+                           "comma-separated numbers")
 
     def get_matrix(self, key, required=False):
-        v = self.raw(key, None, required)
-        if v is None:
-            return None
-        try:
-            rows = [[float(tok) for tok in row.split(",")] for row in v.split(";")]
-            mat = np.array(rows)
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r} must be semicolon-separated rows of numbers", key=key
-            ) from None
-        if mat.ndim != 2:
+        mat = self._typed(key, None, required,
+                          lambda v: np.array([[float(tok) for tok in row.split(",")]
+                                              for row in v.split(";")]),
+                          "semicolon-separated rows of numbers")
+        if mat is not None and mat.ndim != 2:
             raise ConfigError(f"config key {key!r} rows have inconsistent lengths", key=key)
         return mat
 
@@ -218,16 +200,22 @@ def build_functional(cfg, input_dim, treatment_col=None):
         raise ConfigError(f"functional.*: {exc}", key="functional.type") from None
 
 
-def build_lambda_rule(cfg, prefix="estimator.lambda"):
+def build_lambda_rule(cfg, p, prefix="estimator.lambda"):
+    """The lambda rule under ``prefix``, checked for a p-column dictionary."""
     method = cfg.get_str(f"{prefix}_method", default="gaussian_quantile",
                          choices={"gaussian_quantile", "fixed"})
-    if method == "fixed":
-        value = cfg.get_float(f"{prefix}_value", required=True)
-        return LambdaRule.fixed(value)
-    return LambdaRule.gaussian_quantile(
-        c=cfg.get_float(f"{prefix}_c", default=1.1),
-        alpha=cfg.get_float(f"{prefix}_alpha", default=0.05),
-    )
+    try:
+        if method == "fixed":
+            rule = LambdaRule.fixed(cfg.get_float(f"{prefix}_value", required=True))
+        else:
+            rule = LambdaRule.gaussian_quantile(
+                c=cfg.get_float(f"{prefix}_c", default=1.1),
+                alpha=cfg.get_float(f"{prefix}_alpha", default=0.05),
+            )
+        rule.lam(1, p)
+        return rule
+    except LambdaRuleError as exc:
+        raise ConfigError(f"{prefix}_{exc.field}: {exc}", key=f"{prefix}_{exc.field}") from None
 
 
 def build_estimator(cfg, dictionary, functional):
@@ -235,15 +223,21 @@ def build_estimator(cfg, dictionary, functional):
     if K < 2:
         raise ConfigError("estimator.k_folds must be >= 2", key="estimator.k_folds")
     alpha = cfg.get_float("estimator.alpha", default=0.05)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("estimator.alpha must lie in (0, 1)", key="estimator.alpha")
-    rule = build_lambda_rule(cfg)
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+        raise ConfigError("estimator.alpha must lie in (0, 1), with 1 - alpha / 2 below 1 "
+                          "in floating point", key="estimator.alpha")
+    p = dictionary.output_dim
+    rule = build_lambda_rule(cfg, p)
     riesz_rule = None
     if any(cfg.has(f"estimator.riesz_lambda_{s}") for s in ("method", "c", "alpha", "value")):
-        riesz_rule = build_lambda_rule(cfg, prefix="estimator.riesz_lambda")
+        riesz_rule = build_lambda_rule(cfg, p, prefix="estimator.riesz_lambda")
     l1_bound = cfg.get_float("estimator.l1_bound", default=np.inf)
     if not l1_bound > 0:
         raise ConfigError("estimator.l1_bound must be positive", key="estimator.l1_bound")
+    try:
+        functional.check_compatible(dictionary)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="functional.type") from None
     return EstimatorConfig(
         dictionary=dictionary,
         functional=functional,
@@ -326,6 +320,9 @@ def cmd_estimate(args):
                                   treatment_index=data.treatment_col or 0)
     functional = build_functional(cfg, data.d, treatment_col=data.treatment_col)
     est = build_estimator(cfg, dictionary, functional)
+    if data.n < 2 * est.K:
+        raise ConfigError(f"estimator.k_folds = {est.K} needs n >= 2K observations, "
+                          f"the data has n = {data.n}", key="estimator.k_folds")
     seed = cfg.get_int("seed", default=0)
     try:
         result = dml_estimate(
@@ -353,10 +350,6 @@ def cmd_simulate(args):
         dictionary = dgp.dictionary
         functional = build_functional(cfg, dictionary.input_dim)
     est = build_estimator(cfg, dictionary, functional)
-    try:
-        functional.check_compatible(dictionary)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="functional.type") from None
 
     R = cfg.get_int("simulation.replications", required=True)
     if R < 1:

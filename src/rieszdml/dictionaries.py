@@ -236,7 +236,8 @@ class TreatmentInteractedDictionary(Dictionary):
         return _interacted(t, inner), contrast
 
     def evaluate_rows(self, X):
-        return self.evaluate_with_contrast(X)[0]
+        t, z = self.split_rows(X)
+        return _interacted(t, self.inner.evaluate_rows(z))
 
     def directional_gradient_rows(self, X, a):
         # derivatives in z only: the treatment component of a is dropped
@@ -367,6 +368,8 @@ def load_csv(path, outcome, treatment=None, standardize=False):
         raise KeyError(f"outcome column {outcome!r} not found in header", "outcome")
     if treatment is not None and treatment not in header:
         raise KeyError(f"treatment column {treatment!r} not found in header", "treatment")
+    if treatment == outcome:
+        raise KeyError(f"treatment column {treatment!r} is the outcome column", "treatment")
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"no data rows in {path}")

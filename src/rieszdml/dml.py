@@ -6,14 +6,17 @@ The orthogonal score is
 
 whose root over a fold is available in closed form because psi is linear in
 theta.  Every term of psi comes from two per-observation arrays, B = b(X)
-and Mx = m(X, b).  ``dml_estimate`` gets both from one ``functional.features``
-call per dataset, and each fold slices rows from them: the complement rows
-give one Gram G_hat = E_A[b b'] shared by the BLP and Riesz RMD fits, and
-the fold's own rows give its score contributions and score-derivative sums.  The psi
-algebra lives in ``_fold_contributions`` and the derivative sums in
-``_derivative_sums``; the per-observation and per-row-set functions below
-call those two.  The estimator is the unweighted average of the per-fold
-roots, with a cross-fitted plug-in variance and Gaussian confidence interval.
+and Mx = m(X, b), and every caller here gets them from ``_features``, that
+is from the functional's one ``features(dictionary, X)`` method.
+``dml_estimate`` makes that call once per dataset, and each fold slices rows
+from the result: the complement rows give one Gram G_hat = E_A[b b'] shared
+by the BLP and Riesz RMD fits, and the fold's own rows give its score
+contributions and score-derivative sums.  The per-observation score and its
+derivatives run the same call on a one-row X.  The psi algebra lives in
+``_fold_contributions`` and the derivative sums in ``_derivative_sums``; the
+per-observation and per-row-set functions below call those two.  The
+estimator is the unweighted average of the per-fold roots, with a
+cross-fitted plug-in variance and Gaussian confidence interval.
 
 Per-fold pipelines are pure and independent, so they could run concurrently;
 they are executed in fold order here, which keeps results bit-reproducible.
@@ -108,9 +111,8 @@ def _derivative_sums(B, Mx, y, beta, rho):
 def _point_features(w, dictionary, functional):
     """(B, Mx, y) as one-row arrays for the single observation w = (y, x)."""
     y, x = w
-    b = dictionary.evaluate(x)[np.newaxis, :]
-    m = functional.m_of_basis(dictionary, x)[np.newaxis, :]
-    return b, m, np.array([y], dtype=float)
+    B, Mx = _features(np.asarray(x, dtype=float).reshape(1, -1), dictionary, functional)
+    return B, Mx, np.array([y], dtype=float)
 
 
 def score_psi(w, theta, beta, rho, dictionary, functional):
@@ -359,16 +361,8 @@ def orthogonality_report(data, dictionary, functional, beta_hat, rho_hat,
     d_beta, d_rho = _derivative_sums(B, Mx, data.outcome[rows], beta_hat, rho_hat)
     d_beta_sup = float(np.abs(d_beta / rows.size).max())
     d_rho_sup = float(np.abs(d_rho / rows.size).max())
-    if lambda_riesz is not None and d_beta_sup > 3.0 * lambda_riesz + 1e-7:
-        warnings.warn(
-            f"averaged d_beta psi sup-norm {d_beta_sup:.3g} exceeds lambda + slack "
-            f"({lambda_riesz:.3g} + {2 * lambda_riesz:.3g})",
-            stacklevel=2,
-        )
-    if lambda_blp is not None and d_rho_sup > 3.0 * lambda_blp + 1e-7:
-        warnings.warn(
-            f"averaged d_rho psi sup-norm {d_rho_sup:.3g} exceeds lambda + slack "
-            f"({lambda_blp:.3g} + {2 * lambda_blp:.3g})",
-            stacklevel=2,
-        )
+    for name, sup, lam in (("d_beta", d_beta_sup, lambda_riesz), ("d_rho", d_rho_sup, lambda_blp)):
+        if lam is not None and sup > 3.0 * lam + 1e-7:
+            warnings.warn(f"averaged {name} psi sup-norm {sup:.3g} exceeds lambda + slack "
+                          f"({lam:.3g} + {2 * lam:.3g})", stacklevel=2)
     return d_beta_sup, d_rho_sup

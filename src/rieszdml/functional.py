@@ -6,16 +6,19 @@ effect on a treatment-interacted dictionary.  Everything downstream only
 relies on the componentwise vector m(x, b) = (m(x, b_1), ..., m(x, b_p)) and
 on linearity: m(x, b'beta) = m(x, b)'beta.
 
-The estimator gets b(X) and m(X, b) from one ``features(dictionary, X)`` call:
-one ``evaluate_rows`` and one ``m_rows`` by default, and a single inner pass
-of the treatment-interacted dictionary for the average treatment effect.
+Each functional defines one method, ``features(dictionary, X)``, which
+returns b(X) and m(X, b) together; it is the only code that computes either
+for the estimator, the RMD fits and the per-observation score.  ``m_rows`` is
+its second array.  The policy shift evaluates b(X) once and reuses it in
+b(S X + c) - b(X), and the average treatment effect takes both arrays from a
+single inner pass of the treatment-interacted dictionary.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dictionaries import TreatmentInteractedDictionary, _check_point, _check_rows
+from .dictionaries import TreatmentInteractedDictionary, _check_rows
 
 
 class Functional:
@@ -24,17 +27,13 @@ class Functional:
     def check_compatible(self, dictionary, data=None):
         """Raise ValueError when the (functional, dictionary, data) combination is invalid."""
 
-    def m_rows(self, dictionary, X):
-        """m(x_i, b) for each row: (n, d) -> (n, p)."""
-        raise NotImplementedError
-
     def features(self, dictionary, X):
         """(b(X), m(X, b)) for the rows of X, each of shape (n, p)."""
-        return dictionary.evaluate_rows(X), self.m_rows(dictionary, X)
+        raise NotImplementedError
 
-    def m_of_basis(self, dictionary, x):
-        x = _check_point(x, dictionary.input_dim)
-        return self.m_rows(dictionary, x[np.newaxis, :])[0]
+    def m_rows(self, dictionary, X):
+        """m(x_i, b) for each row: (n, d) -> (n, p)."""
+        return self.features(dictionary, X)[1]
 
 
 class AverageDerivative(Functional):
@@ -60,9 +59,9 @@ class AverageDerivative(Functional):
                     "treatment-interacted dictionary"
                 )
 
-    def m_rows(self, dictionary, X):
+    def features(self, dictionary, X):
         self.check_compatible(dictionary)
-        return dictionary.directional_gradient_rows(X, self.direction)
+        return dictionary.evaluate_rows(X), dictionary.directional_gradient_rows(X, self.direction)
 
 
 class PolicyShift(Functional):
@@ -91,11 +90,11 @@ class PolicyShift(Functional):
         if self.transport_matrix.shape[0] != dictionary.input_dim:
             raise ValueError("transport dimension does not match dictionary input_dim")
 
-    def m_rows(self, dictionary, X):
+    def features(self, dictionary, X):
         self.check_compatible(dictionary)
         X = _check_rows(X, dictionary.input_dim)
-        shifted = X @ self.transport_matrix.T + self.shift
-        return dictionary.evaluate_rows(shifted) - dictionary.evaluate_rows(X)
+        B = dictionary.evaluate_rows(X)
+        return B, dictionary.evaluate_rows(X @ self.transport_matrix.T + self.shift) - B
 
 
 class AverageTreatmentEffect(Functional):
@@ -122,9 +121,6 @@ class AverageTreatmentEffect(Functional):
     def features(self, dictionary, X):
         self.check_compatible(dictionary)
         return dictionary.evaluate_with_contrast(X)
-
-    def m_rows(self, dictionary, X):
-        return self.features(dictionary, X)[1]
 
 
 def m_hat_vector(functional, dictionary, data, rows):

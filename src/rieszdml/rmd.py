@@ -26,7 +26,6 @@ import numpy as np
 
 from . import lp
 from .dictionaries import design_matrix
-from .functional import m_hat_vector
 
 OPTIMAL = lp.OPTIMAL
 INFEASIBLE = lp.INFEASIBLE
@@ -88,19 +87,39 @@ class RmdSolution:
     gap: float  # ||t||_1 minus a certified lower bound; nan unless the simplex finished
 
 
+class LambdaRuleError(ValueError):
+    """A lambda-rule parameter is out of range; ``field`` names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class LambdaRule:
     """How lambda is picked from the fitting sample.
 
     ``fixed(value)`` uses the value as-is.  ``gaussian_quantile(c, alpha)``
     sets lambda = c * PhiInv(1 - alpha / (2 p)) / sqrt(|A|), the usual
-    moderate-deviation surrogate scaling like 1/sqrt(n).
+    moderate-deviation surrogate scaling like 1/sqrt(n).  A rule is checked
+    when it is built: value and c must be finite and >= 0, alpha in (0, 1),
+    so every lambda it picks is finite and >= 0.
     """
 
     method: str = "gaussian_quantile"
     value: float = 0.0
     c: float = 1.1
     alpha: float = 0.05
+
+    def __post_init__(self):
+        if self.method not in ("fixed", "gaussian_quantile"):
+            raise LambdaRuleError("method", f"unknown lambda rule {self.method!r}")
+        for field, ok, expected in (("value", 0.0 <= self.value < np.inf, "finite and >= 0"),
+                                    ("c", 0.0 <= self.c < np.inf, "finite and >= 0"),
+                                    ("alpha", 0.0 < self.alpha < 1.0, "in (0, 1)")):
+            if not ok:
+                raise LambdaRuleError(field, f"lambda rule {field} must be {expected}, "
+                                             f"got {getattr(self, field)!r}")
 
     @classmethod
     def fixed(cls, value):
@@ -111,14 +130,20 @@ class LambdaRule:
         return cls(method="gaussian_quantile", c=float(c), alpha=float(alpha))
 
     def lam(self, n_rows, p):
+        """lambda for ``n_rows`` >= 1 fitting rows and ``p`` >= 1 features.
+
+        The quantile rule fails only when 1 - alpha / (2 p) rounds to 1 or c
+        times the quantile overflows, so ``lam(1, p)`` checks it for every n.
+        """
         if self.method == "fixed":
-            out = float(self.value)
-        elif self.method == "gaussian_quantile":
-            out = self.c * NormalDist().inv_cdf(1.0 - self.alpha / (2.0 * p)) / np.sqrt(n_rows)
-        else:
-            raise ValueError(f"unknown lambda rule {self.method!r}")
-        if not np.isfinite(out) or out < 0.0:
-            raise ValueError("lambda rule produced an invalid value")
+            return float(self.value)
+        level = 1.0 - self.alpha / (2.0 * p)
+        if level == 1.0:
+            raise LambdaRuleError("alpha", f"lambda rule alpha = {self.alpha!r} is too small "
+                                           f"for p = {p}: 1 - alpha / (2 p) rounds to 1")
+        out = self.c * NormalDist().inv_cdf(level) / np.sqrt(n_rows)
+        if not np.isfinite(out):
+            raise LambdaRuleError("c", f"lambda rule c = {self.c!r} overflows lambda at p = {p}")
         return out
 
 
@@ -212,7 +237,9 @@ def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf):
     """
     rows = np.asarray(rows, dtype=int)
     functional.check_compatible(dictionary, data)
-    G, _ = gram_and_moments(design_matrix(dictionary, data, rows))
-    M = m_hat_vector(functional, dictionary, data, rows)
-    sol, _ = fit_rmd(G, M, rule, rows.size, l1_bound)
+    if rows.size == 0:
+        raise ValueError("empty row index set")
+    B, Mx = functional.features(dictionary, data.covariates[rows])
+    G, _ = gram_and_moments(B)
+    sol, _ = fit_rmd(G, Mx.mean(axis=0), rule, rows.size, l1_bound)
     return sol.t_hat, sol

@@ -25,7 +25,7 @@ execution order and the harness may run replications across processes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -307,27 +307,12 @@ class MonteCarloReport:
     mean_ci_length: float
     mean_sigma: float
     failures: int
-    per_rep: list
     config: dict
     seed: int
+    per_rep: list  # last, so the JSON report ends with the per-replication rows
 
     def summary(self):
-        return {
-            "R": self.R,
-            "n": self.n,
-            "theta_star": self.theta_star,
-            "theta_star_se": self.theta_star_se,
-            "theta_star_method": self.theta_star_method,
-            "bias": self.bias,
-            "rmse": self.rmse,
-            "coverage": self.coverage,
-            "mean_ci_length": self.mean_ci_length,
-            "mean_sigma": self.mean_sigma,
-            "failures": self.failures,
-            "config": dict(self.config),
-            "seed": self.seed,
-            "per_rep": [dict(r) for r in self.per_rep],
-        }
+        return asdict(self)
 
     def write_csv(self, path):
         cols = ["rep", "status", "theta_hat", "sigma_hat", "ci_lo", "ci_hi", "covered", "error"]

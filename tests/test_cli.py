@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszdml
 from rieszdml.cli import run
@@ -222,6 +228,146 @@ def test_estimate_rejects_bad_k(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
     assert code == 2
     assert json.loads(err.strip())["key"] == "estimator.k_folds"
+
+
+def example_entries():
+    """The bundled example config as an ordered key -> value dict."""
+    entries = {}
+    for line in open(EXAMPLE_CFG):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            k, v = body.split("=", 1)
+            entries[k.strip()] = v.strip()
+    return entries
+
+
+def write_cfg(path, entries):
+    return write(path, "".join(f"{k} = {v}\n" for k, v in entries.items()))
+
+
+def test_estimate_k_folds_above_n_over_2_names_its_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", {**example_entries(), "estimator.k_folds": "200"})
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "estimator.k_folds" and "n = 300" in payload["error"]
+
+
+def test_estimate_direction_length_mismatch_names_functional_type(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg", "\n".join([
+        "dictionary.kind = identity",
+        "functional.type = average_derivative",
+        "functional.direction = 1,0",  # the example has 5 covariates
+        "data.outcome = y",
+    ]))
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "functional.type" and "direction length" in payload["error"]
+
+
+def test_estimate_treatment_equal_to_outcome_names_its_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", {**example_entries(), "data.treatment": "y"})
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "data.treatment" and "outcome" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("settings_, key", [
+    ({"estimator.lambda_c": "-1"}, "estimator.lambda_c"),
+    ({"estimator.lambda_c": "nan"}, "estimator.lambda_c"),
+    ({"estimator.lambda_alpha": "1.5"}, "estimator.lambda_alpha"),
+    ({"estimator.lambda_alpha": "0"}, "estimator.lambda_alpha"),
+    ({"estimator.lambda_method": "fixed", "estimator.lambda_value": "-0.1"},
+     "estimator.lambda_value"),
+    ({"estimator.lambda_method": "fixed", "estimator.lambda_value": "inf"},
+     "estimator.lambda_value"),
+    ({"estimator.riesz_lambda_c": "-0.5"}, "estimator.riesz_lambda_c"),
+    ({"estimator.riesz_lambda_alpha": "1"}, "estimator.riesz_lambda_alpha"),
+    ({"estimator.riesz_lambda_method": "fixed", "estimator.riesz_lambda_value": "-1"},
+     "estimator.riesz_lambda_value"),
+    # in range on their own, but 1 - alpha / (2p) rounds to 1 or c * quantile overflows
+    ({"estimator.lambda_alpha": "1e-300"}, "estimator.lambda_alpha"),
+    ({"estimator.riesz_lambda_c": "1e308"}, "estimator.riesz_lambda_c"),
+], ids=["c_negative", "c_nan", "alpha_above_1", "alpha_zero", "value_negative",
+        "value_inf", "riesz_c_negative", "riesz_alpha_one", "riesz_value_negative",
+        "alpha_rounds_to_one", "riesz_c_overflows"])
+def test_bad_lambda_setting_is_config_error(tmp_path, capsys, command, settings_, key):
+    if command == "estimate":
+        cfg = write_cfg(tmp_path / "c.cfg", {**example_entries(), **settings_})
+        argv = ["estimate", "--data", EXAMPLE_CSV, "--config", cfg]
+    else:
+        extra = "\n".join(f"{k} = {v}" for k, v in settings_.items())
+        argv = ["simulate", "--config", simulate_cfg(tmp_path, extra)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == key and key in payload["error"]
+
+
+# A first slice of the config sweep: mutate the estimator.* keys of the bundled
+# example and require either strict JSON on stdout (exit 0) or exactly one
+# JSON error line on stderr (exit 2, 3 or 4), naming its key when the exit is 2.
+# Each key lists in-range, out-of-range and badly typed values.
+_ESTIMATOR_VALUES = {
+    "estimator.k_folds": ["2", "3", "10", "150", "151", "0", "1", "-3", "five", "2.5", "", "1e3"],
+    "estimator.alpha": ["0.1", "0.5", "0", "1", "-0.2", "2", "1e-300", "nan", "inf", "x",
+                        "0.1,0.2"],
+    "estimator.lambda_method": ["fixed", "gaussian_quantile", "dantzig", "1"],
+    "estimator.lambda_c": ["0", "0.5", "3", "1e6", "1e308", "-1", "nan", "inf", "-inf", "c"],
+    "estimator.lambda_alpha": ["1e-12", "1e-300", "0.5", "0", "1", "-0.1", "nan", "a"],
+    "estimator.lambda_value": ["0", "0.05", "1e6", "1e308", "-0.1", "nan", "inf", "v"],
+    "estimator.riesz_lambda_method": ["fixed", "gaussian_quantile", "lasso", ""],
+    "estimator.riesz_lambda_c": ["0", "2", "1e308", "-1", "inf", "c"],
+    "estimator.riesz_lambda_alpha": ["0.2", "1e-300", "0", "1", "nan", "a"],
+    "estimator.riesz_lambda_value": ["0", "0.1", "-1", "nan", "v"],
+    "estimator.l1_bound": ["1e-9", "0.5", "1e6", "inf", "0", "-1", "nan", "big"],
+    "estimator.plugin_only": ["true", "false", "yes", "0", "maybe", "2"],
+}
+_FLOAT_KEYS = sorted(k for k in _ESTIMATOR_VALUES
+                     if k not in ("estimator.k_folds", "estimator.plugin_only")
+                     and not k.endswith("_method"))
+_FLIPPED = {"true": "false", "false": "true", "yes": "no", "no": "yes", "1": "0", "0": "1"}
+
+
+def _mutation():
+    keys = sorted(_ESTIMATOR_VALUES)
+    drop = st.tuples(st.just("drop"), st.sampled_from(keys), st.none())
+    flip = st.tuples(st.just("flip"), st.just("estimator.plugin_only"), st.none())
+    listed = st.sampled_from(keys).flatmap(
+        lambda k: st.tuples(st.just("set"), st.just(k), st.sampled_from(_ESTIMATOR_VALUES[k])))
+    any_float = st.tuples(st.just("set"), st.sampled_from(_FLOAT_KEYS), st.floats().map(repr))
+    return st.one_of(drop, flip, listed, any_float)
+
+
+def _apply(entries, mutations):
+    for op, key, value in mutations:
+        if op == "drop":
+            entries.pop(key, None)
+        elif op == "flip":
+            entries[key] = _FLIPPED.get(entries.get(key, "false").lower(), "true")
+        else:
+            entries[key] = value
+    return entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutations=st.lists(_mutation(), min_size=1, max_size=4))
+def test_estimate_config_sweep_keeps_the_output_contract(mutations):
+    entries = _apply(example_entries(), mutations)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(pathlib.Path(tmp) / "c.cfg", entries)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["estimate", "--data", EXAMPLE_CSV, "--config", cfg])
+    if code == 0:
+        assert isinstance(json.loads(out.getvalue(), parse_constant=_reject_constant), dict)
+        return
+    assert code in (2, 3, 4) and out.getvalue() == ""
+    payload = error_line(err.getvalue())
+    assert (code != 2) or "key" in payload, payload
 
 
 # -- simulate ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ from rieszdml import (
     Dataset,
     FoldPlan,
     IdentityDictionary,
+    PolicyShift,
     PolynomialDictionary,
     RmdInfeasibleError,
     TreatmentInteractedDictionary,
@@ -18,7 +19,6 @@ from rieszdml import (
     score_derivatives,
     score_psi,
 )
-from rieszdml.functional import Functional
 from rieszdml.rmd import LambdaRule
 
 
@@ -77,7 +77,7 @@ def test_score_psi_arithmetic_example():
     dic = PolynomialDictionary(1, degree=1)
     f = AverageDerivative(np.array([1.0]))
     w = (3.0, np.array([2.0]))
-    np.testing.assert_allclose(m := f.m_of_basis(dic, w[1]), [0.0, 1.0])
+    np.testing.assert_allclose(m := f.m_rows(dic, [w[1]])[0], [0.0, 1.0])
     assert score_psi(w, 5.0, np.array([1.0, 1.0]), np.array([0.0, 1.0]), dic, f) == pytest.approx(4.0)
 
 
@@ -111,7 +111,7 @@ def test_score_derivatives_formulas_and_fd():
         theta = rng.standard_normal()
         d_beta, d_rho = score_derivatives((y, x), theta, beta, rho, dic, f)
         b = dic.evaluate(x)
-        m = f.m_of_basis(dic, x)
+        m = f.m_rows(dic, [x])[0]
         np.testing.assert_allclose(d_beta, -m + (rho @ b) * b, rtol=1e-12)
         np.testing.assert_allclose(d_rho, -b * (y - b @ beta), rtol=1e-12)
         # central finite differences, relative tolerance 1e-6
@@ -136,7 +136,7 @@ def test_score_derivatives_special_cases():
     w = (data.outcome[3], data.covariates[3])
     # rho = 0 kills the second term of d_beta
     d_beta, _ = score_derivatives(w, 0.0, beta_star, np.zeros(4), dic, f)
-    np.testing.assert_allclose(d_beta, -f.m_of_basis(dic, w[1]))
+    np.testing.assert_allclose(d_beta, -f.m_rows(dic, [w[1]])[0])
     # exact fit kills d_rho
     _, d_rho = score_derivatives(w, 0.0, beta_star, np.ones(4), dic, f)
     np.testing.assert_allclose(d_rho, 0.0, atol=1e-12)
@@ -271,12 +271,13 @@ def test_dml_plugin_only_forces_zero_rho():
 
 
 class CountingDictionary:
-    """A dictionary that counts the calls to evaluate_rows and the rows passed."""
+    """A dictionary that counts its row-wise evaluations and derivatives."""
 
     def __init__(self, inner):
         self.inner = inner
         self.rows = 0
         self.calls = 0
+        self.derivative_rows = 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -286,48 +287,59 @@ class CountingDictionary:
         self.rows += len(X)
         return self.inner.evaluate_rows(X)
 
-
-class CountingFunctional(Functional):
-    """A functional that counts the rows passed to m_rows.
-
-    It evaluates m on the unwrapped dictionary, so its own b evaluations
-    are not counted as b(X) passes.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.rows = 0
-
-    def check_compatible(self, dictionary, data=None):
-        self.inner.check_compatible(dictionary.inner, data)
-
-    def m_rows(self, dictionary, X):
-        self.rows += len(X)
-        return self.inner.m_rows(dictionary.inner, X)
+    def directional_gradient_rows(self, X, a):
+        self.derivative_rows += len(X)
+        return self.inner.directional_gradient_rows(X, a)
 
 
 def test_dml_evaluates_features_once_per_dataset():
     data, dic, f, _ = small_setup(n=100, noise=0.4)
-    cdic, cf = CountingDictionary(dic), CountingFunctional(f)
-    res = dml_estimate(data, cdic, cf, K=5, rule=LambdaRule.fixed(0.1), seed=4)
-    assert (cdic.rows, cf.rows) == (data.n, data.n)
+    cdic = CountingDictionary(dic)
+    res = dml_estimate(data, cdic, f, K=5, rule=LambdaRule.fixed(0.1), seed=4)
+    assert (cdic.calls, cdic.rows, cdic.derivative_rows) == (1, data.n, data.n)
     plain = dml_estimate(data, dic, f, K=5, rule=LambdaRule.fixed(0.1), seed=4)
     assert res.theta_hat == plain.theta_hat
 
 
-def test_ate_dml_evaluates_inner_dictionary_once():
+def test_policy_shift_dml_evaluates_dictionary_on_2n_rows():
+    # b(X) once, reused in b(SX + c) - b(X), plus b(SX + c): 2n rows in all
+    data, _, _, _ = small_setup(n=100, p=2, noise=0.4)
+    dic = PolynomialDictionary(2, degree=2)
+    f = PolicyShift(0.9 * np.eye(2), np.array([0.1, 0.0]))
+    cdic = CountingDictionary(dic)
+    res = dml_estimate(data, cdic, f, K=5, rule=LambdaRule.fixed(0.1), seed=4)
+    assert (cdic.calls, cdic.rows) == (2, 2 * data.n)
+    plain = dml_estimate(data, dic, f, K=5, rule=LambdaRule.fixed(0.1), seed=4)
+    assert res.theta_hat == plain.theta_hat
+
+
+def _ate_data(n):
     rng = np.random.default_rng(8)
-    n = 120
     t = (rng.random(n) < 0.5).astype(float)
     Z = rng.standard_normal((n, 2))
     y = Z[:, 0] + t + 0.3 * rng.standard_normal(n)
-    data = Dataset(y, np.column_stack([t, Z]), treatment_col=0)
+    return Dataset(y, np.column_stack([t, Z]), treatment_col=0)
+
+
+def test_ate_dml_evaluates_inner_dictionary_once():
+    data = _ate_data(n=120)
     inner = CountingDictionary(PolynomialDictionary(2, degree=2))
     dic = TreatmentInteractedDictionary(inner, treatment_index=0)
     res = dml_estimate(data, dic, AverageTreatmentEffect(0), K=5,
                        rule=LambdaRule.fixed(0.05), seed=2)
-    assert (inner.calls, inner.rows) == (1, n)
+    assert (inner.calls, inner.rows) == (1, data.n)
     assert np.isfinite(res.theta_hat)
+
+
+def test_ate_riesz_fit_evaluates_inner_dictionary_once():
+    from rieszdml import estimate_riesz
+
+    data = _ate_data(n=120)
+    inner = CountingDictionary(PolynomialDictionary(2, degree=2))
+    dic = TreatmentInteractedDictionary(inner, treatment_index=0)
+    rows = np.arange(0, data.n, 2)
+    estimate_riesz(data, rows, dic, AverageTreatmentEffect(0), LambdaRule.fixed(0.05))
+    assert (inner.calls, inner.rows) == (1, rows.size)
 
 
 def test_dml_k2_vs_k5_coverage():
