@@ -147,13 +147,11 @@ class Config:
                            "comma-separated numbers")
 
     def get_matrix(self, key, required=False):
-        mat = self._typed(key, None, required,
-                          lambda v: np.array([[float(tok) for tok in row.split(",")]
-                                              for row in v.split(";")]),
-                          "semicolon-separated rows of numbers")
-        if mat is not None and mat.ndim != 2:
-            raise ConfigError(f"config key {key!r} rows have inconsistent lengths", key=key)
-        return mat
+        # numpy rejects ragged rows with a ValueError, which _typed reports
+        return self._typed(key, None, required,
+                           lambda v: np.array([[float(tok) for tok in row.split(",")]
+                                               for row in v.split(";")]),
+                           "semicolon-separated rows of numbers")
 
     def echo(self):
         return dict(self.entries)
@@ -162,8 +160,10 @@ class Config:
 # -- builders -----------------------------------------------------------------
 
 def build_dictionary(cfg, input_dim, prefix="dictionary", treatment_index=0):
-    kind = cfg.get_str(f"{prefix}.kind", required=True,
-                       choices={"polynomial", "fourier", "identity", "treatment_interacted"})
+    kinds = {"polynomial", "fourier", "identity"}
+    if prefix == "dictionary":  # an inner dictionary cannot itself be interacted
+        kinds.add("treatment_interacted")
+    kind = cfg.get_str(f"{prefix}.kind", required=True, choices=kinds)
     try:
         if kind == "treatment_interacted":
             inner = build_dictionary(cfg, input_dim - 1, prefix=f"{prefix}.inner")
@@ -325,13 +325,16 @@ def cmd_estimate(args):
                           f"the data has n = {data.n}", key="estimator.k_folds")
     seed = cfg.get_int("seed", default=0)
     try:
-        result = dml_estimate(
-            data, dictionary, functional, K=est.K, rule=est.rule,
-            riesz_rule=est.riesz_rule, l1_bound=est.l1_bound, alpha=est.alpha,
-            seed=seed, plugin_only=est.plugin_only,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # the settings are checked above, so an overflow or a bad RMD
+        # instance from here on comes from the data
+        with np.errstate(over="raise"):
+            result = dml_estimate(
+                data, dictionary, functional, K=est.K, rule=est.rule,
+                riesz_rule=est.riesz_rule, l1_bound=est.l1_bound, alpha=est.alpha,
+                seed=seed, plugin_only=est.plugin_only,
+            )
+    except (ValueError, FloatingPointError) as exc:
+        raise ConfigError(f"cannot estimate from --data file {args.data}: {exc}") from None
     payload = result.summary()
     payload["config"] = cfg.echo()
     _emit(payload, args.output)

@@ -270,6 +270,21 @@ def _require_solved(sol, which, fold_id):
                           f"certificate in fold {fold_id}")
 
 
+def _mean_lambda(lams):
+    """The mean of the per-fold lambdas, finite whenever each lambda is.
+
+    The plain mean overflows only when the sum passes the float maximum; then
+    the lambdas are first divided by a power of two >= K, which is exact.
+    """
+    lams = np.asarray(lams)
+    with np.errstate(over="ignore"):
+        mean = np.mean(lams)
+    if np.isinf(mean) and np.isfinite(lams).all():
+        scale = 2.0 ** np.ceil(np.log2(lams.size))
+        mean = np.mean(lams / scale) * scale
+    return float(mean)
+
+
 def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
                  l1_bound=np.inf, alpha=0.05, seed=0, plugin_only=False, plan=None):
     """Cross-fitted estimate with standard error and Gaussian confidence interval.
@@ -326,8 +341,8 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
         float(np.abs(d_rho_sum / n).max()),
     )
     lambda_used = {
-        "blp": float(np.mean([rec.lambda_blp for rec in records])),
-        "riesz": float(np.mean([rec.lambda_riesz for rec in records])),
+        "blp": _mean_lambda([rec.lambda_blp for rec in records]),
+        "riesz": _mean_lambda([rec.lambda_riesz for rec in records]),
     }
     return DmlResult(
         theta_hat=theta_hat,

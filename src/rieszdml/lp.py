@@ -1,11 +1,13 @@
 """Dense bounded-variable dual simplex for the RMD linear program.
 
 Solves min 1'(t+ + t-) s.t. G (t+ - t-) - s = M, -lam <= s <= lam, t+- >= 0,
-plus the budget row 1'(t+ + t-) + s0 = B, s0 >= 0 when B is finite, over the
-columns z = (t+, t-, s[, s0]) of A = [G, -G, -I].  A is never formed: G is
-symmetric, so a column of A, and a row of B^-1 A, is read off G, a unit
-vector or a row of B^-1.  The slack basis (t = 0) is dual feasible as the
-costs are >= 0, and its inverse is known (-I, +1 on the budget row).
+over the columns z = (t+, t-, s) of A = [G, -G, -I]: p rows, 3p columns.
+A is never formed: G is symmetric, so a column of A, and a row of B^-1 A, is
+read off G, a unit vector or a row of B^-1.  The slack basis (t = 0) is dual
+feasible as the costs are >= 0, and its inverse is known (-I).  There is no
+l1-budget row: the objective is ||t||_1 itself, so a budget ||t||_1 <= B can
+only make the problem infeasible, and ``rmd.solve_rmd`` decides that from
+the dual bound of the unbudgeted solve.
 
 Each pivot follows the dual simplex with bounded variables (Vanderbei,
 *Linear Programming: Foundations and Extensions*): the basic variable
@@ -20,7 +22,6 @@ column among ratio ties enters, which guarantees termination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,7 @@ _STALL_LIMIT_FACTOR = 4
 
 @dataclass
 class LpResult:
-    z: np.ndarray  # (t+, t-, s[, s0])
-    objective: float
+    z: np.ndarray  # (t+, t-, s)
     status: str
     iterations: int
     y: np.ndarray | None = None  # row duals c_B' B^-1 of the final basis
@@ -54,7 +54,7 @@ class LpResult:
     bland_switches: int = 0  # times a degenerate stall turned on Bland's rule
 
 
-def solve_standard_form(G, M, lam, l1_bound, max_iters=100_000):
+def solve_standard_form(G, M, lam, max_iters=100_000):
     """Solve the RMD LP of a symmetric ``G`` by the dual simplex method.
 
     ``z`` is a basic solution (a vertex when "optimal"), ``y`` the row duals.
@@ -64,19 +64,15 @@ def solve_standard_form(G, M, lam, l1_bound, max_iters=100_000):
     """
     G, M = np.ascontiguousarray(G, dtype=float), np.asarray(M, dtype=float)
     p = M.shape[0]
-    budget = math.isfinite(l1_bound)
-    m, n = p + budget, 3 * p + budget
+    n = 3 * p
     c = np.zeros(n)
     c[:2 * p] = 1.0
     lo, hi = np.zeros(n), np.full(n, np.inf)
-    lo[2 * p:3 * p], hi[2 * p:3 * p] = -lam, lam
+    lo[2 * p:], hi[2 * p:] = -lam, lam
     can_enter = hi > lo  # fixed columns (s when lam = 0) never enter
-    b = np.append(M, l1_bound) if budget else M
 
     basis = np.arange(2 * p, n)
-    B_inv, x_B = -np.eye(m), -b
-    if budget:
-        B_inv[p, p], x_B[p] = 1.0, l1_bound
+    B_inv, x_B = -np.eye(p), -M
     lo_B, hi_B = lo[2 * p:].copy(), hi[2 * p:].copy()
     x_N = np.zeros(n)  # values of the nonbasic columns, 0 on basic ones
     # +1 for a column that may enter from its lower bound, -1 from its upper
@@ -86,7 +82,7 @@ def solve_standard_form(G, M, lam, l1_bound, max_iters=100_000):
 
     iterations = since_refactor = stall = refactorizations = bland_switches = 0
     bland = False
-    stall_limit = _STALL_LIMIT_FACTOR * (m + 10)
+    stall_limit = _STALL_LIMIT_FACTOR * (p + 10)
     while True:
         infeas = np.maximum(lo_B - x_B, x_B - hi_B)
         if bland:
@@ -107,7 +103,7 @@ def solve_standard_form(G, M, lam, l1_bound, max_iters=100_000):
         leave = basis[r]
         to_upper = x_B[r] > hi_B[r]
         target = hi_B[r] if to_upper else lo_B[r]
-        alpha = _pricing_row(B_inv[r], G, budget)
+        alpha = _pricing_row(B_inv[r], G)
         signed = alpha if to_upper else -alpha
         cand = (sign * signed > _PIV_TOL).nonzero()[0]
         if cand.size == 0:
@@ -120,7 +116,7 @@ def solve_standard_form(G, M, lam, l1_bound, max_iters=100_000):
         # Bland takes the lowest index.
         q = near[0] if bland or near.size == 1 else near[np.abs(alpha[near]).argmax()]
 
-        col = _column(B_inv, G, q, budget)
+        col = _column(B_inv, G, q)
         pivot = col[r]
         step = (x_B[r] - target) / pivot
         x_B -= step * col
@@ -140,7 +136,7 @@ def solve_standard_form(G, M, lam, l1_bound, max_iters=100_000):
         iterations += 1
         since_refactor += 1
         if since_refactor >= _REFACTOR_EVERY:
-            B_inv, x_B, d = _refactorize(G, b, c, basis, x_N)
+            B_inv, x_B, d = _refactorize(G, M, c, basis, x_N)
             since_refactor = 0
             refactorizations += 1
 
@@ -155,39 +151,33 @@ def solve_standard_form(G, M, lam, l1_bound, max_iters=100_000):
 
     z = x_N  # every column's value once the basic ones are written in
     z[basis] = x_B
-    return LpResult(z, float(c @ z), status, iterations, c[basis] @ B_inv,
+    return LpResult(z, status, iterations, c[basis] @ B_inv,
                     refactorizations, bland_switches)
 
 
-def _pricing_row(v, G, budget):
-    """v'A for a row vector ``v`` of length m."""
-    if not budget:
-        u = v @ G
-        return np.concatenate((u, -u, -v))
-    u, w = v[:-1] @ G, v[-1]
-    return np.concatenate((u + w, w - u, -v[:-1], (w,)))
+def _pricing_row(v, G):
+    """v'A for a row vector ``v`` of length p."""
+    u = v @ G
+    return np.concatenate((u, -u, -v))
 
 
-def _column(B_inv, G, q, budget):
-    """B^-1 A_q: A_q is G_q, -G_q (plus 1 on the budget row), -e_i or e_p."""
+def _column(B_inv, G, q):
+    """B^-1 A_q: A_q is G_q, -G_q or -e_i."""
     p = G.shape[0]
     if q >= 2 * p:
-        return -B_inv[:, q - 2 * p] if q < 3 * p else B_inv[:, p].copy()
+        return -B_inv[:, q - 2 * p]
     # G is symmetric: its row is its column
-    col = B_inv[:, :p] @ (G[q] if q < p else -G[q - p])
-    if budget:
-        col += B_inv[:, p]
-    return col
+    return B_inv @ (G[q] if q < p else -G[q - p])
 
 
-def _refactorize(G, b, c, basis, x_N):
+def _refactorize(G, M, c, basis, x_N):
     """Fresh B^-1, basic values and reduced costs of ``basis``."""
-    p, budget = G.shape[0], basis.size > G.shape[0]
-    eye = np.eye(basis.size)
+    p = G.shape[0]
+    eye = np.eye(p)
     try:
-        B_inv = np.linalg.inv(np.column_stack([_column(eye, G, q, budget) for q in basis]))
+        B_inv = np.linalg.inv(np.column_stack([_column(eye, G, q) for q in basis]))
     except np.linalg.LinAlgError:
         raise SolverError("simplex: singular basis at refactorization") from None
-    d = c - _pricing_row(c[basis] @ B_inv, G, budget)
-    # Nonbasic t+- and s0 sit at 0, so b - A x_N is b + (s_N, 0).
-    return B_inv, B_inv @ (b + x_N[2 * p:]), d
+    d = c - _pricing_row(c[basis] @ B_inv, G)
+    # Nonbasic t+- sit at 0, so M - A x_N is M + s_N.
+    return B_inv, B_inv @ (M + x_N[2 * p:]), d

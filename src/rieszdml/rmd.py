@@ -10,11 +10,13 @@ l1-budget ||t||_1 <= B (B = inf drops it).  Two instantiations are exposed:
 Both, and the cross-fitted folds in ``dml``, reach the solver through
 ``fit_rmd``, which picks lambda from the fitting sample and solves one
 instance exactly with ``lp.solve_standard_form``, a dual simplex on the p-row
-LP  G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0  (plus a budget row when B
-is finite) that pivots on G itself and starts from the slack basis t = 0.
-Every optimum is certified outside the solver: its residuals are re-checked
-and its duality gap is computed from G_hat, M_hat, lambda, B and the row
-duals alone.
+LP  G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0  that pivots on G itself
+and starts from the slack basis t = 0.  Every optimum is certified outside
+the solver: its residuals are re-checked and a lower bound on min ||t||_1 is
+computed from G_hat, M_hat, lambda and the row duals alone.  The budget B
+never enters the LP.  Since the objective is ||t||_1 itself, B cannot change
+the fitted coefficients; it only decides feasibility: a fit whose certified
+lower bound exceeds B is infeasible.
 """
 
 from __future__ import annotations
@@ -147,35 +149,30 @@ class LambdaRule:
         return out
 
 
-def _duality_gap(prob, l1, y):
-    """||t||_1 minus a lower bound on the optimum, from the row duals ``y``.
+def _lower_bound(prob, y):
+    """A lower bound on min ||t||_1 s.t. ||G t - M||_inf <= lambda, from any ``y``.
 
-    The dual of the RMD LP is max M'y - lambda ||y||_1 - B mu subject to
-    ||G y||_inf <= 1 + mu, mu >= 0, with mu the dual of the budget row.  Any
-    (y, mu) divided by max(1, ||G y||_inf - mu) is feasible, so the bound
-    holds whatever ``y`` the solver returned.
+    The dual of the RMD LP is max M'y - lambda ||y||_1 s.t. ||G y||_inf <= 1,
+    and ``y`` divided by max(1, ||G y||_inf) is dual feasible, so by weak
+    duality the bound holds whatever ``y`` the solver returned.
     """
-    p = prob.p
-    bounded = np.isfinite(prob.l1_bound)
-    mu = max(-y[p], 0.0) if bounded else 0.0
-    y = y[:p]
-    scale = max(1.0, np.abs(prob.G_hat @ y).max(initial=0.0) - mu)
-    dual = prob.M_hat @ y - prob.lam * np.abs(y).sum() - (prob.l1_bound * mu if bounded else 0.0)
-    return l1 - dual / scale
+    scale = max(1.0, np.abs(prob.G_hat @ y).max(initial=0.0))
+    return (prob.M_hat @ y - prob.lam * np.abs(y).sum()) / scale
 
 
 def solve_rmd(prob):
     """Solve one RMD instance; the answer is certified outside the solver.
 
-    ``status`` is "optimal" only when the returned point passes an
-    independent residual check and its duality gap is closed;
-    "numerical_failure" when the simplex finished but either check failed;
-    "infeasible" only when the LP is certified infeasible (possible when
-    l1_bound is below the minimal feasible l1 norm, or when M_hat is
-    unreachable within lambda for a singular G_hat).
+    The LP is always solved without the l1 budget: the objective is ||t||_1
+    itself, so a budget never changes the optimum, it only decides
+    feasibility.  ``status`` is "optimal" only when the returned point passes
+    an independent residual and budget check and its duality gap is closed;
+    "numerical_failure" when the simplex finished but a check failed;
+    "infeasible" when the certified lower bound on ||t||_1 exceeds l1_bound,
+    or when the dual simplex proves M_hat unreachable within lambda (possible
+    for a singular G_hat).
     """
-    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound,
-                                 max_iters=MAX_ITERS)
+    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam, max_iters=MAX_ITERS)
     p = prob.p
     t = res.z[:p] - res.z[p:2 * p]
     status = res.status
@@ -183,10 +180,14 @@ def solve_rmd(prob):
     l1 = float(np.abs(t).sum())
     gap = float("nan")
     if status == OPTIMAL:
-        gap = float(_duality_gap(prob, l1, res.y))
-        feasible = max_resid <= prob.lam + FEAS_TOL and l1 <= prob.l1_bound + FEAS_TOL
-        if not (feasible and gap <= FEAS_TOL * (1.0 + l1)):
-            status = NUMERICAL_FAILURE
+        lower = float(_lower_bound(prob, res.y))
+        if lower > prob.l1_bound + FEAS_TOL:
+            status = INFEASIBLE
+        else:
+            gap = l1 - lower
+            feasible = max_resid <= prob.lam + FEAS_TOL and l1 <= prob.l1_bound + FEAS_TOL
+            if not (feasible and gap <= FEAS_TOL * (1.0 + l1)):
+                status = NUMERICAL_FAILURE
     if status == INFEASIBLE:
         t = np.zeros(p)
         l1 = 0.0

@@ -161,10 +161,10 @@ def test_estimate_missing_treatment_column_names_its_key(tmp_path, capsys):
 def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
     from rieszdml import lp
 
-    def failing_solve(G, M, lam, l1_bound, max_iters=100_000):
+    def failing_solve(G, M, lam, max_iters=100_000):
         if failure == "unbounded":
             raise lp.SolverError("simplex: unbounded direction encountered")
-        return lp.LpResult(np.zeros(3 * len(M)), 0.0, lp.ITERATION_LIMIT, max_iters)
+        return lp.LpResult(np.zeros(3 * len(M)), lp.ITERATION_LIMIT, max_iters)
 
     monkeypatch.setattr(lp, "solve_standard_form", failing_solve)
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
@@ -178,9 +178,9 @@ def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
 def test_estimate_uncertified_optimum_exit_code(monkeypatch, capsys):
     from rieszdml import lp
 
-    def uncertified_solve(G, M, lam, l1_bound, max_iters=100_000):
+    def uncertified_solve(G, M, lam, max_iters=100_000):
         # claims t = 0 optimal, which leaves the BLP residual above lambda
-        return lp.LpResult(np.zeros(3 * len(M)), 0.0, lp.OPTIMAL, 0, np.zeros(len(M)))
+        return lp.LpResult(np.zeros(3 * len(M)), lp.OPTIMAL, 0, np.zeros(len(M)))
 
     monkeypatch.setattr(lp, "solve_standard_form", uncertified_solve)
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
@@ -274,6 +274,54 @@ def test_estimate_treatment_equal_to_outcome_names_its_key(tmp_path, capsys):
     assert payload["key"] == "data.treatment" and "outcome" in payload["error"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimate_lambda_near_float_max_is_reported(tmp_path, capsys):
+    # Five folds at lambda = 1e308: the plain mean of the per-fold lambdas overflows.
+    entries = {**example_entries(), "estimator.lambda_method": "fixed",
+               "estimator.lambda_value": "1e308"}
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
+                             "--config", write_cfg(tmp_path / "c.cfg", entries))
+    assert code == 0 and err == ""
+    assert json.loads(out)["lambda_used"]["blp"] == 1e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimate_gram_overflow_names_the_data_file(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    rows = [f"{y!r},{1e200 * x1!r},{x2!r}" for y, x1, x2 in rng.standard_normal((40, 3)).tolist()]
+    data = write(tmp_path / "big.csv", "\n".join(["y,x1,x2", *rows]) + "\n")
+    cfg = write(tmp_path / "c.cfg", "\n".join([
+        "dictionary.kind = identity",
+        "functional.type = average_derivative",
+        "functional.direction = 1,0",
+        "data.outcome = y",
+        "estimator.k_folds = 2",
+    ]))
+    code, out, err = run_cli(capsys, "estimate", "--data", data, "--config", cfg)
+    assert code == 2 and out == ""
+    assert data in error_line(err)["error"]
+
+
+def test_interacted_inner_dictionary_names_the_inner_key(tmp_path, capsys):
+    entries = {**example_entries(), "dictionary.inner.kind": "treatment_interacted"}
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
+                             "--config", write_cfg(tmp_path / "c.cfg", entries))
+    assert code == 2 and out == ""
+    assert error_line(err)["key"] == "dictionary.inner.kind"
+
+
+def test_ragged_transport_matrix_names_its_key(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg", "\n".join([
+        "dictionary.kind = identity",
+        "functional.type = policy_shift",
+        "functional.transport_s = 1,0;1",
+        "data.outcome = y",
+    ]))
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
+    assert code == 2 and out == ""
+    assert error_line(err)["key"] == "functional.transport_s"
+
+
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
 @pytest.mark.parametrize("settings_, key", [
     ({"estimator.lambda_c": "-1"}, "estimator.lambda_c"),
@@ -353,7 +401,7 @@ def _apply(entries, mutations):
     return entries
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(mutations=st.lists(_mutation(), min_size=1, max_size=4))
 def test_estimate_config_sweep_keeps_the_output_contract(mutations):
     entries = _apply(example_entries(), mutations)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import norm
@@ -156,7 +156,7 @@ def test_refactorization_path_rank_deficient_gram():
     X = np.hstack([X, X[:, :1]])
     y = X[:, :5] @ np.array([1.0, -0.8, 0.5, 0.3, -0.2]) + rng.standard_normal(n)
     prob = RmdProblem(X.T @ X / n, X.T @ y / n, 0.25 * np.sqrt(np.log(p) / n))
-    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound)
+    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam)
     assert res.iterations > lp._REFACTOR_EVERY and res.refactorizations > 0
     _assert_matches_highs(prob)
 
@@ -169,7 +169,7 @@ def test_bland_path_duplicated_columns(monkeypatch):
     X[:, 4:] = X[:, :4]
     prob = RmdProblem(X.T @ X / 3, X.T @ rng.integers(-2, 3, size=3) / 3, 0.125)
     monkeypatch.setattr(lp, "_STALL_LIMIT_FACTOR", 0)
-    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound)
+    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam)
     assert res.bland_switches > 0
     _assert_matches_highs(prob)
 
@@ -209,8 +209,7 @@ def test_uncertified_optimum_is_numerical_failure(monkeypatch):
     y_optimal = np.array([1.0, 0.0])
 
     def claims_optimal(z, y):
-        return lambda G, M, lam, l1_bound, max_iters: lp.LpResult(
-            z, float(z[:4].sum()), lp.OPTIMAL, 1, y)
+        return lambda G, M, lam, max_iters: lp.LpResult(z, lp.OPTIMAL, 1, y)
 
     for z, y, expect in [(z_optimal, y_optimal, "optimal"),
                          (z_infeasible, y_optimal, "numerical_failure"),
@@ -261,6 +260,17 @@ def test_differential_against_highs(p, budget):
     assert sol.status == "optimal"
     assert sol.l1_norm == pytest.approx(expect, rel=1e-7)
     assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
+
+
+def test_budget_at_the_optimum_is_feasible():
+    # The budget ||t||_1 <= B with B the certified unbudgeted optimum, l1 ~ 4438.46.
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((31, 30))
+    G, M, lam = X.T @ X / 31, rng.standard_normal(30), 0.05
+    l1_bound = solve_rmd(RmdProblem(G, M, lam)).l1_norm
+    sol = solve_rmd(RmdProblem(G, M, lam, l1_bound))
+    assert sol.status == "optimal"
+    assert sol.l1_norm == pytest.approx(_highs_l1(G, M, lam, l1_bound), rel=1e-7)
 
 
 # -- property tests ------------------------------------------------------------------
@@ -319,6 +329,29 @@ def test_property_optimum_is_certified(prob):
         assert np.abs(prob.G_hat @ sol.t_hat - prob.M_hat).max() <= prob.lam + 1e-7
         assert sol.l1_norm <= prob.l1_bound + 1e-7
         assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
+
+
+@st.composite
+def sample_gram_problems(draw):
+    """Sample Grams with one row more than columns: ill-conditioned, many pivots."""
+    p = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((p + 1, p))
+    return RmdProblem(X.T @ X / (p + 1), rng.standard_normal(p), draw(st.sampled_from([0.05, 0.2])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(prob=st.one_of(rmd_problems(bounded=False), sample_gram_problems()),
+       slack=st.integers(0, 8))
+def test_property_slack_budget_keeps_the_fit(prob, slack):
+    # The objective is ||t||_1 itself, so a budget at or above the optimum
+    # cannot change the fitted coefficients.
+    free = solve_rmd(prob)
+    l1_bound = free.l1_norm + slack / 4.0
+    assume(free.status == "optimal" and l1_bound > 0.0)
+    sol = solve_rmd(RmdProblem(prob.G_hat, prob.M_hat, prob.lam, l1_bound))
+    assert sol.status == "optimal"
+    assert sol.t_hat.tobytes() == free.t_hat.tobytes()
 
 
 # -- lambda rules ----------------------------------------------------------------
