@@ -27,6 +27,7 @@ import argparse
 import sys
 import warnings
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
@@ -284,6 +285,13 @@ def build_dgp(cfg):
         raise ConfigError(f"simulation.*: {exc}", key="simulation.dgp") from None
 
 
+def get_seed(cfg):
+    seed = cfg.get_int("seed", default=0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}", key="seed")
+    return seed
+
+
 # -- subcommands ----------------------------------------------------------------
 
 @contextmanager
@@ -323,7 +331,7 @@ def cmd_estimate(args):
     if data.n < 2 * est.K:
         raise ConfigError(f"estimator.k_folds = {est.K} needs n >= 2K observations, "
                           f"the data has n = {data.n}", key="estimator.k_folds")
-    seed = cfg.get_int("seed", default=0)
+    seed = get_seed(cfg)
     try:
         # the settings are checked above, so an overflow or a bad RMD
         # instance from here on comes from the data
@@ -360,7 +368,7 @@ def cmd_simulate(args):
     n = cfg.get_int("simulation.n", required=True)
     if n < 2 * est.K:
         raise ConfigError(f"simulation.n must be >= 2K for K = {est.K} folds", key="simulation.n")
-    seed = cfg.get_int("seed", default=0)
+    seed = get_seed(cfg)
     try:
         workers = resolve_workers(cfg.get_int("simulation.workers"))
     except ValueError as exc:
@@ -386,19 +394,9 @@ def cmd_rmd_solve(args):
         prob = RmdProblem(G, M, args.lambda_, args.l1_bound)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    sol = solve_rmd(prob)
-    payload = {
-        "t_hat": sol.t_hat,
-        "l1_norm": sol.l1_norm,
-        "max_residual": sol.max_residual,
-        "status": sol.status,
-        "iterations": sol.iterations,
-        "gap": sol.gap,
-        "lambda": prob.lam,
-        "l1_bound": prob.l1_bound,
-        "p": prob.p,
-    }
-    _emit(payload, args.output)
+    payload = asdict(solve_rmd(prob))
+    payload["lambda"] = payload.pop("lam")
+    _emit({**payload, "l1_bound": prob.l1_bound, "p": prob.p}, args.output)
     return 0
 
 

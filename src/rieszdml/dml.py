@@ -37,6 +37,7 @@ from .rmd import (
     NUMERICAL_FAILURE,
     LambdaRule,
     RmdInfeasibleError,
+    RmdSolution,
     SolverError,
     fit_rmd,
     gram_and_moments,
@@ -142,20 +143,14 @@ def fold_theta(data, rows, beta, rho, dictionary, functional):
 
 @dataclass
 class FoldRecord:
+    """One fold's root and the two RMD fits behind it, each with its lambda."""
+
     fold: int
     n_eval: int
     n_train: int
     theta: float
-    lambda_blp: float
-    lambda_riesz: float
-    beta: np.ndarray
-    rho: np.ndarray
-    blp_l1: float
-    blp_residual: float
-    blp_iterations: int
-    riesz_l1: float
-    riesz_residual: float
-    riesz_iterations: int
+    blp: RmdSolution
+    riesz: RmdSolution
 
     def summary(self):
         return {
@@ -163,12 +158,12 @@ class FoldRecord:
             "n_eval": self.n_eval,
             "n_train": self.n_train,
             "theta": self.theta,
-            "lambda_blp": self.lambda_blp,
-            "lambda_riesz": self.lambda_riesz,
-            "blp_l1": self.blp_l1,
-            "blp_residual": self.blp_residual,
-            "riesz_l1": self.riesz_l1,
-            "riesz_residual": self.riesz_residual,
+            "lambda_blp": self.blp.lam,
+            "lambda_riesz": self.riesz.lam,
+            "blp_l1": self.blp.l1_norm,
+            "blp_residual": self.blp.max_residual,
+            "riesz_l1": self.riesz.l1_norm,
+            "riesz_residual": self.riesz.max_residual,
         }
 
 
@@ -213,8 +208,9 @@ def fit_and_score_fold(B, Mx, y, eval_rows, train_rows, blp_rule, riesz_rule,
     ``B``, ``Mx`` and ``y`` hold b(X), m(X, b) and Y for every observation;
     the two index sets select rows of them.  The sets must be disjoint;
     cross-fitting hygiene is enforced here, so no caller can leak evaluation
-    rows into nuisance fitting.  Returns the fold's record, its per-row
-    score contributions and its score-derivative sums.
+    rows into nuisance fitting.  Under ``plugin_only`` the Riesz fit is a
+    "not_fitted" solution with rho = 0 and lambda 0.  Returns the fold's
+    record, its per-row score contributions and its score-derivative sums.
     """
     eval_rows = np.asarray(eval_rows, dtype=int)
     train_rows = np.asarray(train_rows, dtype=int)
@@ -227,40 +223,22 @@ def fit_and_score_fold(B, Mx, y, eval_rows, train_rows, blp_rule, riesz_rule,
 
     n_train = train_rows.size
     G, M = gram_and_moments(B[train_rows], y[train_rows])
-    blp_sol, lambda_blp = fit_rmd(G, M, blp_rule, n_train, l1_bound)
-    _require_solved(blp_sol, "BLP", fold_id)
-    beta = blp_sol.t_hat
+    blp = _require_solved(fit_rmd(G, M, blp_rule, n_train, l1_bound), "BLP", fold_id)
     if plugin_only:
-        rho = np.zeros(B.shape[1])
-        riesz_sol, lambda_riesz = None, 0.0
+        riesz = RmdSolution(np.zeros(B.shape[1]), 0.0, 0.0, "not_fitted", 0, np.nan, 0.0)
     else:
-        riesz_sol, lambda_riesz = fit_rmd(G, Mx[train_rows].mean(axis=0), riesz_rule,
-                                          n_train, l1_bound)
-        _require_solved(riesz_sol, "Riesz", fold_id)
-        rho = riesz_sol.t_hat
+        riesz = _require_solved(fit_rmd(G, Mx[train_rows].mean(axis=0), riesz_rule,
+                                        n_train, l1_bound), "Riesz", fold_id)
 
-    held_out = (B[eval_rows], Mx[eval_rows], y[eval_rows], beta, rho)
+    held_out = (B[eval_rows], Mx[eval_rows], y[eval_rows], blp.t_hat, riesz.t_hat)
     contrib = _fold_contributions(*held_out)
-    record = FoldRecord(
-        fold=fold_id,
-        n_eval=int(eval_rows.size),
-        n_train=int(n_train),
-        theta=float(contrib.mean()),
-        lambda_blp=lambda_blp,
-        lambda_riesz=lambda_riesz,
-        beta=beta,
-        rho=rho,
-        blp_l1=blp_sol.l1_norm,
-        blp_residual=blp_sol.max_residual,
-        blp_iterations=blp_sol.iterations,
-        riesz_l1=0.0 if plugin_only else riesz_sol.l1_norm,
-        riesz_residual=0.0 if plugin_only else riesz_sol.max_residual,
-        riesz_iterations=0 if plugin_only else riesz_sol.iterations,
-    )
+    record = FoldRecord(fold=fold_id, n_eval=int(eval_rows.size), n_train=int(n_train),
+                        theta=float(contrib.mean()), blp=blp, riesz=riesz)
     return record, contrib, _derivative_sums(*held_out)
 
 
 def _require_solved(sol, which, fold_id):
+    """``sol`` itself when it is certified optimal; otherwise the typed failure."""
     if sol.status == INFEASIBLE:
         raise RmdInfeasibleError(f"{which} RMD fit certified infeasible in fold {fold_id}")
     if sol.status == ITERATION_LIMIT:
@@ -268,6 +246,7 @@ def _require_solved(sol, which, fold_id):
     if sol.status == NUMERICAL_FAILURE:
         raise SolverError(f"{which} RMD fit failed its feasibility or duality-gap "
                           f"certificate in fold {fold_id}")
+    return sol
 
 
 def _mean_lambda(lams):
@@ -341,8 +320,8 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
         float(np.abs(d_rho_sum / n).max()),
     )
     lambda_used = {
-        "blp": _mean_lambda([rec.lambda_blp for rec in records]),
-        "riesz": _mean_lambda([rec.lambda_riesz for rec in records]),
+        "blp": _mean_lambda([rec.blp.lam for rec in records]),
+        "riesz": _mean_lambda([rec.riesz.lam for rec in records]),
     }
     return DmlResult(
         theta_hat=theta_hat,

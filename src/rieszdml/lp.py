@@ -14,10 +14,11 @@ Each pivot follows the dual simplex with bounded variables (Vanderbei,
 furthest outside its bounds leaves at the bound it violates, and the dual
 ratio test picks the entering column that keeps every reduced cost of the
 right sign; an empty ratio test certifies the primal infeasible.  B^-1 gets
-eta (product-form) updates and is refactorized periodically.  After a long
-run of degenerate pivots (zero dual step) pricing switches to Bland's rule,
-the lowest-index infeasible basic variable leaves and the lowest-index
-column among ratio ties enters, which guarantees termination.
+eta (product-form) updates and is refactorized periodically, and once more
+before an optimum is returned if the updates let the basic solution drift.
+After a long run of degenerate pivots (zero dual step) pricing switches to
+Bland's rule, the lowest-index infeasible basic variable leaves and the
+lowest-index column among ratio ties enters, which guarantees termination.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ def solve_standard_form(G, M, lam, max_iters=100_000):
     bland = False
     stall_limit = _STALL_LIMIT_FACTOR * (p + 10)
     while True:
+        if since_refactor >= _REFACTOR_EVERY:
+            B_inv, x_B, d = _refactorize(G, M, c, basis, x_N)
+            since_refactor = 0
+            refactorizations += 1
         infeas = np.maximum(lo_B - x_B, x_B - hi_B)
         if bland:
             rows = (infeas > _PRIMAL_TOL).nonzero()[0]
@@ -92,6 +97,14 @@ def solve_standard_form(G, M, lam, max_iters=100_000):
             r = int(infeas.argmax())
             r = r if infeas[r] > _PRIMAL_TOL else -1
         if r < 0:
+            z = x_N.copy()  # the basic solution, to check it still solves A z = M
+            z[basis] = x_B
+            drift = np.abs(G @ (z[:p] - z[p:2 * p]) - z[2 * p:] - M).max()
+            if since_refactor and drift > _PRIMAL_TOL:
+                # eta updates drifted on an ill-conditioned basis: price the
+                # freshly factorized basic solution before calling it optimal
+                since_refactor = _REFACTOR_EVERY
+                continue
             status = OPTIMAL
             break
         if iterations >= max_iters:
@@ -135,10 +148,6 @@ def solve_standard_form(G, M, lam, max_iters=100_000):
         sign[leave] = (-1.0 if to_upper else 1.0) if can_enter[leave] else 0.0
         iterations += 1
         since_refactor += 1
-        if since_refactor >= _REFACTOR_EVERY:
-            B_inv, x_B, d = _refactorize(G, M, c, basis, x_N)
-            since_refactor = 0
-            refactorizations += 1
 
         if abs(theta) <= _PIV_TOL:
             stall += 1

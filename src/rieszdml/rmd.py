@@ -81,12 +81,15 @@ class RmdProblem:
 
 @dataclass
 class RmdSolution:
+    """The record of one RMD fit: its coefficients, certificate and lambda."""
+
     t_hat: np.ndarray
     l1_norm: float
     max_residual: float
     status: str
     iterations: int
     gap: float  # ||t||_1 minus a certified lower bound; nan unless the simplex finished
+    lam: float
 
 
 class LambdaRuleError(ValueError):
@@ -193,7 +196,7 @@ def solve_rmd(prob):
         l1 = 0.0
         max_resid = float(np.abs(prob.M_hat).max())
     return RmdSolution(t_hat=t, l1_norm=l1, max_residual=max_resid,
-                       status=status, iterations=res.iterations, gap=gap)
+                       status=status, iterations=res.iterations, gap=gap, lam=prob.lam)
 
 
 def gram_and_moments(B, y=None):
@@ -210,12 +213,11 @@ def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf):
     """Solve the RMD instance (G_hat, M_hat) at the lambda ``rule`` picks.
 
     ``n_rows`` is the size of the fitting sample G_hat and M_hat average
-    over.  Returns (RmdSolution, lambda).
+    over.  The returned RmdSolution carries the lambda in ``lam``.
     """
     if n_rows < 2:
         raise ValueError("need at least 2 rows to fit")
-    lam = rule.lam(n_rows, M.shape[0])
-    return solve_rmd(RmdProblem(G, M, lam, l1_bound)), lam
+    return solve_rmd(RmdProblem(G, M, rule.lam(n_rows, M.shape[0]), l1_bound))
 
 
 def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf):
@@ -226,7 +228,7 @@ def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf):
     """
     rows = np.asarray(rows, dtype=int)
     G, M = gram_and_moments(design_matrix(dictionary, data, rows), data.outcome[rows])
-    sol, _ = fit_rmd(G, M, rule, rows.size, l1_bound)
+    sol = fit_rmd(G, M, rule, rows.size, l1_bound)
     return sol.t_hat, sol
 
 
@@ -242,5 +244,5 @@ def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf):
         raise ValueError("empty row index set")
     B, Mx = functional.features(dictionary, data.covariates[rows])
     G, _ = gram_and_moments(B)
-    sol, _ = fit_rmd(G, Mx.mean(axis=0), rule, rows.size, l1_bound)
+    sol = fit_rmd(G, Mx.mean(axis=0), rule, rows.size, l1_bound)
     return sol.t_hat, sol

@@ -24,6 +24,7 @@ execution order and the harness may run replications across processes.
 
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -50,6 +51,11 @@ def _draw_x(rng, n, d, x_dist):
     raise ValueError(f"unknown x_dist {x_dist!r}")
 
 
+def _require_finite(name, value):
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+
+
 @dataclass(frozen=True)
 class SparseLinearDgp:
     """Exact linear model on a dictionary: Y = b(X)'beta_star + sd * N(0,1)."""
@@ -63,10 +69,11 @@ class SparseLinearDgp:
         beta = np.asarray(self.beta_star, dtype=float)
         if beta.shape != (self.dictionary.output_dim,):
             raise ValueError("beta_star length must equal the dictionary output_dim")
+        _require_finite("beta_star", beta)
         if self.x_dist not in ("normal", "uniform"):
             raise ValueError(f"unknown x_dist {self.x_dist!r}")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise_sd must be >= 0")
+        if not 0.0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         beta.setflags(write=False)
         object.__setattr__(self, "beta_star", beta)
 
@@ -101,8 +108,11 @@ class AteLogisticDgp:
         pc = np.asarray(self.propensity_coefs, dtype=float)
         if oc.shape != (self.d_z,) or pc.shape != (self.d_z,):
             raise ValueError("coefficient lengths must equal d_z")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise_sd must be >= 0")
+        _require_finite("outcome_coefs", oc)
+        _require_finite("propensity_coefs", pc)
+        _require_finite("tau", self.tau)
+        if not 0.0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         oc.setflags(write=False)
         pc.setflags(write=False)
         object.__setattr__(self, "outcome_coefs", oc)
@@ -134,10 +144,15 @@ def dense_decay_dgp(d, decay, noise_sd=1.0, scale=1.0):
     Coefficient j (over the non-constant basis elements, in basis order) is
     scale * j^(-decay); the constant gets 0.
     """
+    _require_finite("decay", decay)  # decay = inf would give finite coefficients
     dictionary = PolynomialDictionary(d, degree=2)
     p = dictionary.output_dim
     beta = np.zeros(p)
-    beta[1:] = scale * np.arange(1, p, dtype=float) ** (-float(decay))
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta[1:] = scale * np.arange(1, p, dtype=float) ** (-float(decay))
+    if not np.isfinite(beta).all():
+        raise ValueError(f"decay = {decay!r} and scale = {scale!r} give non-finite "
+                         f"coefficients scale * j^(-decay) at p = {p}")
     return SparseLinearDgp(dictionary, beta, "normal", noise_sd)
 
 
@@ -317,20 +332,11 @@ class MonteCarloReport:
     def write_csv(self, path):
         cols = ["rep", "status", "theta_hat", "sigma_hat", "ci_lo", "ci_hi", "covered", "error"]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(cols)
             for r in self.per_rep:
-                cells = []
-                for col in cols:
-                    v = r.get(col)
-                    if v is None:
-                        cells.append("")
-                    elif isinstance(v, float):
-                        cells.append(format(v, ".17g"))
-                    elif isinstance(v, str):
-                        cells.append('"' + v.replace('"', '""') + '"' if "," in v or '"' in v else v)
-                    else:
-                        cells.append(str(v))
-                fh.write(",".join(cells) + "\n")
+                writer.writerow(format(v, ".17g") if isinstance(v, float) else v
+                                for v in (r.get(col) for col in cols))
 
 
 def rep_seeds(seed, rep):
@@ -345,12 +351,13 @@ def _replicate(task):
     out = {"rep": rep, "status": "ok", "theta_hat": None, "sigma_hat": None,
            "ci_lo": None, "ci_hi": None, "covered": None, "error": None}
     try:
-        data = dgp.generate(n, data_seed)
-        result = dml_estimate(
-            data, est.dictionary, est.functional, K=est.K, rule=est.rule,
-            riesz_rule=est.riesz_rule, l1_bound=est.l1_bound, alpha=est.alpha,
-            seed=fold_seed, plugin_only=est.plugin_only,
-        )
+        with np.errstate(over="raise"):
+            data = dgp.generate(n, data_seed)
+            result = dml_estimate(
+                data, est.dictionary, est.functional, K=est.K, rule=est.rule,
+                riesz_rule=est.riesz_rule, l1_bound=est.l1_bound, alpha=est.alpha,
+                seed=fold_seed, plugin_only=est.plugin_only,
+            )
         out.update(
             theta_hat=result.theta_hat,
             sigma_hat=result.sigma_hat,
@@ -358,7 +365,7 @@ def _replicate(task):
             ci_hi=result.ci[1],
             covered=bool(result.ci[0] <= theta_star <= result.ci[1]),
         )
-    except (ValueError, RmdInfeasibleError, SolverError) as exc:  # data or solver failure
+    except (ValueError, FloatingPointError, RmdInfeasibleError, SolverError) as exc:
         out["status"] = "failed"
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
@@ -383,8 +390,9 @@ def run_monte_carlo(dgp, est, R, n, seed, workers=None, config_echo=None):
     Replication r draws its data and fold-plan seeds from
     SeedSequence([seed, r]), so the report is bit-identical for a given
     (config, seed) regardless of ``workers``.  A replication whose data or
-    solver fails (ValueError, RmdInfeasibleError, SolverError) is recorded as
-    "failed"; any other exception propagates.
+    solver fails or overflows (ValueError, RmdInfeasibleError, SolverError,
+    FloatingPointError) is recorded as "failed"; any other exception
+    propagates.
     """
     if R < 1:
         raise ValueError("need R >= 1")

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,7 +235,9 @@ def test_estimate_rejects_bad_k(tmp_path, capsys):
 def example_entries():
     """The bundled example config as an ordered key -> value dict."""
     entries = {}
-    for line in open(EXAMPLE_CFG):
+    with open(EXAMPLE_CFG) as fh:
+        lines = fh.readlines()
+    for line in lines:
         body = line.split("#", 1)[0].strip()
         if body:
             k, v = body.split("=", 1)
@@ -274,7 +278,7 @@ def test_estimate_treatment_equal_to_outcome_names_its_key(tmp_path, capsys):
     assert payload["key"] == "data.treatment" and "outcome" in payload["error"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_estimate_lambda_near_float_max_is_reported(tmp_path, capsys):
     # Five folds at lambda = 1e308: the plain mean of the per-fold lambdas overflows.
     entries = {**example_entries(), "estimator.lambda_method": "fixed",
@@ -285,7 +289,7 @@ def test_estimate_lambda_near_float_max_is_reported(tmp_path, capsys):
     assert json.loads(out)["lambda_used"]["blp"] == 1e308
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_estimate_gram_overflow_names_the_data_file(tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = [f"{y!r},{1e200 * x1!r},{x2!r}" for y, x1, x2 in rng.standard_normal((40, 3)).tolist()]
@@ -550,6 +554,118 @@ def test_simulate_rejects_n_below_2k(tmp_path, capsys):
     assert code == 2 and out == ""
     payload = error_line(err)
     assert payload["key"] == "simulation.n" and "K = 5" in payload["error"]
+
+
+# A small sparse_linear study: the base of the seed and DGP checks and the
+# simulate sweep.
+_STUDY = {
+    "simulation.dgp": "sparse_linear",
+    "simulation.n": "40",
+    "simulation.replications": "2",
+    "simulation.d": "4",
+    "simulation.noise_sd": "0.5",
+    "simulation.beta_star": "0,1,0.5,0,0",
+    "dictionary.kind": "polynomial",
+    "dictionary.degree": "1",
+    "functional.type": "average_derivative",
+    "functional.direction": "1,0,0,0",
+    "estimator.k_folds": "2",
+    "simulation.workers": "1",
+    "seed": "5",
+}
+_ATE = {"simulation.dgp": "ate_logistic", "simulation.d_z": "2", "simulation.tau": "1",
+        "simulation.outcome_coefs": "1,0", "simulation.propensity_coefs": "0.5,0"}
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    if command == "estimate":
+        cfg = write_cfg(tmp_path / "c.cfg", {**example_entries(), "seed": "-1"})
+        argv = ["estimate", "--data", EXAMPLE_CSV, "--config", cfg]
+    else:
+        argv = ["simulate", "--config", write_cfg(tmp_path / "sim.cfg", {**_STUDY, "seed": "-1"})]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "seed" and "seed" in payload["error"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("settings_, param", [
+    ({"simulation.noise_sd": "nan"}, "noise_sd"),
+    ({"simulation.noise_sd": "inf"}, "noise_sd"),
+    ({"simulation.beta_star": "0,nan,0.5,0,0"}, "beta_star"),
+    ({"simulation.dgp": "dense_decay", "simulation.decay": "nan"}, "decay"),
+    ({"simulation.dgp": "dense_decay", "simulation.decay": "-400"}, "decay"),
+    ({"simulation.dgp": "dense_decay", "simulation.decay": "1", "simulation.scale": "inf"},
+     "scale"),
+    ({**_ATE, "simulation.tau": "nan"}, "tau"),
+    ({**_ATE, "simulation.propensity_coefs": "inf,0"}, "propensity_coefs"),
+], ids=["noise_sd_nan", "noise_sd_inf", "beta_star_nan", "decay_nan", "decay_overflows",
+        "scale_inf", "tau_nan", "propensity_coefs_inf"])
+def test_non_finite_dgp_parameter_is_config_error(tmp_path, capsys, settings_, param):
+    cfg = write_cfg(tmp_path / "sim.cfg", {**_STUDY, **settings_})
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "simulation.dgp" and param in payload["error"], payload
+
+
+# The simulate sweep: mutate the simulation.* keys and seed of the small study.
+# Every list is bounded, so no example asks for a large n or R.
+_SIMULATE_VALUES = {
+    "simulation.dgp": ["sparse_linear", "dense_decay", "ate_logistic", "probit", ""],
+    "simulation.n": ["40", "4", "3", "0", "-40", "40.0", "n", "1e2"],
+    "simulation.replications": ["2", "1", "0", "-2", "two", "2.0"],
+    "simulation.workers": ["1", "0", "-1", "2", "w", ""],
+    "simulation.noise_sd": ["0.5", "0", "-0.5", "nan", "inf", "-inf", "1e300", "s"],
+    "simulation.x_dist": ["normal", "uniform", "cauchy", ""],
+    "simulation.beta_star": ["0,1,0.5,0,0", "1,1,1,1,1", "0,1", "nan,0,0,0,0", "0,inf,0,0,0",
+                             "0,1e300,0,0,0", "b"],
+    "simulation.d": ["4", "2", "1", "0", "-1", "d", "4.5"],
+    "simulation.d_z": ["2", "0", "-1", "z"],
+    "simulation.tau": ["1", "0", "-2.5", "nan", "inf", "1e300", "t"],
+    "simulation.outcome_coefs": ["1,0", "0,0", "nan,0", "1", "o"],
+    "simulation.propensity_coefs": ["0.5,0", "50,0", "inf,0", "1", "p"],
+    "simulation.decay": ["1", "0", "-1", "-400", "1e308", "nan", "inf", "x"],
+    "simulation.scale": ["1", "0", "-2", "1e300", "inf", "nan", "s"],
+    "seed": ["0", "5", "4294967296", "18446744073709551616", "-1", "s", "1.5", "1e3"],
+}
+_SIMULATE_FLOAT_KEYS = ["simulation.decay", "simulation.noise_sd", "simulation.scale",
+                        "simulation.tau"]
+
+
+def _simulate_mutation():
+    keys = sorted(_SIMULATE_VALUES)
+    drop = st.tuples(st.just("drop"), st.sampled_from(keys), st.none())
+    listed = st.sampled_from(keys).flatmap(
+        lambda k: st.tuples(st.just("set"), st.just(k), st.sampled_from(_SIMULATE_VALUES[k])))
+    any_float = st.tuples(st.just("set"), st.sampled_from(_SIMULATE_FLOAT_KEYS),
+                          st.floats().map(repr))
+    return st.one_of(drop, listed, any_float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutations=st.lists(_simulate_mutation(), min_size=1, max_size=4))
+def test_simulate_config_sweep_keeps_the_output_contract(mutations):
+    entries = _apply(dict(_STUDY), mutations)
+    out, err = io.StringIO(), io.StringIO()
+    # a dropped simulation.workers would otherwise start a process pool
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"RIESZ_DML_THREADS": "1"}), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = write_cfg(pathlib.Path(tmp) / "c.cfg", entries)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["simulate", "--config", cfg])
+    assert caught == [], [str(w.message) for w in caught]
+    if code == 0:
+        assert isinstance(json.loads(out.getvalue(), parse_constant=_reject_constant), dict)
+        assert err.getvalue() == ""
+        return
+    assert code in (2, 3, 4) and out.getvalue() == ""
+    payload = error_line(err.getvalue())
+    assert (code != 2) or "key" in payload, payload
 
 
 def test_cli_import_leaves_process_pool_unloaded():

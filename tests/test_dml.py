@@ -203,7 +203,7 @@ def test_dml_exact_root_per_fold():
         rows = plan.fold_rows(k)
         psi_mean = np.mean([
             score_psi((data.outcome[i], data.covariates[i]), rec.theta,
-                      rec.beta, rec.rho, dic, f) for i in rows
+                      rec.blp.t_hat, rec.riesz.t_hat, dic, f) for i in rows
         ])
         assert abs(psi_mean) <= 1e-12
 
@@ -266,8 +266,8 @@ def test_dml_plugin_only_forces_zero_rho():
     res = dml_estimate(data, dic, f, K=2, rule=LambdaRule.fixed(0.1), seed=1,
                        plugin_only=True)
     for rec in res.per_fold:
-        np.testing.assert_allclose(rec.rho, 0.0)
-        assert rec.riesz_l1 == 0.0
+        np.testing.assert_allclose(rec.riesz.t_hat, 0.0)
+        assert rec.riesz.l1_norm == 0.0
 
 
 class CountingDictionary:

@@ -174,6 +174,19 @@ def test_bland_path_duplicated_columns(monkeypatch):
     _assert_matches_highs(prob)
 
 
+def test_drifted_basic_solution_is_refactorized_before_optimal():
+    # lambda = 0 on a singular, ill-conditioned Gram (t ~ 5e4 from M ~ 0.25):
+    # after 8 eta updates the basic solution misses G t = M by 4e-7, which the
+    # certificate rejects; one refactorization brings it to 5e-12.
+    G = np.array([[0, 0, 0, 0, 0, 0], [0, 13, 7, -11, 5, 4], [0, 7, 13, 1, -1, 11],
+                  [0, -11, 1, 25, -3, 0], [0, 5, -1, -3, 23, 9], [0, 4, 11, 0, 9, 19]]) / 24.0
+    prob = RmdProblem(G, np.array([0, 0, 0, 0, 0, 0.25]), 0.0)
+    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam)
+    assert res.status == "optimal" and res.refactorizations == 1
+    sol = solve_rmd(prob)
+    assert sol.status == "optimal" and sol.max_residual <= 1e-9
+
+
 def test_iteration_limit_status(monkeypatch):
     rng = np.random.default_rng(9)
     prob = random_problem(rng, 10, allow_bound=False)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from rieszdml import (
     true_riesz_rows,
     true_theta_info,
 )
-from rieszdml import dml
+from rieszdml import dml, simulation
 from rieszdml.rmd import LambdaRule
 from rieszdml.simulation import rep_seeds
 
@@ -285,6 +287,31 @@ def test_run_monte_carlo_propagates_programming_errors(monkeypatch):
     dgp = sparse_linear(noise=0.5)
     with pytest.raises(TypeError, match="bug inside dml_estimate"):
         run_monte_carlo(dgp, quick_estimator(dgp), R=2, n=50, seed=1, workers=1)
+
+
+def test_write_csv_round_trips_a_quoted_error(tmp_path, monkeypatch):
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ValueError('bad fold, "quoted" reason')
+        return real(*args, **kwargs)
+
+    real = simulation.dml_estimate
+    monkeypatch.setattr(simulation, "dml_estimate", fail_first)
+    dgp = sparse_linear(noise=0.5)
+    rep = run_monte_carlo(dgp, quick_estimator(dgp), R=2, n=50, seed=1, workers=1)
+    path = tmp_path / "reps.csv"
+    rep.write_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["rep", "status", "theta_hat", "sigma_hat", "ci_lo", "ci_hi", "covered",
+                       "error"]
+    assert rows[1] == ["0", "failed", "", "", "", "", "", 'ValueError: bad fold, "quoted" reason']
+    ok = rep.per_rep[1]
+    assert rows[2][:2] == ["1", "ok"] and float(rows[2][2]) == ok["theta_hat"]
+    assert rows[2][6:] == [str(ok["covered"]), ""]
 
 
 def test_report_invariants():
