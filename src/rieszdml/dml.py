@@ -6,15 +6,16 @@ The orthogonal score is
 
 whose root over a fold is available in closed form because psi is linear in
 theta.  Every term of psi comes from two per-observation arrays, B = b(X)
-and Mx = m(X, b), and every caller here gets them from ``_features``, that
-is from the functional's one ``features(dictionary, X)`` method.
-``dml_estimate`` makes that call once per dataset, and each fold slices rows
-from the result: the complement rows give one Gram G_hat = E_A[b b'] shared
-by the BLP and Riesz RMD fits, and the fold's own rows give its score
-contributions and score-derivative sums.  The per-observation score and its
-derivatives run the same call on a one-row X.  The psi algebra lives in
-``_fold_contributions`` and the derivative sums in ``_derivative_sums``; the
-per-observation and per-row-set functions below call those two.  The
+and Mx = m(X, b), which every caller here gets through ``_features`` from the
+functional's one ``features(dictionary, X)`` method.
+
+The nuisances on a fold complement A see the data only through the row sums
+sum b b', sum Y b and sum m(X, b), which add across folds.  ``dml_estimate``
+sorts the rows by fold, makes one features call on the sorted rows and sums
+each fold's contiguous block with ``rmd.gram_and_moments``; a complement's
+sums are the sum of the other K - 1 blocks, so no fold gathers its complement.
+The fold's own rows give its score contributions (``_fold_contributions``)
+and its own block its score-derivative sums (``_derivative_sums``).  The
 estimator is the unweighted average of the per-fold roots, with a
 cross-fitted plug-in variance and Gaussian confidence interval.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
@@ -73,9 +75,6 @@ class FoldPlan:
     def fold_rows(self, k):
         return np.flatnonzero(self.assignments == k)
 
-    def complement_rows(self, k):
-        return np.flatnonzero(self.assignments != k)
-
 
 def make_fold_plan(n, K, seed):
     """Seeded balanced partition; deterministic given (n, K, seed)."""
@@ -104,9 +103,14 @@ def _fold_contributions(B, Mx, y, beta, rho):
     return Mx @ beta + (B @ rho) * (y - B @ beta)
 
 
-def _derivative_sums(B, Mx, y, beta, rho):
-    """Row sums of d psi / d beta = -m + (rho'b) b and d psi / d rho = -b (y - b'beta)."""
-    return B.T @ (B @ rho) - Mx.sum(axis=0), -B.T @ (y - B @ beta)
+def _derivative_sums(sums, beta, rho):
+    """Row sums of d psi / d beta = -m + (rho'b) b and d psi / d rho = -b (y - b'beta).
+
+    ``sums`` is (sum b b', sum Y b, sum m(X, b)) over the rows, as
+    ``gram_and_moments`` returns it; both derivatives are linear in those.
+    """
+    BB, By, m_sum = sums
+    return BB @ rho - m_sum, BB @ beta - By
 
 
 def _point_features(w, dictionary, functional):
@@ -129,16 +133,8 @@ def score_derivatives(w, theta, beta, rho, dictionary, functional):
     these are the calculus derivatives of psi as written above, used for
     diagnostics and finite-difference checks.
     """
-    return _derivative_sums(*_point_features(w, dictionary, functional), beta, rho)
-
-
-def fold_theta(data, rows, beta, rho, dictionary, functional):
-    """Closed-form root of E_{rows} psi = 0 in theta."""
-    rows = np.asarray(rows, dtype=int)
-    if rows.size == 0:
-        raise ValueError("empty fold")
-    B, Mx = _features(data.covariates[rows], dictionary, functional)
-    return float(np.mean(_fold_contributions(B, Mx, data.outcome[rows], beta, rho)))
+    B, Mx, y = _point_features(w, dictionary, functional)
+    return _derivative_sums(gram_and_moments(B, y, Mx), beta, rho)
 
 
 @dataclass
@@ -201,40 +197,31 @@ class DmlResult:
         }
 
 
-def fit_and_score_fold(B, Mx, y, eval_rows, train_rows, blp_rule, riesz_rule,
+def fit_and_score_fold(B, Mx, y, complement, blp_rule, riesz_rule,
                        l1_bound=np.inf, plugin_only=False, fold_id=0):
-    """Fit nuisances on train_rows, evaluate the fold estimate on eval_rows.
+    """Fit nuisances on the fold complement, evaluate the fold estimate on the fold.
 
-    ``B``, ``Mx`` and ``y`` hold b(X), m(X, b) and Y for every observation;
-    the two index sets select rows of them.  The sets must be disjoint;
-    cross-fitting hygiene is enforced here, so no caller can leak evaluation
-    rows into nuisance fitting.  Under ``plugin_only`` the Riesz fit is a
-    "not_fitted" solution with rho = 0 and lambda 0.  Returns the fold's
-    record, its per-row score contributions and its score-derivative sums.
+    ``B``, ``Mx`` and ``y`` hold b(X), m(X, b) and Y for the fold's own rows
+    only.  ``complement`` is (n_A, sum b b', sum Y b, sum m(X, b)) over the
+    complement A, so the nuisance fits never see an evaluation row.  Under
+    ``plugin_only`` the Riesz fit is a "not_fitted" solution with rho = 0 and
+    lambda 0.  Returns the fold's record and its per-row score contributions.
     """
-    eval_rows = np.asarray(eval_rows, dtype=int)
-    train_rows = np.asarray(train_rows, dtype=int)
-    in_eval = np.zeros(B.shape[0], dtype=bool)
-    in_eval[eval_rows] = True
-    if in_eval[train_rows].any():
-        raise ValueError("evaluation rows and nuisance-fitting rows overlap")
-    if eval_rows.size == 0:
+    if B.shape[0] == 0:
         raise ValueError("empty fold")
-
-    n_train = train_rows.size
-    G, M = gram_and_moments(B[train_rows], y[train_rows])
-    blp = _require_solved(fit_rmd(G, M, blp_rule, n_train, l1_bound), "BLP", fold_id)
+    n_train, BB, By, m_sum = complement
+    G = BB / n_train
+    blp = _require_solved(fit_rmd(G, By / n_train, blp_rule, n_train, l1_bound), "BLP", fold_id)
     if plugin_only:
         riesz = RmdSolution(np.zeros(B.shape[1]), 0.0, 0.0, "not_fitted", 0, np.nan, 0.0)
     else:
-        riesz = _require_solved(fit_rmd(G, Mx[train_rows].mean(axis=0), riesz_rule,
-                                        n_train, l1_bound), "Riesz", fold_id)
+        riesz = _require_solved(fit_rmd(G, m_sum / n_train, riesz_rule, n_train, l1_bound),
+                                "Riesz", fold_id)
 
-    held_out = (B[eval_rows], Mx[eval_rows], y[eval_rows], blp.t_hat, riesz.t_hat)
-    contrib = _fold_contributions(*held_out)
-    record = FoldRecord(fold=fold_id, n_eval=int(eval_rows.size), n_train=int(n_train),
+    contrib = _fold_contributions(B, Mx, y, blp.t_hat, riesz.t_hat)
+    record = FoldRecord(fold=fold_id, n_eval=int(B.shape[0]), n_train=int(n_train),
                         theta=float(contrib.mean()), blp=blp, riesz=riesz)
-    return record, contrib, _derivative_sums(*held_out)
+    return record, contrib
 
 
 def _require_solved(sol, which, fold_id):
@@ -287,19 +274,30 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
             raise ValueError("fold plan length does not match the dataset")
         K = plan.K
 
-    B, Mx = _features(data.covariates, dictionary, functional)
+    # Sort the rows by fold: fold k is the contiguous block folds[k - 1] of the
+    # sorted rows, and order maps each sorted row back to its original row.
+    fold_rows = [plan.fold_rows(k) for k in range(1, K + 1)]
+    order = np.concatenate(fold_rows)
+    edges = [0, *accumulate(rows.size for rows in fold_rows)]
+    folds = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    B, Mx = _features(data.covariates[order], dictionary, functional)
+    y = data.outcome[order]
+    blocks = [gram_and_moments(B[f], y[f], Mx[f]) for f in folds]
+
     records = []
     contribs = np.empty(n)
     d_beta_sum = np.zeros(B.shape[1])
     d_rho_sum = np.zeros(B.shape[1])
-    for k in range(1, K + 1):
-        eval_rows = plan.fold_rows(k)
-        record, contrib, (d_beta, d_rho) = fit_and_score_fold(
-            B, Mx, data.outcome, eval_rows, plan.complement_rows(k),
-            rule, riesz_rule, l1_bound, plugin_only, fold_id=k,
-        )
+    for k, f in enumerate(folds, start=1):
+        # the other blocks added in fold order, not the total minus this one: nothing cancels
+        others = blocks[:k - 1] + blocks[k:]
+        complement = (n - (f.stop - f.start),
+                      *(sum(parts[1:], parts[0]) for parts in zip(*others)))
+        record, contrib = fit_and_score_fold(B[f], Mx[f], y[f], complement, rule, riesz_rule,
+                                             l1_bound, plugin_only, fold_id=k)
         records.append(record)
-        contribs[eval_rows] = contrib
+        contribs[order[f]] = contrib
+        d_beta, d_rho = _derivative_sums(blocks[k - 1], record.blp.t_hat, record.riesz.t_hat)
         d_beta_sum += d_beta
         d_rho_sum += d_rho
 
@@ -352,7 +350,8 @@ def orthogonality_report(data, dictionary, functional, beta_hat, rho_hat,
         rows = np.arange(data.n)
     rows = np.asarray(rows, dtype=int)
     B, Mx = _features(data.covariates[rows], dictionary, functional)
-    d_beta, d_rho = _derivative_sums(B, Mx, data.outcome[rows], beta_hat, rho_hat)
+    d_beta, d_rho = _derivative_sums(gram_and_moments(B, data.outcome[rows], Mx),
+                                     beta_hat, rho_hat)
     d_beta_sup = float(np.abs(d_beta / rows.size).max())
     d_rho_sup = float(np.abs(d_rho / rows.size).max())
     for name, sup, lam in (("d_beta", d_beta_sup, lambda_riesz), ("d_rho", d_rho_sup, lambda_blp)):

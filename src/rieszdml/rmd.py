@@ -7,11 +7,12 @@ l1-budget ||t||_1 <= B (B = inf drops it).  Two instantiations are exposed:
 * ``estimate_blp``   -- G_hat = E_A[b b'],  M_hat = E_A[Y b]   (sparse regression)
 * ``estimate_riesz`` -- G_hat = E_A[b b'],  M_hat = E_A[m(X, b)] (sparse Riesz representer)
 
-Both, and the cross-fitted folds in ``dml``, reach the solver through
-``fit_rmd``, which picks lambda from the fitting sample and solves one
-instance exactly with ``lp.solve_standard_form``, a dual simplex on the p-row
-LP  G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0  that pivots on G itself
-and starts from the slack basis t = 0.  Every optimum is certified outside
+Both, and the cross-fitted folds in ``dml``, divide the block sums of
+``gram_and_moments`` by |A| and reach the solver through ``fit_rmd``, which
+picks lambda from the fitting sample and solves one instance exactly with
+``lp.solve_standard_form``, a dual simplex on the p-row LP
+G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0  that pivots on G itself and
+starts from the slack basis t = 0.  Every optimum is certified outside
 the solver: its residuals are re-checked and a lower bound on min ||t||_1 is
 computed from G_hat, M_hat, lambda and the row duals alone.  The budget B
 never enters the LP.  Since the objective is ||t||_1 itself, B cannot change
@@ -199,14 +200,15 @@ def solve_rmd(prob):
                        status=status, iterations=res.iterations, gap=gap, lam=prob.lam)
 
 
-def gram_and_moments(B, y=None):
-    """G_hat = E_A[b b'] and, when ``y`` is given, M_hat = E_A[Y b].
+def gram_and_moments(B, y=None, Mx=None):
+    """Row sums over one block A of rows: (sum b b', sum Y b, sum m(X, b)).
 
-    ``B`` holds the rows b(X_i), i in A, and ``y`` the matching outcomes.
+    ``B`` holds the rows b(X_i), i in A, and ``y`` and ``Mx`` the matching
+    outcomes and m(X_i, b); a sum whose rows are not given is None.  The sums
+    add across disjoint blocks, and dividing them by |A| gives G_hat = E_A[b b'],
+    E_A[Y b] and E_A[m(X, b)].
     """
-    n = B.shape[0]
-    G = B.T @ B / n
-    return G, (None if y is None else B.T @ y / n)
+    return B.T @ B, (None if y is None else B.T @ y), (None if Mx is None else Mx.sum(axis=0))
 
 
 def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf):
@@ -227,8 +229,8 @@ def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf):
     ||E_A[b (Y - b'beta_hat)]||_inf.
     """
     rows = np.asarray(rows, dtype=int)
-    G, M = gram_and_moments(design_matrix(dictionary, data, rows), data.outcome[rows])
-    sol = fit_rmd(G, M, rule, rows.size, l1_bound)
+    BB, By, _ = gram_and_moments(design_matrix(dictionary, data, rows), data.outcome[rows])
+    sol = fit_rmd(BB / rows.size, By / rows.size, rule, rows.size, l1_bound)
     return sol.t_hat, sol
 
 
@@ -243,6 +245,6 @@ def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf):
     if rows.size == 0:
         raise ValueError("empty row index set")
     B, Mx = functional.features(dictionary, data.covariates[rows])
-    G, _ = gram_and_moments(B)
-    sol = fit_rmd(G, Mx.mean(axis=0), rule, rows.size, l1_bound)
+    BB, _, m_sum = gram_and_moments(B, Mx=Mx)
+    sol = fit_rmd(BB / rows.size, m_sum / rows.size, rule, rows.size, l1_bound)
     return sol.t_hat, sol

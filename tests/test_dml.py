@@ -13,13 +13,13 @@ from rieszdml import (
     TreatmentInteractedDictionary,
     dml_estimate,
     fit_and_score_fold,
-    fold_theta,
     make_fold_plan,
     orthogonality_report,
     score_derivatives,
     score_psi,
 )
-from rieszdml.rmd import LambdaRule
+from rieszdml import dml
+from rieszdml.rmd import LambdaRule, gram_and_moments
 
 
 def small_setup(seed=0, n=60, p=4, noise=0.3):
@@ -144,41 +144,56 @@ def test_score_derivatives_special_cases():
 
 # -- fold estimates --------------------------------------------------------------
 
-def test_fold_theta_plugin_when_rho_zero():
-    data, dic, f, beta_star = small_setup()
+def fold_inputs(data, dic, f, rows):
+    """The fold's own (B, Mx, y) and its complement statistics, built directly."""
+    B, Mx = f.features(dic, data.covariates)
+    y = data.outcome
+    rest = np.setdiff1d(np.arange(data.n), rows)
+    return B[rows], Mx[rows], y[rows], (rest.size, *gram_and_moments(B[rest], y[rest], Mx[rest]))
+
+
+def test_fit_and_score_fold_plugin_when_rho_zero():
+    data, dic, f, _ = small_setup()
     rows = np.arange(20)
-    got = fold_theta(data, rows, beta_star, np.zeros(4), dic, f)
+    rule = LambdaRule.fixed(0.1)
+    rec, _ = fit_and_score_fold(*fold_inputs(data, dic, f, rows), rule, rule, plugin_only=True)
+    np.testing.assert_array_equal(rec.riesz.t_hat, 0.0)
     m = f.m_rows(dic, data.covariates[rows])
-    assert got == pytest.approx(float((m @ beta_star).mean()), rel=1e-12)
+    assert rec.theta == pytest.approx(float((m @ rec.blp.t_hat).mean()), rel=1e-12)
 
 
-def test_fold_theta_exact_beta_noiseless():
+def test_fit_and_score_fold_exact_beta_noiseless():
+    # lambda = 0 on noiseless data recovers beta*, so the Riesz correction vanishes
     data, dic, f, beta_star = small_setup(noise=0.0)
-    rows = np.arange(25)
-    rho = np.array([2.0, -1.0, 0.5, 0.0])
-    with_corr = fold_theta(data, rows, beta_star, rho, dic, f)
-    plugin = fold_theta(data, rows, beta_star, np.zeros(4), dic, f)
-    assert with_corr == pytest.approx(plugin, rel=1e-12)
+    inputs = fold_inputs(data, dic, f, np.arange(25))
+    rule = LambdaRule.fixed(0.0)
+    with_corr, _ = fit_and_score_fold(*inputs, rule, LambdaRule.fixed(0.05))
+    plugin, _ = fit_and_score_fold(*inputs, rule, rule, plugin_only=True)
+    np.testing.assert_allclose(with_corr.blp.t_hat, beta_star, atol=1e-12)
+    assert np.abs(with_corr.riesz.t_hat).sum() > 0.5
+    assert with_corr.theta == pytest.approx(plugin.theta, rel=1e-12)
 
 
-def test_fold_theta_is_exact_root():
+def test_fit_and_score_fold_is_exact_root():
     data, dic, f, _ = small_setup(noise=0.5)
     rows = np.arange(30)
-    rng = np.random.default_rng(4)
-    beta = rng.standard_normal(4)
-    rho = rng.standard_normal(4)
-    theta_k = fold_theta(data, rows, beta, rho, dic, f)
+    rule = LambdaRule.fixed(0.05)
+    rec, contrib = fit_and_score_fold(*fold_inputs(data, dic, f, rows), rule, rule)
+    assert contrib.shape == (rows.size,)
     psi_mean = np.mean([
-        score_psi((data.outcome[i], data.covariates[i]), theta_k, beta, rho, dic, f)
+        score_psi((data.outcome[i], data.covariates[i]), rec.theta,
+                  rec.blp.t_hat, rec.riesz.t_hat, dic, f)
         for i in rows
     ])
     assert abs(psi_mean) <= 1e-12
 
 
-def test_fold_theta_empty_fold():
+def test_fit_and_score_fold_empty_fold():
     data, dic, f, _ = small_setup()
-    with pytest.raises(ValueError):
-        fold_theta(data, [], np.zeros(4), np.zeros(4), dic, f)
+    B, Mx, y, complement = fold_inputs(data, dic, f, np.arange(0))
+    rule = LambdaRule.fixed(0.1)
+    with pytest.raises(ValueError, match="empty fold"):
+        fit_and_score_fold(B, Mx, y, complement, rule, rule)
 
 
 # -- the estimator ----------------------------------------------------------------
@@ -246,12 +261,57 @@ def test_dml_scaling_in_outcome():
     assert res_c.theta_hat == pytest.approx(c * res.theta_hat, rel=1e-10)
 
 
-def test_cross_fitting_leak_is_rejected():
-    data, dic, f, _ = small_setup()
-    B, Mx = dic.evaluate_rows(data.covariates), f.m_rows(dic, data.covariates)
-    rule = LambdaRule.fixed(0.1)
-    with pytest.raises(ValueError, match="overlap"):
-        fit_and_score_fold(B, Mx, data.outcome, np.arange(10), np.arange(5, 30), rule, rule)
+def test_fold_fits_ignore_the_fold_outcomes():
+    # cross-fitting hygiene: a fold's nuisance fits never see its own outcomes
+    data, dic, f, _ = small_setup(n=90, noise=0.5, seed=3)
+    plan = make_fold_plan(data.n, 3, seed=6)
+    rule = LambdaRule.fixed(0.08)
+    res = dml_estimate(data, dic, f, rule=rule, plan=plan)
+    for k in range(1, 4):
+        y = data.outcome.copy()
+        rows = plan.fold_rows(k)
+        y[rows] = 10.0 + np.arange(rows.size) ** 2
+        moved = dml_estimate(Dataset(y, data.covariates), dic, f, rule=rule, plan=plan)
+        for which in ("blp", "riesz"):
+            a, b = getattr(res.per_fold[k - 1], which), getattr(moved.per_fold[k - 1], which)
+            np.testing.assert_array_equal(a.t_hat, b.t_hat)
+            assert (a.l1_norm, a.max_residual, a.status, a.iterations, a.lam) == \
+                   (b.l1_norm, b.max_residual, b.status, b.iterations, b.lam)
+            assert a.gap == b.gap or (np.isnan(a.gap) and np.isnan(b.gap))
+        assert moved.per_fold[k - 1].theta != res.per_fold[k - 1].theta
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(AverageDerivative(np.array([1.0, 0.0, -0.5])), id="average_derivative"),
+    pytest.param(PolicyShift(0.8 * np.eye(3), np.array([0.2, 0.0, 0.0])), id="policy_shift"),
+])
+def test_fold_complement_statistics_match_direct_sums(monkeypatch, f):
+    data = small_setup(n=103, p=3, noise=0.5, seed=4)[0]
+    dic = PolynomialDictionary(3, degree=2)
+    plan = make_fold_plan(data.n, 5, seed=2)
+    calls = []
+    real = dml.fit_and_score_fold
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dml, "fit_and_score_fold", spy)
+    dml_estimate(data, dic, f, rule=LambdaRule.fixed(0.1), plan=plan)
+    B, Mx = f.features(dic, data.covariates)
+    y = data.outcome
+    assert len(calls) == 5
+    for k, (args, kwargs) in enumerate(calls, start=1):
+        assert kwargs["fold_id"] == k
+        own, rest = plan.fold_rows(k), np.flatnonzero(plan.assignments != k)
+        np.testing.assert_array_equal(args[2], y[own])
+        np.testing.assert_allclose(args[0], B[own], rtol=1e-13)
+        n_train, BB, By, m_sum = args[3]
+        assert n_train == rest.size
+        Br = B[rest]
+        np.testing.assert_allclose(BB, Br.T @ Br, rtol=1e-13)
+        np.testing.assert_allclose(By, Br.T @ y[rest], rtol=1e-13)
+        np.testing.assert_allclose(m_sum, Mx[rest].sum(axis=0), rtol=1e-13)
 
 
 def test_infeasible_fold_names_the_fold():
