@@ -9,7 +9,6 @@ from .dictionaries import (
     TreatmentInteractedDictionary,
     design_matrix,
     load_csv,
-    make_dictionary,
 )
 from .dml import (
     DmlResult,
@@ -41,11 +40,9 @@ from .simulation import (
     AteLogisticDgp,
     EstimatorConfig,
     MonteCarloReport,
-    NoClosedFormError,
     SparseLinearDgp,
     dense_decay_dgp,
     run_monte_carlo,
-    true_riesz_rows,
     true_theta_info,
 )
 
@@ -64,7 +61,6 @@ __all__ = [
     "IdentityDictionary",
     "LambdaRule",
     "MonteCarloReport",
-    "NoClosedFormError",
     "PolicyShift",
     "PolynomialDictionary",
     "RmdInfeasibleError",
@@ -81,13 +77,11 @@ __all__ = [
     "fit_and_score_fold",
     "load_csv",
     "m_hat_vector",
-    "make_dictionary",
     "make_fold_plan",
     "orthogonality_report",
     "run_monte_carlo",
     "score_derivatives",
     "score_psi",
     "solve_rmd",
-    "true_riesz_rows",
     "true_theta_info",
 ]

@@ -10,9 +10,11 @@ Configuration lives in a flat key-value file::
     seed = 7
 
 Values are scalars, comma-separated vectors, or semicolon-separated matrix
-rows.  Unknown keys are rejected, and every key is echoed back under
-``config`` in the JSON output.  Exit codes: 0 success, 2 configuration
-error (the message names the offending key or flag), 3 RMD infeasibility,
+rows.  A key that the command does not apply is rejected (say a
+``dictionary.*`` key in a ``dense_decay`` study, or ``lambda_c`` with a
+``fixed`` lambda rule), so the ``config`` echoed in the JSON output holds
+only applied keys.  Exit codes: 0 success, 2 configuration error (the
+message names the offending key or flag), 3 RMD infeasibility,
 4 solver failure (the simplex hit its iteration limit or numerical trouble,
 or its optimum failed the feasibility or duality-gap certificate).  Errors
 are printed as single-line JSON on stderr.  The result goes to stdout first,
@@ -32,7 +34,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import jsonio
-from .dictionaries import load_csv, make_dictionary
+from .dictionaries import (FourierDictionary, IdentityDictionary, PolynomialDictionary,
+                           TreatmentInteractedDictionary, load_csv)
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .rmd import LambdaRule, LambdaRuleError, RmdInfeasibleError, RmdProblem, SolverError, solve_rmd
@@ -52,41 +55,23 @@ class ConfigError(Exception):
         self.key = key
 
 
-_KNOWN_KEYS = {
-    "dictionary.kind", "dictionary.degree", "dictionary.order",
-    "dictionary.with_interactions",
-    "dictionary.inner.kind", "dictionary.inner.degree", "dictionary.inner.order",
-    "dictionary.inner.with_interactions",
-    "functional.type", "functional.direction",
-    "functional.transport_s", "functional.transport_c",
-    "data.outcome", "data.treatment", "data.standardize",
-    "estimator.k_folds", "estimator.alpha",
-    "estimator.lambda_method", "estimator.lambda_c", "estimator.lambda_alpha",
-    "estimator.lambda_value",
-    "estimator.riesz_lambda_method", "estimator.riesz_lambda_c",
-    "estimator.riesz_lambda_alpha", "estimator.riesz_lambda_value",
-    "estimator.l1_bound", "estimator.plugin_only",
-    "seed",
-    "simulation.dgp", "simulation.n", "simulation.replications",
-    "simulation.noise_sd", "simulation.x_dist", "simulation.beta_star",
-    "simulation.d", "simulation.d_z", "simulation.tau",
-    "simulation.outcome_coefs", "simulation.propensity_coefs",
-    "simulation.decay", "simulation.scale", "simulation.workers",
-}
-
-
+# a key is "seed" or lies in one of these sections; the builders decide which keys apply
+_SECTIONS = ("dictionary.", "functional.", "data.", "estimator.", "simulation.")
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class Config:
-    """Flat key-value config with typed accessors that name the key on failure."""
+    """Flat key-value config; its typed accessors name the key on failure and mark it read."""
 
-    def __init__(self, entries):
-        self.entries = dict(entries)
+    def __init__(self, path, entries, linenos):
+        self.path = path
+        self.entries = entries  # key -> value, in file order
+        self.linenos = linenos  # key -> line number
+        self.read = set()
 
     @classmethod
     def load(cls, path):
-        entries = {}
+        entries, linenos = {}, {}
         try:
             with open(path) as fh:
                 lines = fh.readlines()
@@ -101,17 +86,19 @@ class Config:
             key, value = body.split("=", 1)
             key = key.strip()
             value = value.strip()
-            if key not in _KNOWN_KEYS:
+            if key != "seed" and not key.startswith(_SECTIONS):
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}", key=key)
             if key in entries:
                 raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}", key=key)
             entries[key] = value
-        return cls(entries)
+            linenos[key] = lineno
+        return cls(path, entries, linenos)
 
     def has(self, key):
         return key in self.entries
 
     def raw(self, key, default=None, required=False):
+        self.read.add(key)
         if key not in self.entries:
             if required:
                 raise ConfigError(f"missing required config key {key!r}", key=key)
@@ -154,6 +141,13 @@ class Config:
                                                for row in v.split(";")]),
                            "semicolon-separated rows of numbers")
 
+    def reject_unread(self, command):
+        """Fail on the first key, in file order, that no accessor read."""
+        for key in self.entries:
+            if key not in self.read:
+                raise ConfigError(f"{self.path}:{self.linenos[key]}: config key {key!r} "
+                                  f"is not used by {command}", key=key)
+
     def echo(self):
         return dict(self.entries)
 
@@ -166,15 +160,16 @@ def build_dictionary(cfg, input_dim, prefix="dictionary", treatment_index=0):
         kinds.add("treatment_interacted")
     kind = cfg.get_str(f"{prefix}.kind", required=True, choices=kinds)
     try:
-        if kind == "treatment_interacted":
-            inner = build_dictionary(cfg, input_dim - 1, prefix=f"{prefix}.inner")
-            return make_dictionary(kind, input_dim, inner=inner, treatment_index=treatment_index)
-        return make_dictionary(
-            kind, input_dim,
-            degree=cfg.get_int(f"{prefix}.degree"),
-            order=cfg.get_int(f"{prefix}.order"),
-            with_interactions=cfg.get_bool(f"{prefix}.with_interactions", default=False),
-        )
+        if kind == "polynomial":
+            return PolynomialDictionary(
+                input_dim, cfg.get_int(f"{prefix}.degree", required=True),
+                cfg.get_bool(f"{prefix}.with_interactions", default=False))
+        if kind == "fourier":
+            return FourierDictionary(input_dim, cfg.get_int(f"{prefix}.order", required=True))
+        if kind == "identity":
+            return IdentityDictionary(input_dim)
+        inner = build_dictionary(cfg, input_dim - 1, prefix=f"{prefix}.inner")
+        return TreatmentInteractedDictionary(inner, treatment_index)
     except ValueError as exc:
         raise ConfigError(f"{prefix}.*: {exc}", key=f"{prefix}.kind") from None
 
@@ -332,6 +327,7 @@ def cmd_estimate(args):
         raise ConfigError(f"estimator.k_folds = {est.K} needs n >= 2K observations, "
                           f"the data has n = {data.n}", key="estimator.k_folds")
     seed = get_seed(cfg)
+    cfg.reject_unread("estimate")
     try:
         # the settings are checked above, so an overflow or a bad RMD
         # instance from here on comes from the data
@@ -373,6 +369,7 @@ def cmd_simulate(args):
         workers = resolve_workers(cfg.get_int("simulation.workers"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    cfg.reject_unread("simulate")
     report = run_monte_carlo(dgp, est, R=R, n=n, seed=seed, workers=workers,
                              config_echo=cfg.echo())
     _emit(report.summary(), args.output)

@@ -255,32 +255,6 @@ def _interacted(t, inner):
     return out
 
 
-def make_dictionary(kind, input_dim, degree=None, order=None,
-                    with_interactions=False, inner=None, treatment_index=0):
-    """Factory used by config parsing; p is derived from (kind, input_dim)."""
-    if kind == "polynomial":
-        if degree is None:
-            raise ValueError("polynomial dictionary needs a degree")
-        return PolynomialDictionary(input_dim, degree, with_interactions)
-    if kind == "fourier":
-        if order is None:
-            raise ValueError("fourier dictionary needs an order")
-        return FourierDictionary(input_dim, order)
-    if kind == "identity":
-        return IdentityDictionary(input_dim)
-    if kind == "treatment_interacted":
-        if inner is None:
-            raise ValueError("treatment_interacted dictionary needs an inner dictionary")
-        dic = TreatmentInteractedDictionary(inner, treatment_index)
-        if dic.input_dim != input_dim:
-            raise ValueError(
-                f"treatment_interacted over a {inner.input_dim}-dim inner dictionary "
-                f"expects input_dim {dic.input_dim}, got {input_dim}"
-            )
-        return dic
-    raise ValueError(f"unknown dictionary kind: {kind!r}")
-
-
 @dataclass(frozen=True)
 class Dataset:
     """n observations of (Y, X), optionally with a designated binary treatment column."""

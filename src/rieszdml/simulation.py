@@ -2,8 +2,8 @@
 
 Three DGP families:
 
-* ``SparseLinearDgp``  -- Y = b(X)'beta_star + noise on a polynomial or
-  identity dictionary, X iid standard normal or uniform[-1, 1].
+* ``SparseLinearDgp``  -- Y = b(X)'beta_star + noise on any dictionary, X
+  iid standard normal or uniform[-1, 1].
 * ``AteLogisticDgp``   -- binary treatment with logistic propensity (index
   clipped so the propensity stays inside [0.05, 0.95]) and additive effect:
   Y = tau D + Z'outcome_coefs + noise.
@@ -34,10 +34,6 @@ from .dictionaries import Dataset, IdentityDictionary, PolynomialDictionary
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .rmd import LambdaRule, RmdInfeasibleError, SolverError
-
-
-class NoClosedFormError(ValueError):
-    """No closed-form Riesz representer (or target) for this (dgp, functional)."""
 
 
 _LOGIT_BOUND = float(np.log(0.95 / 0.05))  # propensity clipped to [0.05, 0.95]
@@ -183,7 +179,7 @@ def _moment(x_dist, g):
 
 
 def _mean_directional_derivative(dictionary, x_dist, a):
-    """E[grad b(X) a] per basis element for polynomial/identity dictionaries."""
+    """E[grad b(X) a] per basis element; None unless b is polynomial or identity."""
     a = np.asarray(a, dtype=float)
     if isinstance(dictionary, IdentityDictionary):
         return a.copy()
@@ -197,15 +193,16 @@ def _mean_directional_derivative(dictionary, x_dist, a):
                 _, j, k = term
                 out[col] = a[j] * _moment(x_dist, 1) + a[k] * _moment(x_dist, 1)
         return out
-    raise NoClosedFormError("analytic mean derivative needs a polynomial or identity dictionary")
+    return None
 
 
 def true_theta_info(dgp, functional, mc_draws=10_000_000, mc_seed=202_406):
     """The target E m(X, gamma*) with its provenance.
 
-    Analytic where available, Gauss quadrature for one-dimensional policy
-    shifts, otherwise a Monte Carlo oracle over ``mc_draws`` fresh covariate
-    draws with the reported standard error.
+    Analytic where available (an average derivative on a polynomial or
+    identity dictionary, the identity policy shift, the additive ATE);
+    otherwise Gauss quadrature when d = 1, else a Monte Carlo oracle over
+    ``mc_draws`` fresh covariate draws with the reported standard error.
     """
     if isinstance(dgp, AteLogisticDgp):
         if isinstance(functional, AverageTreatmentEffect):
@@ -217,34 +214,35 @@ def true_theta_info(dgp, functional, mc_draws=10_000_000, mc_seed=202_406):
 
     if isinstance(functional, AverageDerivative):
         mean_dd = _mean_directional_derivative(dgp.dictionary, dgp.x_dist, functional.direction)
-        return TrueTheta(float(mean_dd @ dgp.beta_star), 0.0, "analytic")
-
-    if isinstance(functional, PolicyShift):
+        if mean_dd is not None:
+            return TrueTheta(float(mean_dd @ dgp.beta_star), 0.0, "analytic")
+    elif isinstance(functional, PolicyShift):
         S, c = functional.transport_matrix, functional.shift
         if np.array_equal(S, np.eye(S.shape[0])) and not np.any(c):
             return TrueTheta(0.0, 0.0, "analytic")
-        if dgp.d == 1:
-            return TrueTheta(_policy_shift_quadrature(dgp, functional), 0.0, "quadrature")
-        rng = np.random.default_rng(mc_seed)
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        chunk = 500_000
-        while done < mc_draws:
-            size = min(chunk, mc_draws - done)
-            X = _draw_x(rng, size, dgp.d, dgp.x_dist)
-            vals = functional.m_rows(dgp.dictionary, X) @ dgp.beta_star
-            total += vals.sum()
-            total_sq += (vals ** 2).sum()
-            done += size
-        mean = total / mc_draws
-        var = total_sq / mc_draws - mean ** 2
-        return TrueTheta(float(mean), float(np.sqrt(max(var, 0.0) / mc_draws)), "monte_carlo")
+    else:
+        raise ValueError(f"unsupported functional {type(functional).__name__} for this dgp")
 
-    raise ValueError(f"unsupported functional {type(functional).__name__} for this dgp")
+    if dgp.d == 1:
+        return TrueTheta(_quadrature(dgp, functional), 0.0, "quadrature")
+    rng = np.random.default_rng(mc_seed)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    chunk = 500_000
+    while done < mc_draws:
+        size = min(chunk, mc_draws - done)
+        X = _draw_x(rng, size, dgp.d, dgp.x_dist)
+        vals = functional.m_rows(dgp.dictionary, X) @ dgp.beta_star
+        total += vals.sum()
+        total_sq += (vals ** 2).sum()
+        done += size
+    mean = total / mc_draws
+    var = total_sq / mc_draws - mean ** 2
+    return TrueTheta(float(mean), float(np.sqrt(max(var, 0.0) / mc_draws)), "monte_carlo")
 
 
-def _policy_shift_quadrature(dgp, functional, nodes=120):
+def _quadrature(dgp, functional, nodes=120):
     if dgp.x_dist == "normal":
         x, w = np.polynomial.hermite_e.hermegauss(nodes)
         w = w / np.sqrt(2.0 * np.pi)
@@ -253,44 +251,6 @@ def _policy_shift_quadrature(dgp, functional, nodes=120):
         w = w / 2.0
     vals = functional.m_rows(dgp.dictionary, x[:, np.newaxis]) @ dgp.beta_star
     return float(w @ vals)
-
-
-# -- closed-form Riesz representers (simulation oracles) ---------------------
-
-def true_riesz_rows(dgp, functional, X):
-    """alpha*(x_i) per row, for the (dgp, functional) pairs with closed forms."""
-    X = np.asarray(X, dtype=float)
-    if isinstance(dgp, AteLogisticDgp) and isinstance(functional, AverageTreatmentEffect):
-        D = X[:, 0]
-        pi = dgp.propensity(X[:, 1:])
-        return D / pi - (1.0 - D) / (1.0 - pi)
-    if isinstance(dgp, SparseLinearDgp) and isinstance(functional, AverageDerivative):
-        if dgp.x_dist != "normal":
-            raise NoClosedFormError("score-based Riesz representer requires normal covariates")
-        return X @ functional.direction
-    if isinstance(dgp, SparseLinearDgp) and isinstance(functional, PolicyShift):
-        S, c = functional.transport_matrix, functional.shift
-        if np.array_equal(S, np.eye(S.shape[0])) and not np.any(c):
-            return np.zeros(X.shape[0])
-        if dgp.x_dist != "normal":
-            raise NoClosedFormError("density-ratio representer requires normal covariates")
-        return _gaussian_shift_density_ratio(X, S, c) - 1.0
-    raise NoClosedFormError(
-        f"no closed-form Riesz representer for ({type(dgp).__name__}, {type(functional).__name__})"
-    )
-
-
-def _gaussian_shift_density_ratio(X, S, c):
-    """density of N(c, SS') over density of N(0, I), evaluated row-wise."""
-    cov = S @ S.T
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise NoClosedFormError("transport matrix must be nonsingular for the density ratio")
-    diff = X - c
-    sol = np.linalg.solve(cov, diff.T).T
-    log_num = -0.5 * np.einsum("ij,ij->i", diff, sol) - 0.5 * logdet
-    log_den = -0.5 * np.einsum("ij,ij->i", X, X)
-    return np.exp(log_num - log_den)
 
 
 # -- Monte Carlo harness -----------------------------------------------------

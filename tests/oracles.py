@@ -3,11 +3,22 @@
 ``lp_vertex_oracle`` enumerates every basic solution of the standard-form LP
 behind an RMD instance and returns the optimal l1 value (or None when no
 feasible basis exists).  It shares no code with the simplex backend.
+
+``true_riesz_rows`` is the closed-form Riesz representer of the simulation
+designs that have one.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from rieszdml import (
+    AteLogisticDgp,
+    AverageDerivative,
+    AverageTreatmentEffect,
+    PolicyShift,
+    SparseLinearDgp,
+)
 
 
 def rmd_standard_form(G, M, lam, l1_bound=np.inf):
@@ -70,3 +81,43 @@ def fd_jacobian(func, x, h=1e-5):
         xm[k] -= h
         out[:, k] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
     return out
+
+
+class NoClosedFormError(ValueError):
+    """No closed-form Riesz representer for this (dgp, functional)."""
+
+
+def true_riesz_rows(dgp, functional, X):
+    """alpha*(x_i) per row, for the (dgp, functional) pairs with closed forms."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(dgp, AteLogisticDgp) and isinstance(functional, AverageTreatmentEffect):
+        D = X[:, 0]
+        pi = dgp.propensity(X[:, 1:])
+        return D / pi - (1.0 - D) / (1.0 - pi)
+    if isinstance(dgp, SparseLinearDgp) and isinstance(functional, AverageDerivative):
+        if dgp.x_dist != "normal":
+            raise NoClosedFormError("score-based Riesz representer requires normal covariates")
+        return X @ functional.direction
+    if isinstance(dgp, SparseLinearDgp) and isinstance(functional, PolicyShift):
+        S, c = functional.transport_matrix, functional.shift
+        if np.array_equal(S, np.eye(S.shape[0])) and not np.any(c):
+            return np.zeros(X.shape[0])
+        if dgp.x_dist != "normal":
+            raise NoClosedFormError("density-ratio representer requires normal covariates")
+        return _gaussian_shift_density_ratio(X, S, c) - 1.0
+    raise NoClosedFormError(
+        f"no closed-form Riesz representer for ({type(dgp).__name__}, {type(functional).__name__})"
+    )
+
+
+def _gaussian_shift_density_ratio(X, S, c):
+    """density of N(c, SS') over density of N(0, I), evaluated row-wise."""
+    cov = S @ S.T
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0:
+        raise NoClosedFormError("transport matrix must be nonsingular for the density ratio")
+    diff = X - c
+    sol = np.linalg.solve(cov, diff.T).T
+    log_num = -0.5 * np.einsum("ij,ij->i", diff, sol) - 0.5 * logdet
+    log_den = -0.5 * np.einsum("ij,ij->i", X, X)
+    return np.exp(log_num - log_den)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszdml
+from rieszdml import cli
 from rieszdml.cli import run
 
 HERE = os.path.dirname(__file__)
@@ -283,6 +284,7 @@ def test_estimate_lambda_near_float_max_is_reported(tmp_path, capsys):
     # Five folds at lambda = 1e308: the plain mean of the per-fold lambdas overflows.
     entries = {**example_entries(), "estimator.lambda_method": "fixed",
                "estimator.lambda_value": "1e308"}
+    del entries["estimator.lambda_c"], entries["estimator.lambda_alpha"]  # unread by fixed
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
                              "--config", write_cfg(tmp_path / "c.cfg", entries))
     assert code == 0 and err == ""
@@ -312,6 +314,24 @@ def test_interacted_inner_dictionary_names_the_inner_key(tmp_path, capsys):
                              "--config", write_cfg(tmp_path / "c.cfg", entries))
     assert code == 2 and out == ""
     assert error_line(err)["key"] == "dictionary.inner.kind"
+
+
+@pytest.mark.parametrize("settings_, key", [
+    ({"dictionary.kind": "polynomial"}, "dictionary.degree"),
+    ({"dictionary.kind": "fourier"}, "dictionary.order"),
+    ({"dictionary.kind": "nope"}, "dictionary.kind"),
+], ids=["polynomial_without_degree", "fourier_without_order", "unknown_kind"])
+def test_dictionary_setting_names_its_key(tmp_path, capsys, settings_, key):
+    cfg = write_cfg(tmp_path / "c.cfg", {
+        **settings_,
+        "functional.type": "average_derivative",
+        "functional.direction": "0,1,0,0,0",
+        "data.outcome": "y",
+    })
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == key and key in payload["error"]
 
 
 def test_ragged_transport_matrix_names_its_key(tmp_path, capsys):
@@ -575,6 +595,80 @@ _STUDY = {
 }
 _ATE = {"simulation.dgp": "ate_logistic", "simulation.d_z": "2", "simulation.tau": "1",
         "simulation.outcome_coefs": "1,0", "simulation.propensity_coefs": "0.5,0"}
+
+
+_DENSE = {"simulation.dgp": "dense_decay", "simulation.n": "40", "simulation.replications": "2",
+          "simulation.d": "3", "simulation.decay": "1", "functional.type": "average_derivative",
+          "functional.direction": "1,0,0", "estimator.k_folds": "2", "simulation.workers": "1",
+          "seed": "5"}
+_ATE_STUDY = {**_ATE, "simulation.n": "40", "simulation.replications": "2",
+              "dictionary.kind": "treatment_interacted", "dictionary.inner.kind": "polynomial",
+              "dictionary.inner.degree": "1", "estimator.k_folds": "2",
+              "simulation.workers": "1", "seed": "5"}
+
+
+@pytest.mark.parametrize("command, base, extra, key", [
+    # a dense_decay study builds its own degree-2 polynomial design with normal X
+    ("simulate", _DENSE, {"dictionary.kind": "fourier", "simulation.x_dist": "uniform"},
+     "dictionary.kind"),
+    # an ate_logistic study always estimates the ATE
+    ("simulate", _ATE_STUDY, {"functional.type": "average_derivative"}, "functional.type"),
+    ("simulate", _STUDY, {"data.outcome": "y"}, "data.outcome"),
+    ("estimate", None, {"simulation.n": "40"}, "simulation.n"),
+    # a fixed lambda rule reads only lambda_value, so the example's lambda_c goes unread
+    ("estimate", None, {"estimator.lambda_method": "fixed", "estimator.lambda_value": "0.1"},
+     "estimator.lambda_c"),
+], ids=["dense_decay_dictionary", "ate_logistic_functional", "simulate_data_key",
+        "estimate_simulation_key", "fixed_rule_lambda_c"])
+def test_key_the_command_never_applies_is_config_error(tmp_path, capsys, command, base, extra,
+                                                       key):
+    if base is None:
+        base = example_entries()
+    argv = ["--data", EXAMPLE_CSV] if command == "estimate" else []
+    code, out, _ = run_cli(capsys, command, *argv, "--config", write_cfg(tmp_path / "a.cfg", base))
+    assert code == 0 and json.loads(out)["config"] == base  # every key of the base is applied
+
+    entries = {**base, **extra}
+    cfg = write_cfg(tmp_path / "c.cfg", entries)
+    code, out, err = run_cli(capsys, command, *argv, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    lineno = list(entries).index(key) + 1
+    assert payload == {"error": f"{cfg}:{lineno}: config key {key!r} is not used by {command}",
+                       "key": key}
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(PKG, "configs").glob("**/*.cfg")),
+                         ids=lambda p: p.stem)
+def test_bundled_config_is_fully_read(monkeypatch, path):
+    # the estimator stubs are reached only after every key was found applied
+    def start(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(cli, "dml_estimate", start)
+    monkeypatch.setattr(cli, "run_monte_carlo", start)
+    argv = ["estimate", "--data", EXAMPLE_CSV] if path.parent.name == "examples" else ["simulate"]
+    with pytest.raises(_Started):
+        run([*argv, "--config", str(path)])
+
+
+def test_simulate_fourier_average_derivative_uses_quadrature(tmp_path, capsys):
+    # b(x) = (1, cos(pi x), sin(pi x)) over N(0, 1): E[d/dx sin(pi X)] = pi e^{-pi^2 / 2}
+    # and E[d/dx cos(pi X)] = 0
+    entries = {**_STUDY, "simulation.d": "1", "simulation.beta_star": "0,0.5,0.8",
+               "dictionary.kind": "fourier", "dictionary.order": "1", "functional.direction": "1"}
+    del entries["dictionary.degree"]
+    cfg = write_cfg(tmp_path / "sim.cfg", entries)
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["theta_star_method"] == "quadrature"
+    assert payload["theta_star"] == pytest.approx(np.pi * 0.8 * np.exp(-np.pi ** 2 / 2),
+                                                  rel=0, abs=1e-10)
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])

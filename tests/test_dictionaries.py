@@ -9,7 +9,6 @@ from rieszdml import (
     TreatmentInteractedDictionary,
     design_matrix,
     load_csv,
-    make_dictionary,
 )
 
 from oracles import fd_jacobian
@@ -114,6 +113,8 @@ def test_polynomial_output_dim_formula():
     assert FourierDictionary(d, 2).output_dim == 1 + 2 * d * 2
     inner = PolynomialDictionary(3, degree=1)
     assert TreatmentInteractedDictionary(inner).output_dim == 2 * inner.output_dim
+    with pytest.raises(ValueError):  # pairwise interactions need degree >= 2
+        PolynomialDictionary(2, degree=1, with_interactions=True)
 
 
 def test_first_element_is_constant():
@@ -127,18 +128,6 @@ def test_treatment_interacted_layout():
     dic = TreatmentInteractedDictionary(inner, treatment_index=0)
     np.testing.assert_allclose(dic.evaluate(np.array([1.0, 0.5])), [1.0, 0.5, 1.0, 0.5])
     np.testing.assert_allclose(dic.evaluate(np.array([0.0, 0.5])), [1.0, 0.5, 0.0, 0.0])
-
-
-def test_make_dictionary_inconsistent_dims_fail():
-    inner = PolynomialDictionary(2, degree=1)
-    with pytest.raises(ValueError):
-        make_dictionary("treatment_interacted", 5, inner=inner)
-    with pytest.raises(ValueError):
-        make_dictionary("polynomial", 2)
-    with pytest.raises(ValueError):
-        make_dictionary("nope", 2)
-    with pytest.raises(ValueError):
-        PolynomialDictionary(2, degree=1, with_interactions=True)
 
 
 def test_evaluate_rejects_bad_input():

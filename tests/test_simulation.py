@@ -3,20 +3,20 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import NoClosedFormError, true_riesz_rows
 from rieszdml import (
     AteLogisticDgp,
     AverageDerivative,
     AverageTreatmentEffect,
     EstimatorConfig,
     IdentityDictionary,
-    NoClosedFormError,
     PolicyShift,
     PolynomialDictionary,
     SparseLinearDgp,
+    TreatmentInteractedDictionary,
     dense_decay_dgp,
     estimate_riesz,
     run_monte_carlo,
-    true_riesz_rows,
     true_theta_info,
 )
 from rieszdml import dml, simulation
@@ -149,6 +149,15 @@ def test_true_theta_policy_shift_monte_carlo_path():
     assert info.method == "monte_carlo"
     assert info.se > 0.0
     assert abs(info.value - 0.01) <= 5.0 * info.se
+
+
+def test_true_theta_average_derivative_without_closed_form_uses_monte_carlo():
+    # b(x) = (z, t z) with beta = (1, 0): gamma = z, so dgamma/dz = 1 everywhere
+    dic = TreatmentInteractedDictionary(IdentityDictionary(1))
+    dgp = SparseLinearDgp(dic, np.array([1.0, 0.0]), "normal", 1.0)
+    info = true_theta_info(dgp, AverageDerivative(np.array([0.0, 1.0])), mc_draws=1000)
+    assert info.method == "monte_carlo"
+    assert info.value == 1.0
 
 
 def test_true_theta_rejects_mismatched_pairs():
