@@ -353,6 +353,10 @@ def cmd_simulate(args):
         # treatment-interacted dictionary over (D, Z) and targets the ATE
         dictionary = build_dictionary(cfg, dgp.d_z + 1, treatment_index=0)
         functional = AverageTreatmentEffect(0)
+        try:
+            functional.check_compatible(dictionary)
+        except ValueError as exc:  # the study has no functional.* key to blame
+            raise ConfigError(str(exc), key="dictionary.kind") from None
     else:
         dictionary = dgp.dictionary
         functional = build_functional(cfg, dictionary.input_dim)

@@ -13,13 +13,13 @@ Four families are provided:
 * ``TreatmentInteractedDictionary`` -- b(x) = (b_in(z), t * b_in(z)) where t
   is the (binary) treatment coordinate and z the remaining coordinates.
   Derivatives are taken with respect to z only; the treatment component of
-  a direction is ignored, so the treatment column of the Jacobian is zero.
-  ``evaluate_with_contrast`` also returns the ATE contrast
-  b(1, z) - b(0, z) = (0, b_in(z)), from the same single inner evaluation.
+  a direction is ignored.
 
-Each family writes one derivative, the row-wise directional derivative
-``directional_gradient_rows(X, a)`` that m(x, b) = a' grad b(x) runs on.
-The per-point Jacobian ``gradient(x)`` is derived from it, column by column.
+A dictionary is its two row-wise methods: ``evaluate_rows(X)``, the (n, p)
+array b(X), and ``directional_gradient_rows(X, a)``, the rows of
+a' grad b(x_i) that the average derivative runs on.  Everything else in
+m(x, b), such as the ATE contrast b(1, z) - b(0, z), belongs to the
+functional.
 
 All objects are immutable after construction and safe to share across
 workers; every operation is a pure function of its inputs.
@@ -33,15 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _check_point(x, input_dim):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != input_dim:
-        raise ValueError(f"expected a length-{input_dim} vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    return x
-
-
 def _check_rows(X, input_dim):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != input_dim:
@@ -52,20 +43,10 @@ def _check_rows(X, input_dim):
 
 
 class Dictionary:
-    """Common surface: evaluate and differentiate, row-wise and per point.
+    """Common surface: a subclass defines ``evaluate_rows`` and ``directional_gradient_rows``."""
 
-    A subclass defines ``evaluate_rows`` and ``directional_gradient_rows``;
-    ``evaluate`` and ``gradient`` are per-point views of them.
-    """
-
-    kind = "abstract"
     input_dim: int
     output_dim: int
-
-    def evaluate(self, x):
-        """b(x) as a length-p vector."""
-        x = _check_point(x, self.input_dim)
-        return self.evaluate_rows(x[np.newaxis, :])[0]
 
     def evaluate_rows(self, X):
         """Row-wise evaluation: (n, d) -> (n, p)."""
@@ -75,22 +56,11 @@ class Dictionary:
         """Rows of (grad b(x_i)) a, shape (n, p)."""
         raise NotImplementedError
 
-    def gradient(self, x):
-        """Jacobian of b at x: entry (j, k) is db_j/dx_k, shape (p, d).
-
-        Column k is the directional derivative along the k-th unit vector.
-        """
-        X = _check_point(x, self.input_dim)[np.newaxis, :]
-        return np.column_stack([self.directional_gradient_rows(X, e)[0]
-                                for e in np.eye(self.input_dim)])
-
     def __repr__(self):
         return f"{type(self).__name__}(input_dim={self.input_dim}, output_dim={self.output_dim})"
 
 
 class PolynomialDictionary(Dictionary):
-    kind = "polynomial"
-
     def __init__(self, input_dim, degree, with_interactions=False):
         if input_dim < 1:
             raise ValueError("input_dim must be positive")
@@ -146,8 +116,6 @@ class PolynomialDictionary(Dictionary):
 
 
 class FourierDictionary(Dictionary):
-    kind = "fourier"
-
     def __init__(self, input_dim, order):
         if input_dim < 1:
             raise ValueError("input_dim must be positive")
@@ -193,8 +161,6 @@ class FourierDictionary(Dictionary):
 
 
 class IdentityDictionary(Dictionary):
-    kind = "identity"
-
     def __init__(self, input_dim):
         if input_dim < 1:
             raise ValueError("input_dim must be positive")
@@ -211,8 +177,6 @@ class IdentityDictionary(Dictionary):
 
 
 class TreatmentInteractedDictionary(Dictionary):
-    kind = "treatment_interacted"
-
     def __init__(self, inner, treatment_index=0):
         self.inner = inner
         self.input_dim = inner.input_dim + 1
@@ -221,27 +185,19 @@ class TreatmentInteractedDictionary(Dictionary):
         self.treatment_index = int(treatment_index)
         self.output_dim = 2 * inner.output_dim
 
-    def split_rows(self, X):
+    def _split_rows(self, X):
         X = _check_rows(X, self.input_dim)
         t = X[:, self.treatment_index]
         z = np.delete(X, self.treatment_index, axis=1)
         return t, z
 
-    def evaluate_with_contrast(self, X):
-        """(b(X), b(1, z) - b(0, z)) from one inner pass: (b_in, t b_in) and (0, b_in)."""
-        t, z = self.split_rows(X)
-        inner = self.inner.evaluate_rows(z)
-        contrast = np.zeros((inner.shape[0], self.output_dim))
-        contrast[:, inner.shape[1]:] = inner
-        return _interacted(t, inner), contrast
-
     def evaluate_rows(self, X):
-        t, z = self.split_rows(X)
+        t, z = self._split_rows(X)
         return _interacted(t, self.inner.evaluate_rows(z))
 
     def directional_gradient_rows(self, X, a):
         # derivatives in z only: the treatment component of a is dropped
-        t, z = self.split_rows(X)
+        t, z = self._split_rows(X)
         a_z = np.delete(np.asarray(a, dtype=float), self.treatment_index)
         return _interacted(t, self.inner.directional_gradient_rows(z, a_z))
 

@@ -9,21 +9,21 @@ on linearity: m(x, b'beta) = m(x, b)'beta.
 Each functional defines one method, ``features(dictionary, X)``, which
 returns b(X) and m(X, b) together; it is the only code that computes either
 for the estimator, the RMD fits and the per-observation score.  ``m_rows`` is
-its second array.  The policy shift evaluates b(X) once and reuses it in
-b(S X + c) - b(X), and the average treatment effect takes both arrays from a
-single inner pass of the treatment-interacted dictionary.
+its second array.  A dictionary supplies only b(X) and a' grad b(X); the
+rest of m belongs here.  The policy shift evaluates b(X) once and reuses it
+in b(S X + c) - b(X), and the average treatment effect writes the contrast
+b(1, z) - b(0, z) = (0, b_in(z)) from the first half of b(X), so one
+dictionary pass yields both arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dictionaries import TreatmentInteractedDictionary, _check_rows
+from .dictionaries import TreatmentInteractedDictionary
 
 
 class Functional:
-    kind = "abstract"
-
     def check_compatible(self, dictionary, data=None):
         """Raise ValueError when the (functional, dictionary, data) combination is invalid."""
 
@@ -38,8 +38,6 @@ class Functional:
 
 class AverageDerivative(Functional):
     """m(x, g) = a' grad g(x)."""
-
-    kind = "average_derivative"
 
     def __init__(self, direction):
         a = np.asarray(direction, dtype=float)
@@ -72,8 +70,6 @@ class PolicyShift(Functional):
     which assume inputs in [-1, 1]).
     """
 
-    kind = "policy_shift"
-
     def __init__(self, transport_matrix, shift):
         S = np.asarray(transport_matrix, dtype=float)
         c = np.asarray(shift, dtype=float)
@@ -92,15 +88,13 @@ class PolicyShift(Functional):
 
     def features(self, dictionary, X):
         self.check_compatible(dictionary)
-        X = _check_rows(X, dictionary.input_dim)
-        B = dictionary.evaluate_rows(X)
+        B = dictionary.evaluate_rows(X)  # validates X
+        X = np.asarray(X, dtype=float)
         return B, dictionary.evaluate_rows(X @ self.transport_matrix.T + self.shift) - B
 
 
 class AverageTreatmentEffect(Functional):
     """m((t, z), g) = g(1, z) - g(0, z) on a treatment-interacted dictionary."""
-
-    kind = "ate"
 
     def __init__(self, treatment_col=0):
         self.treatment_col = int(treatment_col)
@@ -120,7 +114,11 @@ class AverageTreatmentEffect(Functional):
 
     def features(self, dictionary, X):
         self.check_compatible(dictionary)
-        return dictionary.evaluate_with_contrast(X)
+        B = dictionary.evaluate_rows(X)  # (b_in, t b_in)
+        p = B.shape[1] // 2
+        contrast = np.zeros_like(B)
+        contrast[:, p:] = B[:, :p]
+        return B, contrast
 
 
 def m_hat_vector(functional, dictionary, data, rows):

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dictionaries import Dataset, IdentityDictionary, PolynomialDictionary
+from .dictionaries import Dataset, FourierDictionary, IdentityDictionary, PolynomialDictionary
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .rmd import LambdaRule, RmdInfeasibleError, SolverError
@@ -179,7 +179,7 @@ def _moment(x_dist, g):
 
 
 def _mean_directional_derivative(dictionary, x_dist, a):
-    """E[grad b(X) a] per basis element; None unless b is polynomial or identity."""
+    """E[grad b(X) a] per basis element; None unless b is polynomial, Fourier or identity."""
     a = np.asarray(a, dtype=float)
     if isinstance(dictionary, IdentityDictionary):
         return a.copy()
@@ -193,14 +193,23 @@ def _mean_directional_derivative(dictionary, x_dist, a):
                 _, j, k = term
                 out[col] = a[j] * _moment(x_dist, 1) + a[k] * _moment(x_dist, 1)
         return out
+    if isinstance(dictionary, FourierDictionary):
+        # E[sin(j pi X)] = 0, so the cos columns average to 0; the sin(j pi x_k)
+        # columns 2, 4, ... (k-major) average to a_k j pi E[cos(j pi X)], where
+        # E[cos(j pi X)] is e^{-j^2 pi^2 / 2} under N(0, 1) and exactly 0 under U[-1, 1]
+        out = np.zeros(dictionary.output_dim)
+        if x_dist == "normal":
+            w = np.pi * np.arange(1, dictionary.order + 1)
+            out[2::2] = np.outer(a, w * np.exp(-w ** 2 / 2)).ravel()
+        return out
     return None
 
 
 def true_theta_info(dgp, functional, mc_draws=10_000_000, mc_seed=202_406):
     """The target E m(X, gamma*) with its provenance.
 
-    Analytic where available (an average derivative on a polynomial or
-    identity dictionary, the identity policy shift, the additive ATE);
+    Analytic where available (an average derivative on a polynomial, Fourier
+    or identity dictionary, the identity policy shift, the additive ATE);
     otherwise Gauss quadrature when d = 1, else a Monte Carlo oracle over
     ``mc_draws`` fresh covariate draws with the reported standard error.
     """

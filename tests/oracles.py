@@ -83,6 +83,13 @@ def fd_jacobian(func, x, h=1e-5):
     return out
 
 
+def jacobian(dictionary, x):
+    """Jacobian of b at x, (p, d): column k is the production derivative along e_k."""
+    X = np.asarray(x, dtype=float)[np.newaxis, :]
+    return np.column_stack([dictionary.directional_gradient_rows(X, e)[0]
+                            for e in np.eye(dictionary.input_dim)])
+
+
 class NoClosedFormError(ValueError):
     """No closed-form Riesz representer for this (dgp, functional)."""
 

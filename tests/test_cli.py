@@ -379,10 +379,10 @@ def test_bad_lambda_setting_is_config_error(tmp_path, capsys, command, settings_
     assert payload["key"] == key and key in payload["error"]
 
 
-# A first slice of the config sweep: mutate the estimator.* keys of the bundled
-# example and require either strict JSON on stdout (exit 0) or exactly one
-# JSON error line on stderr (exit 2, 3 or 4), naming its key when the exit is 2.
-# Each key lists in-range, out-of-range and badly typed values.
+# The estimate sweep: mutate the estimator.* keys of the bundled example and
+# require either strict JSON on stdout (exit 0) or exactly one JSON error line
+# on stderr (exit 2, 3 or 4), naming its key when the exit is 2.  Each key
+# lists in-range, out-of-range and badly typed values.
 _ESTIMATOR_VALUES = {
     "estimator.k_folds": ["2", "3", "10", "150", "151", "0", "1", "-3", "five", "2.5", "", "1e3"],
     "estimator.alpha": ["0.1", "0.5", "0", "1", "-0.2", "2", "1e-300", "nan", "inf", "x",
@@ -404,31 +404,48 @@ _FLOAT_KEYS = sorted(k for k in _ESTIMATOR_VALUES
 _FLIPPED = {"true": "false", "false": "true", "yes": "no", "no": "yes", "1": "0", "0": "1"}
 
 
-def _mutation():
-    keys = sorted(_ESTIMATOR_VALUES)
-    drop = st.tuples(st.just("drop"), st.sampled_from(keys), st.none())
-    flip = st.tuples(st.just("flip"), st.just("estimator.plugin_only"), st.none())
-    listed = st.sampled_from(keys).flatmap(
-        lambda k: st.tuples(st.just("set"), st.just(k), st.sampled_from(_ESTIMATOR_VALUES[k])))
-    any_float = st.tuples(st.just("set"), st.sampled_from(_FLOAT_KEYS), st.floats().map(repr))
-    return st.one_of(drop, flip, listed, any_float)
+def _estimate_applied(entries):
+    """The estimator.* keys that the example applies, given its lambda rules."""
+    keys = ["estimator.alpha", "estimator.k_folds", "estimator.l1_bound",
+            "estimator.lambda_method", "estimator.plugin_only", "estimator.riesz_lambda_method"]
+    for prefix in ("estimator.lambda", "estimator.riesz_lambda"):
+        if entries.get(f"{prefix}_method") == "fixed":
+            keys.append(f"{prefix}_value")
+        else:
+            keys += [f"{prefix}_c", f"{prefix}_alpha"]
+    return keys
 
 
-def _apply(entries, mutations):
-    for op, key, value in mutations:
+@st.composite
+def _mutated(draw, base, values, float_keys, applied, ops=("drop", "set", "set")):
+    """``base`` after 1 to 4 mutations: drop a key, flip plugin_only, or set a key.
+
+    Three in four sets pick a key that the config, as mutated so far, applies,
+    so that an example stops at a bad value rather than at an unapplied key;
+    the rest pick any swept key, which keeps the "not used" exit 2 in the sweep.
+    """
+    entries = dict(base)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(ops))
         if op == "drop":
-            entries.pop(key, None)
+            entries.pop(draw(st.sampled_from(sorted(values))), None)
         elif op == "flip":
+            key = "estimator.plugin_only"
             entries[key] = _FLIPPED.get(entries.get(key, "false").lower(), "true")
         else:
-            entries[key] = value
+            pool = sorted(values) if draw(st.integers(0, 3)) == 0 else applied(entries)
+            key = draw(st.sampled_from(pool))
+            if key in float_keys and draw(st.booleans()):
+                entries[key] = repr(draw(st.floats()))
+            else:
+                entries[key] = draw(st.sampled_from(values[key]))
     return entries
 
 
 @settings(max_examples=200, deadline=None)
-@given(mutations=st.lists(_mutation(), min_size=1, max_size=4))
-def test_estimate_config_sweep_keeps_the_output_contract(mutations):
-    entries = _apply(example_entries(), mutations)
+@given(entries=_mutated(example_entries(), _ESTIMATOR_VALUES, _FLOAT_KEYS, _estimate_applied,
+                       ops=("drop", "flip", "set", "set")))
+def test_estimate_config_sweep_keeps_the_output_contract(entries):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_cfg(pathlib.Path(tmp) / "c.cfg", entries)
@@ -656,19 +673,34 @@ def test_bundled_config_is_fully_read(monkeypatch, path):
         run([*argv, "--config", str(path)])
 
 
-def test_simulate_fourier_average_derivative_uses_quadrature(tmp_path, capsys):
-    # b(x) = (1, cos(pi x), sin(pi x)) over N(0, 1): E[d/dx sin(pi X)] = pi e^{-pi^2 / 2}
-    # and E[d/dx cos(pi X)] = 0
-    entries = {**_STUDY, "simulation.d": "1", "simulation.beta_star": "0,0.5,0.8",
-               "dictionary.kind": "fourier", "dictionary.order": "1", "functional.direction": "1"}
+@pytest.mark.parametrize("d, beta_star, direction", [
+    ("1", "0,0.5,0.8", "1"),
+    ("2", "0,0.5,0.8,0.1,0.2", "1,0"),
+], ids=["d1", "d2"])
+def test_simulate_fourier_average_derivative_is_closed_form(tmp_path, capsys, d, beta_star,
+                                                            direction):
+    # b(x) = (1, cos(pi x_1), sin(pi x_1), ...) over N(0, I): E[d/dx_1 sin(pi X_1)] =
+    # pi e^{-pi^2 / 2}, and every other column's mean derivative along e_1 is 0
+    entries = {**_STUDY, "simulation.d": d, "simulation.beta_star": beta_star,
+               "dictionary.kind": "fourier", "dictionary.order": "1",
+               "functional.direction": direction}
     del entries["dictionary.degree"]
     cfg = write_cfg(tmp_path / "sim.cfg", entries)
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["theta_star_method"] == "quadrature"
+    assert payload["theta_star_method"] == "analytic"
     assert payload["theta_star"] == pytest.approx(np.pi * 0.8 * np.exp(-np.pi ** 2 / 2),
                                                   rel=0, abs=1e-10)
+
+
+def test_ate_study_without_interacted_dictionary_names_dictionary_kind(tmp_path, capsys):
+    entries = {**_ATE_STUDY, "dictionary.kind": "polynomial", "dictionary.degree": "1"}
+    del entries["dictionary.inner.kind"], entries["dictionary.inner.degree"]
+    code, out, err = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path / "c.cfg", entries))
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "dictionary.kind" and "treatment-interacted" in payload["error"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
@@ -705,8 +737,9 @@ def test_non_finite_dgp_parameter_is_config_error(tmp_path, capsys, settings_, p
     assert payload["key"] == "simulation.dgp" and param in payload["error"], payload
 
 
-# The simulate sweep: mutate the simulation.* keys and seed of the small study.
-# Every list is bounded, so no example asks for a large n or R.
+# The simulate sweep: mutate the simulation.* keys and seed of one of the three
+# small studies (sparse_linear, dense_decay, ate_logistic).  Every list is
+# bounded, so no example asks for a large n or R.
 _SIMULATE_VALUES = {
     "simulation.dgp": ["sparse_linear", "dense_decay", "ate_logistic", "probit", ""],
     "simulation.n": ["40", "4", "3", "0", "-40", "40.0", "n", "1e2"],
@@ -729,20 +762,28 @@ _SIMULATE_FLOAT_KEYS = ["simulation.decay", "simulation.noise_sd", "simulation.s
                         "simulation.tau"]
 
 
-def _simulate_mutation():
-    keys = sorted(_SIMULATE_VALUES)
-    drop = st.tuples(st.just("drop"), st.sampled_from(keys), st.none())
-    listed = st.sampled_from(keys).flatmap(
-        lambda k: st.tuples(st.just("set"), st.just(k), st.sampled_from(_SIMULATE_VALUES[k])))
-    any_float = st.tuples(st.just("set"), st.sampled_from(_SIMULATE_FLOAT_KEYS),
-                          st.floats().map(repr))
-    return st.one_of(drop, listed, any_float)
+_DGP_KEYS = {  # the simulation.* keys each DGP reads besides n, R, workers and noise_sd
+    "sparse_linear": ["simulation.beta_star", "simulation.d", "simulation.x_dist"],
+    "dense_decay": ["simulation.d", "simulation.decay", "simulation.scale"],
+    "ate_logistic": ["simulation.d_z", "simulation.outcome_coefs",
+                     "simulation.propensity_coefs", "simulation.tau"],
+}
+
+
+def _simulate_applied(entries):
+    """The swept keys that a study applies, given its DGP.
+
+    ``simulation.dgp`` is left out: a new DGP leaves most of the study's keys
+    unapplied, and the sweep already starts from each DGP's own study.
+    """
+    return ["seed", "simulation.n", "simulation.noise_sd", "simulation.replications",
+            "simulation.workers", *_DGP_KEYS.get(entries.get("simulation.dgp"), [])]
 
 
 @settings(max_examples=100, deadline=None)
-@given(mutations=st.lists(_simulate_mutation(), min_size=1, max_size=4))
-def test_simulate_config_sweep_keeps_the_output_contract(mutations):
-    entries = _apply(dict(_STUDY), mutations)
+@given(entries=st.sampled_from([_STUDY, _DENSE, _ATE_STUDY]).flatmap(
+    lambda base: _mutated(base, _SIMULATE_VALUES, _SIMULATE_FLOAT_KEYS, _simulate_applied)))
+def test_simulate_config_sweep_keeps_the_output_contract(entries):
     out, err = io.StringIO(), io.StringIO()
     # a dropped simulation.workers would otherwise start a process pool
     with tempfile.TemporaryDirectory() as tmp, \

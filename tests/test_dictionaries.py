@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from rieszdml import (
     load_csv,
 )
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, jacobian
 
 
 def all_kinds():
@@ -25,82 +27,88 @@ def all_kinds():
     ]
 
 
+def dic_id(dic):
+    """Test id from the class name: FourierDictionary(2, order=2) -> fourier9."""
+    words = re.findall(r"[A-Z][a-z]*", type(dic).__name__)[:-1]
+    return "_".join(words).lower() + str(dic.output_dim)
+
+
 def test_polynomial_evaluate_1d():
     dic = PolynomialDictionary(1, degree=2)
-    np.testing.assert_allclose(dic.evaluate(np.array([2.0])), [1.0, 2.0, 4.0])
+    np.testing.assert_allclose(dic.evaluate_rows(np.array([[2.0]]))[0], [1.0, 2.0, 4.0])
 
 
 def test_fourier_evaluate_at_zero():
     dic = FourierDictionary(1, order=1)
-    np.testing.assert_allclose(dic.evaluate(np.array([0.0])), [1.0, 1.0, 0.0])
+    np.testing.assert_allclose(dic.evaluate_rows(np.array([[0.0]]))[0], [1.0, 1.0, 0.0])
 
 
 def test_identity_evaluate():
     dic = IdentityDictionary(3)
     x = np.array([0.5, -1.0, 2.0])
-    np.testing.assert_allclose(dic.evaluate(x), x)
+    np.testing.assert_allclose(dic.evaluate_rows(x[None])[0], x)
 
 
 def test_polynomial_gradient_1d():
     dic = PolynomialDictionary(1, degree=2)
-    g = dic.gradient(np.array([2.0]))
+    g = jacobian(dic, np.array([2.0]))
     np.testing.assert_allclose(g[:, 0], [0.0, 1.0, 4.0])
 
 
 def test_fourier_gradient_at_zero():
     dic = FourierDictionary(1, order=1)
-    g = dic.gradient(np.array([0.0]))
+    g = jacobian(dic, np.array([0.0]))
     np.testing.assert_allclose(g[:, 0], [0.0, 0.0, np.pi], atol=1e-15)
 
 
 def test_constant_rows_have_zero_gradient():
     for dic in all_kinds():
-        if dic.kind == "identity":
+        if isinstance(dic, IdentityDictionary):
             continue
         x = np.full(dic.input_dim, 0.3)
-        if dic.kind == "treatment_interacted":
+        if isinstance(dic, TreatmentInteractedDictionary):
             x[dic.treatment_index] = 1.0
-        g = dic.gradient(x)
+        g = jacobian(dic, x)
         np.testing.assert_allclose(g[0], 0.0)
 
 
-@pytest.mark.parametrize("dic", all_kinds(), ids=lambda d: d.kind + str(d.output_dim))
+@pytest.mark.parametrize("dic", all_kinds(), ids=dic_id)
 def test_gradient_matches_finite_differences(dic):
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = rng.uniform(-0.9, 0.9, size=dic.input_dim)
         cols = list(range(dic.input_dim))
-        if dic.kind == "treatment_interacted":
+        if isinstance(dic, TreatmentInteractedDictionary):
             x[dic.treatment_index] = 1.0
             cols.remove(dic.treatment_index)
-        g = dic.gradient(x)
-        fd = fd_jacobian(dic.evaluate, x, h=1e-5)
+        g = jacobian(dic, x)
+        fd = fd_jacobian(lambda v: dic.evaluate_rows(v[None])[0], x, h=1e-5)
         tol = 1e-4 * (1.0 + np.abs(g).max())
         assert np.abs(g[:, cols] - fd[:, cols]).max() <= tol
-        if dic.kind == "treatment_interacted":
+        if isinstance(dic, TreatmentInteractedDictionary):
             # derivative in the treatment coordinate is zero by convention
             np.testing.assert_allclose(g[:, dic.treatment_index], 0.0)
 
 
-@pytest.mark.parametrize("dic", all_kinds(), ids=lambda d: d.kind + str(d.output_dim))
+@pytest.mark.parametrize("dic", all_kinds(), ids=dic_id)
 def test_directional_rows_match_gradient(dic):
     rng = np.random.default_rng(11)
     X = rng.uniform(-0.9, 0.9, size=(6, dic.input_dim))
-    if dic.kind == "treatment_interacted":
+    if isinstance(dic, TreatmentInteractedDictionary):
         X[:, dic.treatment_index] = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
     for _ in range(3):
         a = rng.standard_normal(dic.input_dim)  # the treatment component is nonzero too
         rows = dic.directional_gradient_rows(X, a)
         for i in range(X.shape[0]):
-            np.testing.assert_allclose(rows[i], dic.gradient(X[i]) @ a,
+            np.testing.assert_allclose(rows[i], jacobian(dic, X[i]) @ a,
                                        rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("dic", all_kinds(), ids=lambda d: d.kind + str(d.output_dim))
+@pytest.mark.parametrize("dic", all_kinds(), ids=dic_id)
 def test_output_dim_consistency(dic):
     x = np.full(dic.input_dim, 0.25)
-    assert dic.evaluate(x).shape == (dic.output_dim,)
-    assert dic.gradient(x).shape == (dic.output_dim, dic.input_dim)
+    assert dic.evaluate_rows(x[None])[0].shape == (dic.output_dim,)
+    assert jacobian(dic, x).shape == (dic.output_dim, dic.input_dim)
     X = np.tile(x, (4, 1))
     assert dic.evaluate_rows(X).shape == (4, dic.output_dim)
 
@@ -126,18 +134,18 @@ def test_first_element_is_constant():
 def test_treatment_interacted_layout():
     inner = PolynomialDictionary(1, degree=1)  # (1, z)
     dic = TreatmentInteractedDictionary(inner, treatment_index=0)
-    np.testing.assert_allclose(dic.evaluate(np.array([1.0, 0.5])), [1.0, 0.5, 1.0, 0.5])
-    np.testing.assert_allclose(dic.evaluate(np.array([0.0, 0.5])), [1.0, 0.5, 0.0, 0.0])
+    np.testing.assert_allclose(dic.evaluate_rows(np.array([[1.0, 0.5]]))[0], [1.0, 0.5, 1.0, 0.5])
+    np.testing.assert_allclose(dic.evaluate_rows(np.array([[0.0, 0.5]]))[0], [1.0, 0.5, 0.0, 0.0])
 
 
 def test_evaluate_rejects_bad_input():
     dic = PolynomialDictionary(2, degree=1)
     with pytest.raises(ValueError):
-        dic.evaluate(np.array([1.0]))
+        dic.evaluate_rows(np.array([[1.0]]))
     with pytest.raises(ValueError):
-        dic.evaluate(np.array([1.0, np.nan]))
+        dic.evaluate_rows(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
-        dic.gradient(np.array([1.0, 2.0, 3.0]))
+        dic.directional_gradient_rows(np.array([[1.0, 2.0, 3.0]]), np.ones(3))
 
 
 # -- design matrices ----------------------------------------------------------

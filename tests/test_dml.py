@@ -110,7 +110,7 @@ def test_score_derivatives_formulas_and_fd():
         rho = rng.standard_normal(dic.output_dim)
         theta = rng.standard_normal()
         d_beta, d_rho = score_derivatives((y, x), theta, beta, rho, dic, f)
-        b = dic.evaluate(x)
+        b = dic.evaluate_rows(x[None])[0]
         m = f.m_rows(dic, [x])[0]
         np.testing.assert_allclose(d_beta, -m + (rho @ b) * b, rtol=1e-12)
         np.testing.assert_allclose(d_rho, -b * (y - b @ beta), rtol=1e-12)

@@ -46,7 +46,8 @@ def test_ate_matches_direct_evaluation():
     for _ in range(5):
         z = rng.standard_normal(2)
         x = np.concatenate([[1.0], z])
-        direct = dic.evaluate(np.concatenate([[1.0], z])) - dic.evaluate(np.concatenate([[0.0], z]))
+        direct = (dic.evaluate_rows(np.concatenate([[1.0], z])[None])[0]
+                  - dic.evaluate_rows(np.concatenate([[0.0], z])[None])[0])
         np.testing.assert_allclose(f.m_rows(dic, [x])[0], direct)
 
 
