@@ -1,5 +1,7 @@
 """Debiased ML estimation of linear functionals with regularized Riesz representers."""
 
+import ctypes
+
 from .dictionaries import (
     Dataset,
     Dictionary,
@@ -45,6 +47,30 @@ from .simulation import (
     run_monte_carlo,
     true_theta_info,
 )
+
+
+def _pin_malloc_thresholds():
+    """Keep freed arrays of up to 32 MiB in the heap instead of returning them to the kernel.
+
+    glibc's dynamic thresholds settle near the largest chunk freed so far,
+    below the n x p arrays of one replication, so each replication would
+    fault its pages in afresh.  The values are where glibc's own dynamic
+    rule ends up on 64-bit: its mmap ceiling, and twice that for trimming.
+    Where ``mallopt`` is missing (macOS, Windows) or refuses a value (musl,
+    32-bit glibc), the allocator is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+    if mallopt(M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
+_pin_malloc_thresholds()
 
 __version__ = "0.1.0"
 

@@ -13,14 +13,15 @@ Values are scalars, comma-separated vectors, or semicolon-separated matrix
 rows.  A key that the command does not apply is rejected (say a
 ``dictionary.*`` key in a ``dense_decay`` study, or ``lambda_c`` with a
 ``fixed`` lambda rule), so the ``config`` echoed in the JSON output holds
-only applied keys.  Exit codes: 0 success, 2 configuration error (the
-message names the offending key or flag), 3 RMD infeasibility,
-4 solver failure (the simplex hit its iteration limit or numerical trouble,
-or its optimum failed the feasibility or duality-gap certificate).  Errors
-are printed as single-line JSON on stderr.  The result goes to stdout first,
-then to the ``--output`` and ``--csv`` files, so a file that cannot be
-written fails the run (exit 2) after stdout was written.  Non-finite numbers
-are written as null.
+only applied keys.  Exit codes: 0 success, 2 configuration or usage error
+(the message names the offending key or flag, such as a missing ``--data``),
+3 RMD infeasibility, 4 solver failure (the simplex hit its iteration limit or
+numerical trouble, or its optimum failed the feasibility or duality-gap
+certificate).  Errors, usage errors included, are printed as single-line
+JSON on stderr; ``--help`` prints usage on stdout and exits 0.  The result
+goes to stdout first, then to the ``--output`` and ``--csv`` files, so a
+file that cannot be written fails the run (exit 2) after stdout was
+written.  Non-finite numbers are written as null.
 """
 
 from __future__ import annotations
@@ -369,8 +370,11 @@ def cmd_simulate(args):
     if n < 2 * est.K:
         raise ConfigError(f"simulation.n must be >= 2K for K = {est.K} folds", key="simulation.n")
     seed = get_seed(cfg)
+    workers = cfg.get_int("simulation.workers")
+    if workers is not None and workers < 1:
+        raise ConfigError("simulation.workers must be >= 1", key="simulation.workers")
     try:
-        workers = resolve_workers(cfg.get_int("simulation.workers"))
+        workers = resolve_workers(workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     cfg.reject_unread("simulate")
@@ -401,8 +405,15 @@ def cmd_rmd_solve(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors (exit 2, one JSON line)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rieszdml",
         description="Debiased estimation of linear functionals with regularized Riesz representers.",
     )
@@ -431,13 +442,11 @@ def build_parser():
 
 
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help has printed usage to stdout
+        return int(exc.code or 0)
     except ConfigError as exc:
         err = {"error": str(exc)}
         if exc.key:

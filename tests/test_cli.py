@@ -44,6 +44,27 @@ def error_line(err):
     return payload
 
 
+# -- usage ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, named", [
+    (["estimate", "--config", EXAMPLE_CFG], "the following arguments are required: --data"),
+    (["rmd-solve", "--g-matrix", "G.txt", "--m-vector", "M.txt", "--lambda", "abc"],
+     "argument --lambda: invalid float value: 'abc'"),
+    (["fit", "--config", EXAMPLE_CFG], "invalid choice: 'fit'"),
+], ids=["missing-data", "lambda-not-a-number", "unknown-subcommand"])
+def test_usage_error_is_one_json_line(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert named in payload["error"] and "key" not in payload, payload
+
+
+def test_help_prints_usage_on_stdout(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: rieszdml estimate") and "--data DATA" in out
+
+
 # -- rmd-solve -------------------------------------------------------------------
 
 def test_rmd_solve_large_lambda_zero(tmp_path, capsys):
@@ -573,13 +594,17 @@ def test_rmd_solve_unwritable_output_is_config_error(tmp_path, capsys):
     assert "--output" in error_line(err)["error"]
 
 
-def test_simulate_rejects_zero_replications(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("replications", "0"), ("workers", "0"),
+                                        ("workers", "-1")],
+                         ids=["replications=0", "workers=0", "workers=-1"])
+def test_simulate_rejects_zero_replications(tmp_path, capsys, key, value):
     cfg = tmp_path / "sim.cfg"
     simulate_cfg(tmp_path)
-    cfg.write_text(cfg.read_text().replace("replications = 3", "replications = 0"))
+    line = {"replications": "simulation.replications = 3\n", "workers": "simulation.workers = 1\n"}
+    cfg.write_text(cfg.read_text().replace(line[key], f"simulation.{key} = {value}\n"))
     code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert error_line(err)["key"] == "simulation.replications"
+    assert error_line(err)["key"] == f"simulation.{key}"
 
 
 def test_simulate_rejects_n_below_2k(tmp_path, capsys):

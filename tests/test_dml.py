@@ -1,6 +1,12 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import rieszdml
 from rieszdml import (
     AverageDerivative,
     AverageTreatmentEffect,
@@ -400,6 +406,44 @@ def test_ate_riesz_fit_evaluates_inner_dictionary_once():
     rows = np.arange(0, data.n, 2)
     estimate_riesz(data, rows, dic, AverageTreatmentEffect(0), LambdaRule.fixed(0.05))
     assert (inner.calls, inner.rows) == (1, rows.size)
+
+
+# Two identical n = 8000 ate_logistic estimates in a fresh interpreter; prints
+# the minor page faults of the second.  Its n x p arrays are larger than
+# glibc's dynamic malloc thresholds settle at, so unless the thresholds are
+# pinned each estimate faults about 2000 fresh pages in.
+_REPEATED_ESTIMATE = """
+import resource
+import numpy as np
+from rieszdml import (AteLogisticDgp, AverageTreatmentEffect, PolynomialDictionary,
+                      TreatmentInteractedDictionary, dml_estimate)
+from rieszdml.rmd import LambdaRule
+
+z_coefs = np.zeros(19)
+z_coefs[:3] = [0.8, -0.6, 0.4]
+dgp = AteLogisticDgp(d_z=19, outcome_coefs=z_coefs, tau=1.0, propensity_coefs=0.75 * z_coefs)
+data = dgp.generate(8000, seed=3)
+dic = TreatmentInteractedDictionary(PolynomialDictionary(19, degree=1), treatment_index=0)
+thetas = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    thetas.append(dml_estimate(data, dic, AverageTreatmentEffect(0), K=5,
+                               rule=LambdaRule.gaussian_quantile(), seed=4).theta_hat)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+assert thetas[0] == thetas[1], thetas
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds that rieszdml pins are glibc's")
+def test_repeated_estimate_reuses_freed_pages():
+    src = os.path.dirname(os.path.dirname(rieszdml.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_ESTIMATE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200, proc.stdout
 
 
 def test_dml_k2_vs_k5_coverage():
