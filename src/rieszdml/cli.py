@@ -359,6 +359,9 @@ def cmd_simulate(args):
         except ValueError as exc:  # the study has no functional.* key to blame
             raise ConfigError(str(exc), key="dictionary.kind") from None
     else:
+        if cfg.raw("functional.type") == "ate":  # a study has no data.treatment to name
+            raise ConfigError("functional.type = ate needs the ATE study, "
+                              "simulation.dgp = ate_logistic", key="functional.type")
         dictionary = dgp.dictionary
         functional = build_functional(cfg, dictionary.input_dim)
     est = build_estimator(cfg, dictionary, functional)

@@ -6,8 +6,8 @@ The orthogonal score is
 
 whose root over a fold is available in closed form because psi is linear in
 theta.  Every term of psi comes from two per-observation arrays, B = b(X)
-and Mx = m(X, b), which every caller here gets through ``_features`` from the
-functional's one ``features(dictionary, X)`` method.
+and Mx = m(X, b), which every caller here gets from the functional's one
+``features(dictionary, X)`` method.
 
 The nuisances on a fold complement A see the data only through the row sums
 sum b b', sum Y b and sum m(X, b), which add across folds.  ``dml_estimate``
@@ -26,7 +26,6 @@ Replication-level parallelism lives in the simulation module.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 from statistics import NormalDist
@@ -52,7 +51,6 @@ class FoldPlan:
 
     K: int
     assignments: np.ndarray  # fold ids in 1..K
-    seed: int
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=int)
@@ -86,17 +84,10 @@ def make_fold_plan(n, K, seed):
     edges = np.linspace(0, n, K + 1).astype(int)
     for k in range(K):
         assignments[perm[edges[k]:edges[k + 1]]] = k + 1
-    return FoldPlan(K=K, assignments=assignments, seed=seed)
+    return FoldPlan(K=K, assignments=assignments)
 
 
 # -- score function and derivatives -----------------------------------------
-
-def _features(X, dictionary, functional):
-    """(B, Mx): b(x_i) and m(x_i, b) stacked over the rows of X."""
-    if X.shape[0] == 0:
-        raise ValueError("empty row index set")
-    return functional.features(dictionary, X)
-
 
 def _fold_contributions(B, Mx, y, beta, rho):
     """Per-row m'beta + rho'b (y - b'beta); psi = theta minus this."""
@@ -116,7 +107,7 @@ def _derivative_sums(sums, beta, rho):
 def _point_features(w, dictionary, functional):
     """(B, Mx, y) as one-row arrays for the single observation w = (y, x)."""
     y, x = w
-    B, Mx = _features(np.asarray(x, dtype=float).reshape(1, -1), dictionary, functional)
+    B, Mx = functional.features(dictionary, np.asarray(x, dtype=float).reshape(1, -1))
     return B, Mx, np.array([y], dtype=float)
 
 
@@ -171,7 +162,6 @@ class DmlResult:
     alpha: float
     K: int
     n: int
-    per_fold_theta: np.ndarray
     per_fold: list
     orthogonality: tuple  # (sup|E_n d_beta psi|, sup|E_n d_rho psi|)
     lambda_used: dict  # {"blp": ..., "riesz": ...} (per-fold means)
@@ -280,7 +270,7 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
     order = np.concatenate(fold_rows)
     edges = [0, *accumulate(rows.size for rows in fold_rows)]
     folds = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    B, Mx = _features(data.covariates[order], dictionary, functional)
+    B, Mx = functional.features(dictionary, data.covariates[order])
     y = data.outcome[order]
     blocks = [gram_and_moments(B[f], y[f], Mx[f]) for f in folds]
 
@@ -301,8 +291,7 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
         d_beta_sum += d_beta
         d_rho_sum += d_rho
 
-    per_fold_theta = np.array([rec.theta for rec in records])
-    theta_hat = float(per_fold_theta.mean())
+    theta_hat = float(np.mean([rec.theta for rec in records]))
     psi = theta_hat - contribs
     sigma_hat = float(np.sqrt(np.mean(psi ** 2)))
 
@@ -328,7 +317,6 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
         alpha=alpha,
         K=K,
         n=n,
-        per_fold_theta=per_fold_theta,
         per_fold=records,
         orthogonality=orthogonality,
         lambda_used=lambda_used,
@@ -337,25 +325,12 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
     )
 
 
-def orthogonality_report(data, dictionary, functional, beta_hat, rho_hat,
-                         rows=None, lambda_blp=None, lambda_riesz=None):
+def orthogonality_report(data, dictionary, functional, beta_hat, rho_hat):
     """Sup-norms of the averaged score derivatives at (beta_hat, rho_hat).
 
-    Returns (||E_n d_beta psi||_inf, ||E_n d_rho psi||_inf) over the given
-    rows (all rows by default).  When the lambdas used in the RMD fits are
-    supplied, a diagnostic warning (not an error) is emitted if a sup-norm
-    exceeds its lambda plus a 2-lambda sampling slack.
+    Returns (||E_n d_beta psi||_inf, ||E_n d_rho psi||_inf) over all rows of
+    ``data``.
     """
-    if rows is None:
-        rows = np.arange(data.n)
-    rows = np.asarray(rows, dtype=int)
-    B, Mx = _features(data.covariates[rows], dictionary, functional)
-    d_beta, d_rho = _derivative_sums(gram_and_moments(B, data.outcome[rows], Mx),
-                                     beta_hat, rho_hat)
-    d_beta_sup = float(np.abs(d_beta / rows.size).max())
-    d_rho_sup = float(np.abs(d_rho / rows.size).max())
-    for name, sup, lam in (("d_beta", d_beta_sup, lambda_riesz), ("d_rho", d_rho_sup, lambda_blp)):
-        if lam is not None and sup > 3.0 * lam + 1e-7:
-            warnings.warn(f"averaged {name} psi sup-norm {sup:.3g} exceeds lambda + slack "
-                          f"({lam:.3g} + {2 * lam:.3g})", stacklevel=2)
-    return d_beta_sup, d_rho_sup
+    B, Mx = functional.features(dictionary, data.covariates)
+    d_beta, d_rho = _derivative_sums(gram_and_moments(B, data.outcome, Mx), beta_hat, rho_hat)
+    return float(np.abs(d_beta / data.n).max()), float(np.abs(d_rho / data.n).max())

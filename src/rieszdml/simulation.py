@@ -7,7 +7,7 @@ Three DGP families:
 * ``AteLogisticDgp``   -- binary treatment with logistic propensity (index
   clipped so the propensity stays inside [0.05, 0.95]) and additive effect:
   Y = tau D + Z'outcome_coefs + noise.
-* ``DenseDecayDgp``    -- dense regression: coefficients j^(-decay) over all
+* ``dense_decay_dgp``  -- dense regression: coefficients j^(-decay) over all
   non-constant elements of a degree-2 polynomial dictionary, X standard
   normal.  The Riesz representer of a coordinate average derivative stays
   sparse here (the Gaussian score direction is a basis element), which is
@@ -37,14 +37,13 @@ from .rmd import LambdaRule, RmdInfeasibleError, SolverError
 
 
 _LOGIT_BOUND = float(np.log(0.95 / 0.05))  # propensity clipped to [0.05, 0.95]
+_MC_SEED = 202_406  # the Monte Carlo oracle of true_theta_info draws from this seed
 
 
 def _draw_x(rng, n, d, x_dist):
     if x_dist == "normal":
         return rng.standard_normal((n, d))
-    if x_dist == "uniform":
-        return rng.uniform(-1.0, 1.0, size=(n, d))
-    raise ValueError(f"unknown x_dist {x_dist!r}")
+    return rng.uniform(-1.0, 1.0, size=(n, d))
 
 
 def _require_finite(name, value):
@@ -118,10 +117,6 @@ class AteLogisticDgp:
         index = np.clip(Z @ self.propensity_coefs, -_LOGIT_BOUND, _LOGIT_BOUND)
         return 1.0 / (1.0 + np.exp(-index))
 
-    def gamma_values(self, X):
-        # covariate layout: (D, Z)
-        return self.tau * X[:, 0] + X[:, 1:] @ self.outcome_coefs
-
     def generate(self, n, seed):
         if n < 2:
             raise ValueError("need n >= 2")
@@ -173,9 +168,7 @@ def _moment(x_dist, g):
         for k in range(g - 1, 0, -2):
             out *= k
         return out
-    if x_dist == "uniform":
-        return 1.0 / (g + 1.0)
-    raise ValueError(f"unknown x_dist {x_dist!r}")
+    return 1.0 / (g + 1.0)
 
 
 def _mean_directional_derivative(dictionary, x_dist, a):
@@ -184,14 +177,12 @@ def _mean_directional_derivative(dictionary, x_dist, a):
     if isinstance(dictionary, IdentityDictionary):
         return a.copy()
     if isinstance(dictionary, PolynomialDictionary):
+        # a pair column x_j x_k averages a_j E[X_k] + a_k E[X_j] = 0 under both laws
         out = np.zeros(dictionary.output_dim)
         for col, term in enumerate(dictionary.terms):
             if term[0] == "pow":
                 _, k, g = term
                 out[col] = a[k] * g * _moment(x_dist, g - 1)
-            elif term[0] == "pair":
-                _, j, k = term
-                out[col] = a[j] * _moment(x_dist, 1) + a[k] * _moment(x_dist, 1)
         return out
     if isinstance(dictionary, FourierDictionary):
         # E[sin(j pi X)] = 0, so the cos columns average to 0; the sin(j pi x_k)
@@ -205,7 +196,7 @@ def _mean_directional_derivative(dictionary, x_dist, a):
     return None
 
 
-def true_theta_info(dgp, functional, mc_draws=10_000_000, mc_seed=202_406):
+def true_theta_info(dgp, functional, mc_draws=10_000_000):
     """The target E m(X, gamma*) with its provenance.
 
     Analytic where available (an average derivative on a polynomial, Fourier
@@ -234,7 +225,7 @@ def true_theta_info(dgp, functional, mc_draws=10_000_000, mc_seed=202_406):
 
     if dgp.d == 1:
         return TrueTheta(_quadrature(dgp, functional), 0.0, "quadrature")
-    rng = np.random.default_rng(mc_seed)
+    rng = np.random.default_rng(_MC_SEED)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -341,7 +332,9 @@ def _replicate(task):
 
 
 def resolve_workers(requested=None):
-    """Worker count, capped by RIESZ_DML_THREADS (default: available parallelism)."""
+    """Worker count, capped by RIESZ_DML_THREADS (default, and for None: available parallelism)."""
+    if requested is not None and requested < 1:
+        raise ValueError(f"need workers >= 1, got {requested}")
     env = os.environ.get("RIESZ_DML_THREADS")
     try:
         cap = int(env) if env is not None else (os.cpu_count() or 1)
@@ -350,7 +343,7 @@ def resolve_workers(requested=None):
     cap = max(1, cap)
     if requested is None:
         return cap
-    return max(1, min(int(requested), cap))
+    return min(int(requested), cap)
 
 
 def run_monte_carlo(dgp, est, R, n, seed, workers=None, config_echo=None):

@@ -129,7 +129,7 @@ def test_estimate_matches_golden(capsys):
                            "--config", EXAMPLE_CFG)
     assert code == 0
     got = json.loads(out)
-    golden = json.load(open(GOLDEN))
+    golden = json.loads(pathlib.Path(GOLDEN).read_text())
     assert np.isfinite(got["theta_hat"])
     assert got["theta_hat"] == pytest.approx(golden["theta_hat"], rel=1e-9)
     assert got["ci"][0] == pytest.approx(golden["ci"][0], rel=1e-9)
@@ -143,7 +143,7 @@ def test_estimate_config_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     cfg_lines = {}
-    for line in open(EXAMPLE_CFG):
+    for line in pathlib.Path(EXAMPLE_CFG).read_text().splitlines():
         body = line.split("#", 1)[0].strip()
         if body:
             k, v = body.split("=", 1)
@@ -367,6 +367,73 @@ def test_ragged_transport_matrix_names_its_key(tmp_path, capsys):
     assert error_line(err)["key"] == "functional.transport_s"
 
 
+# -- input errors: each is exit 2 with one JSON line, keyed where a key is to blame
+
+@pytest.mark.parametrize("text, message, key", [
+    ("data.outcome = y\nseed 7\n", ":2: expected 'key = value'", None),
+    ("seed = 1\ndata.outcome = y\nseed = 2\n", ":3: duplicate config key 'seed'", "seed"),
+], ids=["line_without_equals", "duplicate_key"])
+def test_malformed_config_line_is_config_error(tmp_path, capsys, text, message, key):
+    cfg = write(tmp_path / "c.cfg", text)
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["error"].startswith(cfg + message), payload
+    assert payload.get("key") == key
+
+
+def test_unreadable_config_path_is_config_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", missing)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["error"].startswith(f"cannot read config file {missing}") and "key" not in payload
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty CSV file"),
+    ("y,x1,x2\n", "no data rows"),
+    ("y,x1,x2\n1,2,3\n4,5\n", ":3: expected 3 cells, got 2"),
+], ids=["empty", "header_only", "ragged_row"])
+def test_malformed_data_file_is_config_error(tmp_path, capsys, text, message):
+    cfg = write(tmp_path / "c.cfg", "\n".join([
+        "dictionary.kind = identity",
+        "functional.type = average_derivative",
+        "functional.direction = 1,0",
+        "data.outcome = y",
+    ]))
+    data = write(tmp_path / "d.csv", text)
+    code, out, err = run_cli(capsys, "estimate", "--data", data, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert message in payload["error"] and data in payload["error"] and "key" not in payload
+
+
+def test_blank_data_lines_are_skipped(tmp_path, capsys):
+    header, *rows = pathlib.Path(EXAMPLE_CSV).read_text().splitlines()
+    gappy = write(tmp_path / "gappy.csv", "\n".join([header, "", *rows[:150], "  ", *rows[150:], ""]))
+    outs = [run_cli(capsys, "estimate", "--data", path, "--config", EXAMPLE_CFG)
+            for path in (EXAMPLE_CSV, gappy)]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+def test_zero_l1_bound_names_its_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", {**example_entries(), "estimator.l1_bound": "0"})
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "estimator.l1_bound" and "positive" in payload["error"]
+
+
+def test_estimate_ate_without_treatment_names_data_treatment(tmp_path, capsys):
+    entries = example_entries()
+    del entries["data.treatment"]
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
+                             "--config", write_cfg(tmp_path / "c.cfg", entries))
+    assert code == 2 and out == ""
+    assert error_line(err)["key"] == "data.treatment"
+
+
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
 @pytest.mark.parametrize("settings_, key", [
     ({"estimator.lambda_c": "-1"}, "estimator.lambda_c"),
@@ -515,8 +582,8 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert 0.0 <= payload["coverage"] <= 1.0
     assert payload["config"]["simulation.dgp"] == "sparse_linear"
     # file output matches stdout bytes
-    assert open(json_out).read() == out
-    lines = open(csv_out).read().strip().split("\n")
+    assert pathlib.Path(json_out).read_text() == out
+    lines = pathlib.Path(csv_out).read_text().strip().split("\n")
     assert len(lines) == 4  # header + 3 reps
     assert lines[0].startswith("rep,status,theta_hat")
 
@@ -726,6 +793,51 @@ def test_ate_study_without_interacted_dictionary_names_dictionary_kind(tmp_path,
     assert code == 2 and out == ""
     payload = error_line(err)
     assert payload["key"] == "dictionary.kind" and "treatment-interacted" in payload["error"]
+
+
+@pytest.mark.parametrize("base", [_STUDY, _DENSE], ids=["sparse_linear", "dense_decay"])
+def test_simulate_ate_outside_the_ate_study_names_functional_type(tmp_path, capsys, base):
+    # simulate applies no data.* key, so the error cannot name data.treatment
+    entries = {**base, "functional.type": "ate"}
+    del entries["functional.direction"]
+    code, out, err = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path / "c.cfg", entries))
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "functional.type"
+    assert "simulation.dgp = ate_logistic" in payload["error"]
+
+
+# gamma(x) = x^2 on d = 1: the shift x -> 0.9 x + 0.3 has
+# E[(0.9 X + 0.3)^2 - X^2] = 0.81 + 0.09 - 1 = -0.1 under N(0, 1)
+_SHIFT_STUDY = {**_STUDY, "simulation.d": "1", "simulation.beta_star": "0,0,1",
+                "dictionary.degree": "2", "functional.type": "policy_shift"}
+del _SHIFT_STUDY["functional.direction"]
+
+
+@pytest.mark.parametrize("transport, value, method", [
+    ({"functional.transport_s": "0.9", "functional.transport_c": "0.3"}, -0.1, "quadrature"),
+    ({}, 0.0, "analytic"),
+], ids=["explicit", "identity_default"])
+def test_simulate_policy_shift_from_config(tmp_path, capsys, transport, value, method):
+    entries = {**_SHIFT_STUDY, **transport}
+    code, out, err = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path / "c.cfg", entries))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["theta_star_method"] == method and payload["failures"] == 0
+    assert payload["theta_star"] == pytest.approx(value, rel=0, abs=1e-10)
+    assert payload["config"] == entries
+
+
+def test_simulate_uniform_polynomial_average_derivative(tmp_path, capsys):
+    # gamma(x) = x_1^3 over U[-1, 1]^2: E[3 X_1^2] = 1 (3 under N(0, I))
+    entries = {**_STUDY, "simulation.d": "2", "simulation.x_dist": "uniform",
+               "simulation.beta_star": "0,0,0,0,0,1,0", "dictionary.degree": "3",
+               "functional.direction": "1,0"}
+    code, out, err = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path / "c.cfg", entries))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["theta_star_method"] == "analytic" and payload["theta_star"] == 1.0
+    assert payload["failures"] == 0 and np.isfinite(payload["bias"])
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])

@@ -165,6 +165,23 @@ def test_true_theta_rejects_mismatched_pairs():
         true_theta_info(ate_dgp(), AverageDerivative(np.array([1.0, 0.0, 0.0, 0.0])))
 
 
+@pytest.mark.parametrize("x_dist", ["normal", "uniform"])
+def test_true_theta_interaction_columns_match_monte_carlo(x_dist):
+    # every column of a degree-3 dictionary with interactions carries weight;
+    # a pair column x_j x_k has mean derivative a_j E[X_k] + a_k E[X_j] = 0
+    dic = PolynomialDictionary(3, degree=3, with_interactions=True)
+    assert sum(term[0] == "pair" for term in dic.terms) == 3
+    beta = np.linspace(-1.0, 1.5, dic.output_dim)
+    f = AverageDerivative(np.array([1.0, -0.5, 0.3]))
+    info = true_theta_info(SparseLinearDgp(dic, beta, x_dist, 1.0), f)
+    assert info.method == "analytic"
+    rng = np.random.default_rng(7)
+    n = 400_000
+    X = rng.standard_normal((n, 3)) if x_dist == "normal" else rng.uniform(-1, 1, (n, 3))
+    vals = f.m_rows(dic, X) @ beta
+    assert abs(info.value - vals.mean()) <= 4.0 * vals.std() / np.sqrt(n)
+
+
 # -- true Riesz representers ------------------------------------------------------
 
 def test_true_riesz_ate_inverse_propensity():
@@ -224,7 +241,8 @@ def test_doubly_robust_identity_ate():
     X = data.covariates
     f = AverageTreatmentEffect(0)
     alpha = true_riesz_rows(dgp, f, X)
-    vals = alpha * (data.outcome - dgp.gamma_values(X)) + dgp.tau
+    gamma = dgp.tau * X[:, 0] + X[:, 1:] @ dgp.outcome_coefs  # covariates are (D, Z)
+    vals = alpha * (data.outcome - gamma) + dgp.tau
     se = vals.std() / np.sqrt(data.n)
     assert abs(vals.mean() - 1.0) <= 4.0 * se
 
@@ -346,6 +364,13 @@ def test_env_var_caps_workers(monkeypatch):
     assert resolve_workers() == 1
     monkeypatch.setenv("RIESZ_DML_THREADS", "4")
     assert resolve_workers(2) == 2
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_monte_carlo_rejects_worker_count_below_one(workers):
+    dgp = sparse_linear()
+    with pytest.raises(ValueError, match=f"got {workers}"):
+        run_monte_carlo(dgp, quick_estimator(dgp), R=2, n=40, seed=1, workers=workers)
 
 
 def test_riesz_fit_mse_decreases_with_n():
