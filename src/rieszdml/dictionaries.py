@@ -2,13 +2,14 @@
 
 Four families are provided:
 
-* ``PolynomialDictionary`` -- constant, per-coordinate powers and (optionally)
-  pairwise interactions, ordered constant first, then by total degree
-  (within degree 2: squares in coordinate order, then products x_j x_k with
-  j < k lexicographic).
-* ``FourierDictionary`` -- constant, then cos/sin pairs per coordinate, per
-  frequency: (1, cos(pi x_k), sin(pi x_k), cos(2 pi x_k), ...).  Inputs are
-  assumed pre-scaled to [-1, 1]; no rescaling happens here.
+* ``PolynomialDictionary`` -- the constant, then one block of d columns
+  x_1^g, ..., x_d^g per degree g (``power_columns(g)``).  With interactions
+  the products x_j x_k, j < k lexicographic, sit between the squares and the
+  cubes (``pair_columns(j)`` holds those of x_j).
+* ``FourierDictionary`` -- the constant, then per coordinate k and per
+  frequency j the pair cos(j pi x_k), sin(j pi x_k); ``cos_sin`` views these
+  columns as (d, order, 2).  Inputs are assumed pre-scaled to [-1, 1]; no
+  rescaling happens here.
 * ``IdentityDictionary`` -- b(x) = x.
 * ``TreatmentInteractedDictionary`` -- b(x) = (b_in(z), t * b_in(z)) where t
   is the (binary) treatment coordinate and z the remaining coordinates.
@@ -71,47 +72,43 @@ class PolynomialDictionary(Dictionary):
         self.input_dim = int(input_dim)
         self.degree = int(degree)
         self.with_interactions = bool(with_interactions)
+        self.output_dim = self.power_columns(self.degree + 1).start  # one past the last column
+
+    def power_columns(self, g):
+        """The columns of x_1^g, ..., x_d^g."""
         d = self.input_dim
-        # terms: ("const",), ("pow", k, g), ("pair", j, k)
-        terms = [("const",)]
-        for g in range(1, self.degree + 1):
-            for k in range(d):
-                terms.append(("pow", k, g))
-            if g == 2 and self.with_interactions:
-                for j in range(d):
-                    for k in range(j + 1, d):
-                        terms.append(("pair", j, k))
-        self.terms = tuple(terms)
-        self.output_dim = len(terms)
+        pairs = d * (d - 1) // 2 if self.with_interactions and g > 2 else 0
+        start = 1 + d * (g - 1) + pairs
+        return slice(start, start + d)
+
+    def pair_columns(self, j):
+        """The columns of x_j x_k for k = j + 1, ..., d - 1 (with interactions only)."""
+        d = self.input_dim
+        start = self.power_columns(2).stop + j * (2 * d - j - 1) // 2
+        return slice(start, start + d - 1 - j)
 
     def evaluate_rows(self, X):
         X = _check_rows(X, self.input_dim)
-        n = X.shape[0]
-        out = np.empty((n, self.output_dim))
-        for col, term in enumerate(self.terms):
-            if term[0] == "const":
-                out[:, col] = 1.0
-            elif term[0] == "pow":
-                _, k, g = term
-                out[:, col] = X[:, k] ** g
-            else:
-                _, j, k = term
-                out[:, col] = X[:, j] * X[:, k]
+        out = np.empty((X.shape[0], self.output_dim))
+        out[:, 0] = 1.0
+        for g in range(1, self.degree + 1):
+            np.power(X, g, out=out[:, self.power_columns(g)])
+        if self.with_interactions:
+            for j in range(self.input_dim - 1):
+                np.multiply(X[:, j:j + 1], X[:, j + 1:], out=out[:, self.pair_columns(j)])
         return out
 
     def directional_gradient_rows(self, X, a):
         X = _check_rows(X, self.input_dim)
         a = np.asarray(a, dtype=float)
-        n = X.shape[0]
-        out = np.zeros((n, self.output_dim))
-        for col, term in enumerate(self.terms):
-            if term[0] == "pow":
-                _, k, g = term
-                if a[k] != 0.0:
-                    out[:, col] = a[k] * g * X[:, k] ** (g - 1)
-            elif term[0] == "pair":
-                _, j, k = term
-                out[:, col] = a[j] * X[:, k] + a[k] * X[:, j]
+        out = np.zeros((X.shape[0], self.output_dim))
+        moving = np.flatnonzero(a)  # the power columns of a zero a_k stay +0.0
+        for g in range(1, self.degree + 1):
+            out[:, self.power_columns(g).start + moving] = a[moving] * g * X[:, moving] ** (g - 1)
+        if self.with_interactions:
+            for j in range(self.input_dim - 1):
+                np.add(a[j] * X[:, j + 1:], a[j + 1:] * X[:, j:j + 1],
+                       out=out[:, self.pair_columns(j)])
         return out
 
 
@@ -125,38 +122,33 @@ class FourierDictionary(Dictionary):
         self.order = int(order)
         self.output_dim = 1 + 2 * self.input_dim * self.order
 
-    def _freqs(self):
-        # columns after the constant: for k in coords, for j in 1..order:
-        # cos(j pi x_k), sin(j pi x_k)
-        for k in range(self.input_dim):
-            for j in range(1, self.order + 1):
-                yield k, j
+    def frequencies(self):
+        """The angular frequencies pi, 2 pi, ..., order pi."""
+        return np.arange(1, self.order + 1) * np.pi
+
+    def cos_sin(self, out):
+        """A view of the columns of ``out`` after the constant, shaped (..., d, order, 2)."""
+        return out[..., 1:].reshape(*out.shape[:-1], self.input_dim, self.order, 2)
 
     def evaluate_rows(self, X):
         X = _check_rows(X, self.input_dim)
-        n = X.shape[0]
-        out = np.empty((n, self.output_dim))
+        out = np.empty((X.shape[0], self.output_dim))
         out[:, 0] = 1.0
-        col = 1
-        for k, j in self._freqs():
-            arg = j * np.pi * X[:, k]
-            out[:, col] = np.cos(arg)
-            out[:, col + 1] = np.sin(arg)
-            col += 2
+        arg = X[:, :, np.newaxis] * self.frequencies()
+        cs = self.cos_sin(out)
+        np.cos(arg, out=cs[..., 0])
+        np.sin(arg, out=cs[..., 1])
         return out
 
     def directional_gradient_rows(self, X, a):
         X = _check_rows(X, self.input_dim)
         a = np.asarray(a, dtype=float)
-        n = X.shape[0]
-        out = np.zeros((n, self.output_dim))
-        col = 1
-        for k, j in self._freqs():
-            w = j * np.pi
-            arg = w * X[:, k]
-            out[:, col] = -a[k] * w * np.sin(arg)
-            out[:, col + 1] = a[k] * w * np.cos(arg)
-            col += 2
+        out = np.zeros((X.shape[0], self.output_dim))
+        w = self.frequencies()
+        arg = X[:, :, np.newaxis] * w
+        cs = self.cos_sin(out)
+        np.multiply(np.outer(-a, w), np.sin(arg), out=cs[..., 0])
+        np.multiply(np.outer(a, w), np.cos(arg), out=cs[..., 1])
         return out
 
 
@@ -188,7 +180,8 @@ class TreatmentInteractedDictionary(Dictionary):
     def _split_rows(self, X):
         X = _check_rows(X, self.input_dim)
         t = X[:, self.treatment_index]
-        z = np.delete(X, self.treatment_index, axis=1)
+        # a leading treatment leaves z a view: one n x d copy fewer per call
+        z = X[:, 1:] if self.treatment_index == 0 else np.delete(X, self.treatment_index, axis=1)
         return t, z
 
     def evaluate_rows(self, X):
@@ -274,7 +267,8 @@ def load_csv(path, outcome, treatment=None, standardize=False):
 
     The column named ``outcome`` becomes Y; all remaining columns become
     covariates in header order; ``treatment`` optionally names the binary
-    treatment column.  Any non-numeric cell is a parse failure.
+    treatment column.  A header that names a column twice, or any
+    non-numeric cell, is a parse failure.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -283,6 +277,9 @@ def load_csv(path, outcome, treatment=None, standardize=False):
         except StopIteration:
             raise ValueError(f"empty CSV file: {path}") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            name = next(h for i, h in enumerate(header) if h in header[:i])
+            raise ValueError(f"{path}: column {name!r} is named more than once in the header")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and row[0].strip() == ""):

@@ -179,19 +179,17 @@ def _mean_directional_derivative(dictionary, x_dist, a):
     if isinstance(dictionary, PolynomialDictionary):
         # a pair column x_j x_k averages a_j E[X_k] + a_k E[X_j] = 0 under both laws
         out = np.zeros(dictionary.output_dim)
-        for col, term in enumerate(dictionary.terms):
-            if term[0] == "pow":
-                _, k, g = term
-                out[col] = a[k] * g * _moment(x_dist, g - 1)
+        for g in range(1, dictionary.degree + 1):
+            out[dictionary.power_columns(g)] = a * g * _moment(x_dist, g - 1)
         return out
     if isinstance(dictionary, FourierDictionary):
-        # E[sin(j pi X)] = 0, so the cos columns average to 0; the sin(j pi x_k)
-        # columns 2, 4, ... (k-major) average to a_k j pi E[cos(j pi X)], where
-        # E[cos(j pi X)] is e^{-j^2 pi^2 / 2} under N(0, 1) and exactly 0 under U[-1, 1]
+        # E[sin(j pi X)] = 0, so the cos columns average to 0; sin(j pi x_k) averages
+        # to a_k j pi E[cos(j pi X)], where E[cos(j pi X)] is e^{-j^2 pi^2 / 2} under
+        # N(0, 1) and exactly 0 under U[-1, 1]
         out = np.zeros(dictionary.output_dim)
         if x_dist == "normal":
-            w = np.pi * np.arange(1, dictionary.order + 1)
-            out[2::2] = np.outer(a, w * np.exp(-w ** 2 / 2)).ravel()
+            w = dictionary.frequencies()
+            dictionary.cos_sin(out)[..., 1] = np.outer(a, w * np.exp(-w ** 2 / 2))
         return out
     return None
 

@@ -6,6 +6,10 @@ feasible basis exists).  It shares no code with the simplex backend.
 
 ``true_riesz_rows`` is the closed-form Riesz representer of the simulation
 designs that have one.
+
+``PerTermPolynomialDictionary`` and ``PerTermFourierDictionary`` write one
+column per term, the way ``src/`` did before it wrote column blocks; they
+are the reference the block forms must match bit for bit.
 """
 
 from itertools import combinations
@@ -19,6 +23,7 @@ from rieszdml import (
     PolicyShift,
     SparseLinearDgp,
 )
+from rieszdml.dictionaries import Dictionary, _check_rows
 
 
 def rmd_standard_form(G, M, lam, l1_bound=np.inf):
@@ -88,6 +93,96 @@ def jacobian(dictionary, x):
     X = np.asarray(x, dtype=float)[np.newaxis, :]
     return np.column_stack([dictionary.directional_gradient_rows(X, e)[0]
                             for e in np.eye(dictionary.input_dim)])
+
+
+class PerTermPolynomialDictionary(Dictionary):
+    def __init__(self, input_dim, degree, with_interactions=False):
+        self.input_dim = int(input_dim)
+        self.degree = int(degree)
+        self.with_interactions = bool(with_interactions)
+        d = self.input_dim
+        # terms: ("const",), ("pow", k, g), ("pair", j, k)
+        terms = [("const",)]
+        for g in range(1, self.degree + 1):
+            for k in range(d):
+                terms.append(("pow", k, g))
+            if g == 2 and self.with_interactions:
+                for j in range(d):
+                    for k in range(j + 1, d):
+                        terms.append(("pair", j, k))
+        self.terms = tuple(terms)
+        self.output_dim = len(terms)
+
+    def evaluate_rows(self, X):
+        X = _check_rows(X, self.input_dim)
+        n = X.shape[0]
+        out = np.empty((n, self.output_dim))
+        for col, term in enumerate(self.terms):
+            if term[0] == "const":
+                out[:, col] = 1.0
+            elif term[0] == "pow":
+                _, k, g = term
+                out[:, col] = X[:, k] ** g
+            else:
+                _, j, k = term
+                out[:, col] = X[:, j] * X[:, k]
+        return out
+
+    def directional_gradient_rows(self, X, a):
+        X = _check_rows(X, self.input_dim)
+        a = np.asarray(a, dtype=float)
+        n = X.shape[0]
+        out = np.zeros((n, self.output_dim))
+        for col, term in enumerate(self.terms):
+            if term[0] == "pow":
+                _, k, g = term
+                if a[k] != 0.0:
+                    out[:, col] = a[k] * g * X[:, k] ** (g - 1)
+            elif term[0] == "pair":
+                _, j, k = term
+                out[:, col] = a[j] * X[:, k] + a[k] * X[:, j]
+        return out
+
+
+class PerTermFourierDictionary(Dictionary):
+    def __init__(self, input_dim, order):
+        self.input_dim = int(input_dim)
+        self.order = int(order)
+        self.output_dim = 1 + 2 * self.input_dim * self.order
+
+    def _freqs(self):
+        # columns after the constant: for k in coords, for j in 1..order:
+        # cos(j pi x_k), sin(j pi x_k)
+        for k in range(self.input_dim):
+            for j in range(1, self.order + 1):
+                yield k, j
+
+    def evaluate_rows(self, X):
+        X = _check_rows(X, self.input_dim)
+        n = X.shape[0]
+        out = np.empty((n, self.output_dim))
+        out[:, 0] = 1.0
+        col = 1
+        for k, j in self._freqs():
+            arg = j * np.pi * X[:, k]
+            out[:, col] = np.cos(arg)
+            out[:, col + 1] = np.sin(arg)
+            col += 2
+        return out
+
+    def directional_gradient_rows(self, X, a):
+        X = _check_rows(X, self.input_dim)
+        a = np.asarray(a, dtype=float)
+        n = X.shape[0]
+        out = np.zeros((n, self.output_dim))
+        col = 1
+        for k, j in self._freqs():
+            w = j * np.pi
+            arg = w * X[:, k]
+            out[:, col] = -a[k] * w * np.sin(arg)
+            out[:, col + 1] = a[k] * w * np.cos(arg)
+            col += 2
+        return out
 
 
 class NoClosedFormError(ValueError):

@@ -394,7 +394,9 @@ def test_unreadable_config_path_is_config_error(tmp_path, capsys):
     ("", "empty CSV file"),
     ("y,x1,x2\n", "no data rows"),
     ("y,x1,x2\n1,2,3\n4,5\n", ":3: expected 3 cells, got 2"),
-], ids=["empty", "header_only", "ragged_row"])
+    ("y,x,y\n1,2,3\n4,5,6\n", "column 'y' is named more than once"),
+    ("y,x,x\n1,0,1\n4,1,0\n", "column 'x' is named more than once"),
+], ids=["empty", "header_only", "ragged_row", "repeated_outcome", "repeated_covariate"])
 def test_malformed_data_file_is_config_error(tmp_path, capsys, text, message):
     cfg = write(tmp_path / "c.cfg", "\n".join([
         "dictionary.kind = identity",

@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rieszdml import (
     Dataset,
@@ -13,7 +16,12 @@ from rieszdml import (
     load_csv,
 )
 
-from oracles import fd_jacobian, jacobian
+from oracles import (
+    PerTermFourierDictionary,
+    PerTermPolynomialDictionary,
+    fd_jacobian,
+    jacobian,
+)
 
 
 def all_kinds():
@@ -136,6 +144,46 @@ def test_treatment_interacted_layout():
     dic = TreatmentInteractedDictionary(inner, treatment_index=0)
     np.testing.assert_allclose(dic.evaluate_rows(np.array([[1.0, 0.5]]))[0], [1.0, 0.5, 1.0, 0.5])
     np.testing.assert_allclose(dic.evaluate_rows(np.array([[0.0, 0.5]]))[0], [1.0, 0.5, 0.0, 0.0])
+
+
+_ENTRIES = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+_BINARY = st.sampled_from([0.0, 1.0])
+
+
+@st.composite
+def block_and_per_term(draw):
+    """A block-written dictionary and its per-term reference, both maybe treatment-interacted."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        degree = draw(st.integers(0, 4))
+        pairs = degree >= 2 and draw(st.booleans())
+        dics = [PolynomialDictionary(d, degree, pairs), PerTermPolynomialDictionary(d, degree, pairs)]
+    else:
+        order = draw(st.integers(1, 4))
+        dics = [FourierDictionary(d, order), PerTermFourierDictionary(d, order)]
+    if draw(st.booleans()):
+        t = draw(st.integers(0, d))
+        dics = [TreatmentInteractedDictionary(dic, treatment_index=t) for dic in dics]
+    return dics
+
+
+def _same_bits(a, b):
+    # array_equal alone would let -0.0 stand for +0.0
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dics=block_and_per_term(), data=st.data())
+def test_block_dictionaries_match_per_term_reference(dics, data):
+    block, ref = dics
+    assert block.output_dim == ref.output_dim
+    d = block.input_dim
+    X = data.draw(arrays(float, (data.draw(st.integers(1, 5)), d), elements=_ENTRIES))
+    if isinstance(block, TreatmentInteractedDictionary):
+        X[:, block.treatment_index] = data.draw(arrays(float, len(X), elements=_BINARY))
+    a = data.draw(arrays(float, d, elements=_ENTRIES))
+    assert _same_bits(block.evaluate_rows(X), ref.evaluate_rows(X))
+    assert _same_bits(block.directional_gradient_rows(X, a), ref.directional_gradient_rows(X, a))
 
 
 def test_evaluate_rejects_bad_input():

@@ -12,6 +12,7 @@ from rieszdml import (
     AverageTreatmentEffect,
     Dataset,
     FoldPlan,
+    FourierDictionary,
     IdentityDictionary,
     PolicyShift,
     PolynomialDictionary,
@@ -406,6 +407,33 @@ def test_ate_riesz_fit_evaluates_inner_dictionary_once():
     rows = np.arange(0, data.n, 2)
     estimate_riesz(data, rows, dic, AverageTreatmentEffect(0), LambdaRule.fixed(0.05))
     assert (inner.calls, inner.rows) == (1, rows.size)
+
+
+@pytest.mark.parametrize("K", [2, 5])
+@pytest.mark.parametrize("family", ["polynomial", "fourier", "identity", "treatment_interacted"])
+def test_complement_grams_are_exactly_symmetric(monkeypatch, family, K):
+    # each fold's G is B'B of one product plus block sums in a fixed order,
+    # so it is symmetric bit for bit, not only to rounding
+    if family == "treatment_interacted":
+        data, f = _ate_data(n=120), AverageTreatmentEffect(0)
+        dic = TreatmentInteractedDictionary(PolynomialDictionary(2, degree=2), treatment_index=0)
+    else:
+        data, _, f, _ = small_setup(n=120, p=3, seed=8)
+        dic = {"polynomial": PolynomialDictionary(3, degree=2, with_interactions=True),
+               "fourier": FourierDictionary(3, order=2),
+               "identity": IdentityDictionary(3)}[family]
+    grams = []
+    real = dml.fit_rmd
+
+    def spy(G, *args):
+        grams.append(G)
+        return real(G, *args)
+
+    monkeypatch.setattr(dml, "fit_rmd", spy)
+    dml_estimate(data, dic, f, K=K, rule=LambdaRule.fixed(0.1))
+    assert len(grams) == 2 * K
+    for G in grams:
+        assert np.array_equal(G, G.T)
 
 
 # Two identical n = 8000 ate_logistic estimates in a fresh interpreter; prints

@@ -142,7 +142,8 @@ def test_true_theta_policy_shift_monte_carlo_path():
     dic = PolynomialDictionary(2, degree=2)
     beta = np.zeros(dic.output_dim)
     beta[3] = 1.0  # gamma = x1^2 (basis: 1, x1, x2, x1^2, x2^2)
-    assert dic.terms[3] == ("pow", 0, 2)
+    assert dic.power_columns(2).start == 3
+    np.testing.assert_array_equal(dic.evaluate_rows(np.array([[3.0, 5.0]]))[0], [1, 3, 5, 9, 25])
     dgp = SparseLinearDgp(dic, beta, "normal", 1.0)
     f = PolicyShift(np.eye(2), np.array([0.1, 0.0]))
     info = true_theta_info(dgp, f, mc_draws=200_000)
@@ -170,7 +171,8 @@ def test_true_theta_interaction_columns_match_monte_carlo(x_dist):
     # every column of a degree-3 dictionary with interactions carries weight;
     # a pair column x_j x_k has mean derivative a_j E[X_k] + a_k E[X_j] = 0
     dic = PolynomialDictionary(3, degree=3, with_interactions=True)
-    assert sum(term[0] == "pair" for term in dic.terms) == 3
+    pairs = slice(dic.power_columns(2).stop, dic.power_columns(3).start)
+    np.testing.assert_array_equal(dic.evaluate_rows(np.array([[2.0, 3.0, 5.0]]))[0, pairs], [6, 10, 15])
     beta = np.linspace(-1.0, 1.5, dic.output_dim)
     f = AverageDerivative(np.array([1.0, -0.5, 0.3]))
     info = true_theta_info(SparseLinearDgp(dic, beta, x_dist, 1.0), f)
