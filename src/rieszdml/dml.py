@@ -19,15 +19,19 @@ and its own block its score-derivative sums (``_derivative_sums``).  The
 estimator is the unweighted average of the per-fold roots, with a
 cross-fitted plug-in variance and Gaussian confidence interval.
 
-Per-fold pipelines are pure and independent, so they could run concurrently;
-they are executed in fold order here, which keeps results bit-reproducible.
-Replication-level parallelism lives in the simulation module.
+Folds run in order, so results are bit-reproducible.  ``dml_estimate`` runs
+numpy's OpenBLAS on one thread, since an estimate's blocks are too small for two,
+and restores the caller's count; two threads calling it at once may leave it at 1.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -241,6 +245,31 @@ def _mean_lambda(lams):
     return float(mean)
 
 
+@cache
+def _openblas_thread_calls():
+    """(get, set) of numpy's bundled OpenBLAS thread count; no-ops where either is absent."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*.so"):
+        lib = ctypes.CDLL(str(path))
+        with suppress(AttributeError):  # a build without the 64-bit-integer symbols
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return (lambda: 0), (lambda count: None)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count."""
+    get, put = _openblas_thread_calls()
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
                  l1_bound=np.inf, alpha=0.05, seed=0, plugin_only=False, plan=None):
     """Cross-fitted estimate with standard error and Gaussian confidence interval.
@@ -264,32 +293,33 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
             raise ValueError("fold plan length does not match the dataset")
         K = plan.K
 
-    # Sort the rows by fold: fold k is the contiguous block folds[k - 1] of the
-    # sorted rows, and order maps each sorted row back to its original row.
-    fold_rows = [plan.fold_rows(k) for k in range(1, K + 1)]
-    order = np.concatenate(fold_rows)
-    edges = [0, *accumulate(rows.size for rows in fold_rows)]
-    folds = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    B, Mx = functional.features(dictionary, data.covariates[order])
-    y = data.outcome[order]
-    blocks = [gram_and_moments(B[f], y[f], Mx[f]) for f in folds]
+    with _one_blas_thread():
+        # Sort the rows by fold: fold k is the contiguous block folds[k - 1] of the
+        # sorted rows, and order maps each sorted row back to its original row.
+        fold_rows = [plan.fold_rows(k) for k in range(1, K + 1)]
+        order = np.concatenate(fold_rows)
+        edges = [0, *accumulate(rows.size for rows in fold_rows)]
+        folds = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        B, Mx = functional.features(dictionary, data.covariates[order])
+        y = data.outcome[order]
+        blocks = [gram_and_moments(B[f], y[f], Mx[f]) for f in folds]
 
-    records = []
-    contribs = np.empty(n)
-    d_beta_sum = np.zeros(B.shape[1])
-    d_rho_sum = np.zeros(B.shape[1])
-    for k, f in enumerate(folds, start=1):
-        # the other blocks added in fold order, not the total minus this one: nothing cancels
-        others = blocks[:k - 1] + blocks[k:]
-        complement = (n - (f.stop - f.start),
-                      *(sum(parts[1:], parts[0]) for parts in zip(*others)))
-        record, contrib = fit_and_score_fold(B[f], Mx[f], y[f], complement, rule, riesz_rule,
-                                             l1_bound, plugin_only, fold_id=k)
-        records.append(record)
-        contribs[order[f]] = contrib
-        d_beta, d_rho = _derivative_sums(blocks[k - 1], record.blp.t_hat, record.riesz.t_hat)
-        d_beta_sum += d_beta
-        d_rho_sum += d_rho
+        records = []
+        contribs = np.empty(n)
+        d_beta_sum = np.zeros(B.shape[1])
+        d_rho_sum = np.zeros(B.shape[1])
+        for k, f in enumerate(folds, start=1):
+            # the other blocks added in fold order, not the total minus this one: nothing cancels
+            others = blocks[:k - 1] + blocks[k:]
+            complement = (n - (f.stop - f.start),
+                          *(sum(parts[1:], parts[0]) for parts in zip(*others)))
+            record, contrib = fit_and_score_fold(B[f], Mx[f], y[f], complement, rule, riesz_rule,
+                                                 l1_bound, plugin_only, fold_id=k)
+            records.append(record)
+            contribs[order[f]] = contrib
+            d_beta, d_rho = _derivative_sums(blocks[k - 1], record.blp.t_hat, record.riesz.t_hat)
+            d_beta_sum += d_beta
+            d_rho_sum += d_rho
 
     theta_hat = float(np.mean([rec.theta for rec in records]))
     psi = theta_hat - contribs

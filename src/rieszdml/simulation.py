@@ -330,7 +330,7 @@ def _replicate(task):
 
 
 def resolve_workers(requested=None):
-    """Worker count, capped by RIESZ_DML_THREADS (default, and for None: available parallelism)."""
+    """Pool processes, not BLAS threads: at most RIESZ_DML_THREADS (default, and for None: all cores)."""
     if requested is not None and requested < 1:
         raise ValueError(f"need workers >= 1, got {requested}")
     env = os.environ.get("RIESZ_DML_THREADS")

@@ -949,3 +949,16 @@ def test_cli_import_leaves_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_estimate_stdout_does_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(rieszdml.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "rieszdml.cli", "estimate", "--data", EXAMPLE_CSV,
+                               "--config", EXAMPLE_CFG], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

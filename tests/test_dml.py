@@ -1,3 +1,4 @@
+import ctypes
 import os
 import platform
 import subprocess
@@ -326,6 +327,38 @@ def test_infeasible_fold_names_the_fold():
     with pytest.raises(RmdInfeasibleError, match="fold 1"):
         dml_estimate(data, dic, f, K=2, rule=LambdaRule.fixed(0.0),
                      l1_bound=1e-9, seed=0)
+
+
+class BlasThreadRecorder(AverageDerivative):
+    """An average derivative that records OpenBLAS's thread count when its features are taken."""
+
+    def __init__(self, direction, get_threads):
+        super().__init__(direction)
+        self.get_threads, self.seen = get_threads, []
+
+    def features(self, dictionary, X):
+        self.seen.append(self.get_threads())
+        return super().features(dictionary, X)
+
+
+def test_estimate_runs_blas_on_one_thread_and_restores_the_callers_count():
+    get, put = dml._openblas_thread_calls()
+    if not isinstance(get, ctypes._CFuncPtr):
+        pytest.skip("numpy's bundled OpenBLAS or its thread-count symbols not found")
+    data, dic, _, _ = small_setup(n=50, noise=0.5)
+    f = BlasThreadRecorder(np.eye(4)[0], get)
+    caller = get()
+    try:
+        put(2)
+        dml_estimate(data, dic, f, K=2, rule=LambdaRule.fixed(0.1), seed=0)
+        assert f.seen == [1]
+        assert get() == 2
+        with pytest.raises(RmdInfeasibleError):
+            dml_estimate(data, dic, f, K=2, rule=LambdaRule.fixed(0.0), l1_bound=1e-9, seed=0)
+        assert f.seen == [1, 1]
+        assert get() == 2
+    finally:
+        put(caller)
 
 
 def test_dml_plugin_only_forces_zero_rho():
