@@ -1,52 +1,42 @@
-"""Debiased ML estimation of linear functionals with regularized Riesz representers."""
+"""Debiased ML estimation of linear functionals with regularized Riesz representers.
+
+The exports are looked up in their home modules on first use (PEP 562), so
+``import rieszdml`` loads no numpy and the command-line interface can choose
+OpenBLAS's thread count before numpy starts it.
+"""
 
 import ctypes
+from importlib import import_module
 
-from .dictionaries import (
-    Dataset,
-    Dictionary,
-    FourierDictionary,
-    IdentityDictionary,
-    PolynomialDictionary,
-    TreatmentInteractedDictionary,
-    design_matrix,
-    load_csv,
-)
-from .dml import (
-    DmlResult,
-    FoldPlan,
-    dml_estimate,
-    fit_and_score_fold,
-    make_fold_plan,
-    orthogonality_report,
-    score_derivatives,
-    score_psi,
-)
-from .functional import (
-    AverageDerivative,
-    AverageTreatmentEffect,
-    PolicyShift,
-    m_hat_vector,
-)
-from .rmd import (
-    LambdaRule,
-    RmdInfeasibleError,
-    RmdProblem,
-    RmdSolution,
-    SolverError,
-    estimate_blp,
-    estimate_riesz,
-    solve_rmd,
-)
-from .simulation import (
-    AteLogisticDgp,
-    EstimatorConfig,
-    MonteCarloReport,
-    SparseLinearDgp,
-    dense_decay_dgp,
-    run_monte_carlo,
-    true_theta_info,
-)
+_HOMES = {
+    "dictionaries": ("Dataset", "Dictionary", "FourierDictionary", "IdentityDictionary",
+                     "PolynomialDictionary", "TreatmentInteractedDictionary", "design_matrix",
+                     "load_csv"),
+    "dml": ("DmlResult", "FoldPlan", "dml_estimate", "fit_and_score_fold", "make_fold_plan",
+            "orthogonality_report", "score_derivatives", "score_psi"),
+    "functional": ("AverageDerivative", "AverageTreatmentEffect", "PolicyShift", "m_hat_vector"),
+    "rmd": ("LambdaRule", "RmdInfeasibleError", "RmdProblem", "RmdSolution", "SolverError",
+            "estimate_blp", "estimate_riesz", "solve_rmd"),
+    "simulation": ("AteLogisticDgp", "EstimatorConfig", "MonteCarloReport", "SparseLinearDgp",
+                   "dense_decay_dgp", "run_monte_carlo", "true_theta_info"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__version__ = "0.1.0"
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 
 def _pin_malloc_thresholds():
@@ -71,43 +61,3 @@ def _pin_malloc_thresholds():
 
 
 _pin_malloc_thresholds()
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AteLogisticDgp",
-    "AverageDerivative",
-    "AverageTreatmentEffect",
-    "Dataset",
-    "Dictionary",
-    "DmlResult",
-    "EstimatorConfig",
-    "FoldPlan",
-    "FourierDictionary",
-    "IdentityDictionary",
-    "LambdaRule",
-    "MonteCarloReport",
-    "PolicyShift",
-    "PolynomialDictionary",
-    "RmdInfeasibleError",
-    "RmdProblem",
-    "RmdSolution",
-    "SolverError",
-    "SparseLinearDgp",
-    "TreatmentInteractedDictionary",
-    "dense_decay_dgp",
-    "design_matrix",
-    "dml_estimate",
-    "estimate_blp",
-    "estimate_riesz",
-    "fit_and_score_fold",
-    "load_csv",
-    "m_hat_vector",
-    "make_fold_plan",
-    "orthogonality_report",
-    "run_monte_carlo",
-    "score_derivatives",
-    "score_psi",
-    "solve_rmd",
-    "true_theta_info",
-]

@@ -22,15 +22,26 @@ JSON on stderr; ``--help`` prints usage on stdout and exits 0.  The result
 goes to stdout first, then to the ``--output`` and ``--csv`` files, so a
 file that cannot be written fails the run (exit 2) after stdout was
 written.  Non-finite numbers are written as null.
+
+A process whose first numpy import comes from this module (``python -m
+rieszdml.cli``, the ``rieszdml`` script) starts numpy's OpenBLAS on one
+thread unless ``OPENBLAS_NUM_THREADS`` is already set: on the default count
+a worker thread spins through start-up, which costs CPU and saves no time.
+A process that imported numpy before this module keeps its threads and its
+environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
+
+if "numpy" not in sys.modules:  # OpenBLAS reads the count once, when numpy loads it
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -26,16 +26,13 @@ and restores the caller's count; two threads calling it at once may leave it at 
 
 from __future__ import annotations
 
-import ctypes
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import accumulate
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
+from .lp import _one_blas_thread
 from .rmd import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -243,31 +240,6 @@ def _mean_lambda(lams):
         scale = 2.0 ** np.ceil(np.log2(lams.size))
         mean = np.mean(lams / scale) * scale
     return float(mean)
-
-
-@cache
-def _openblas_thread_calls():
-    """(get, set) of numpy's bundled OpenBLAS thread count; no-ops where either is absent."""
-    for path in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*.so"):
-        lib = ctypes.CDLL(str(path))
-        with suppress(AttributeError):  # a build without the 64-bit-integer symbols
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return (lambda: 0), (lambda count: None)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the caller's count."""
-    get, put = _openblas_thread_calls()
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,

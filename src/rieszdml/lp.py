@@ -16,6 +16,8 @@ ratio test picks the entering column that keeps every reduced cost of the
 right sign; an empty ratio test certifies the primal infeasible.  B^-1 gets
 eta (product-form) updates and is refactorized periodically, and once more
 before an optimum is returned if the updates let the basic solution drift.
+The refactorization runs on one OpenBLAS thread: from p = 100 OpenBLAS
+splits the LU across its threads, and the result's bits depend on how many.
 After a long run of degenerate pivots (zero dual step) pricing switches to
 Bland's rule, the lowest-index infeasible basic variable leaves and the
 lowest-index column among ratio ties enters, which guarantees termination.
@@ -23,7 +25,11 @@ lowest-index column among ratio ties enters, which guarantees termination.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +49,31 @@ _PIV_TOL = 1e-10
 _TIE_TOL = 1e-9
 _REFACTOR_EVERY = 64
 _STALL_LIMIT_FACTOR = 4
+
+
+@cache
+def _openblas_thread_calls():
+    """(get, set) of numpy's bundled OpenBLAS thread count; no-ops where either is absent."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*.so"):
+        lib = ctypes.CDLL(str(path))
+        with suppress(AttributeError):  # a build without the 64-bit-integer symbols
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return (lambda: 0), (lambda count: None)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count."""
+    get, put = _openblas_thread_calls()
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass
@@ -184,7 +215,8 @@ def _refactorize(G, M, c, basis, x_N):
     p = G.shape[0]
     eye = np.eye(p)
     try:
-        B_inv = np.linalg.inv(np.column_stack([_column(eye, G, q) for q in basis]))
+        with _one_blas_thread():
+            B_inv = np.linalg.inv(np.column_stack([_column(eye, G, q) for q in basis]))
     except np.linalg.LinAlgError:
         raise SolverError("simplex: singular basis at refactorization") from None
     d = c - _pricing_row(c[basis] @ B_inv, G)

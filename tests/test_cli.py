@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszdml
-from rieszdml import cli
+from rieszdml import cli, lp
 from rieszdml.cli import run
 
 HERE = os.path.dirname(__file__)
@@ -942,23 +943,87 @@ def test_simulate_config_sweep_keeps_the_output_contract(entries):
     assert (code != 2) or "key" in payload, payload
 
 
-def test_cli_import_leaves_process_pool_unloaded():
+def fresh_python(*args, **env):
+    """Stdout of ``python *args`` in a fresh interpreter with src/ importable,
+    OPENBLAS_NUM_THREADS unset and ``env`` added."""
     src = os.path.dirname(os.path.dirname(rieszdml.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, rieszdml.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env={**base, **env})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = "import sys, rieszdml.cli; print('concurrent.futures.process' in sys.modules)"
+    assert fresh_python("-c", code) == b"False\n"
+
+
+_LAZY_EXPORTS = """
+import sys
+import rieszdml
+assert "numpy" not in sys.modules, "import rieszdml loaded numpy"
+star = {}
+exec("from rieszdml import *", star)
+star.pop("__builtins__")
+assert len(rieszdml.__all__) == 35 and sorted(star) == rieszdml.__all__, sorted(star)
+for name, value in star.items():
+    home = sys.modules[value.__module__]
+    assert home.__name__.startswith("rieszdml.") and getattr(home, name) is value, name
+    assert getattr(rieszdml, name) is value, name
+assert set(rieszdml.__all__) <= set(dir(rieszdml))
+try:
+    rieszdml.no_such_export
+except AttributeError as exc:
+    assert "no_such_export" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+print("ok")
+"""
+
+
+def test_package_exports_resolve_lazily_to_their_home_modules():
+    assert fresh_python("-c", _LAZY_EXPORTS) == b"ok\n"
+
+
+_CLI_BLAS_THREADS = "import rieszdml.cli; from rieszdml import lp; print(lp._openblas_thread_calls()[0]())"
+
+
+@pytest.mark.parametrize("env, threads", [({}, b"1\n"), ({"OPENBLAS_NUM_THREADS": "2"}, b"2\n")],
+                         ids=["unset", "set-to-2"])
+def test_cli_starts_openblas_on_one_thread_unless_the_count_is_set(env, threads):
+    if not isinstance(lp._openblas_thread_calls()[0], ctypes._CFuncPtr):
+        pytest.skip("numpy's bundled OpenBLAS or its thread-count symbols not found")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS caps its thread count at the cores it may run on")
+    assert fresh_python("-c", _CLI_BLAS_THREADS, **env) == threads
+
+
+def test_cli_import_after_numpy_leaves_the_environment_alone():
+    code = "import os, numpy, rieszdml.cli; print('OPENBLAS_NUM_THREADS' in os.environ)"
+    assert fresh_python("-c", code) == b"False\n"
+
+
+def stdout_at_blas_threads(threads, *argv):
+    return fresh_python("-m", "rieszdml.cli", *argv, OPENBLAS_NUM_THREADS=threads)
 
 
 def test_estimate_stdout_does_not_depend_on_blas_threads():
-    src = os.path.dirname(os.path.dirname(rieszdml.__file__))
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "rieszdml.cli", "estimate", "--data", EXAMPLE_CSV,
-                               "--config", EXAMPLE_CFG], capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    argv = ("estimate", "--data", EXAMPLE_CSV, "--config", EXAMPLE_CFG)
+    assert stdout_at_blas_threads("1", *argv) == stdout_at_blas_threads("2", *argv)
+
+
+def test_rmd_solve_stdout_does_not_depend_on_blas_threads(tmp_path):
+    # At p = 120 OpenBLAS threads the simplex's matrix-vector products (from
+    # m n = 9216) and the LU of the refactorization after 64 pivots (from p = 100)
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((200, 120))
+    y = A[:, :4] @ np.array([1.0, -0.5, 0.5, 0.25]) + rng.standard_normal(200)
+    np.savetxt(tmp_path / "G.txt", A.T @ A / 200, fmt="%.17g")
+    np.savetxt(tmp_path / "M.txt", A.T @ y / 200, fmt="%.17g")
+    argv = ("rmd-solve", "--g-matrix", str(tmp_path / "G.txt"),
+            "--m-vector", str(tmp_path / "M.txt"), "--lambda", "0.05")
+    one = stdout_at_blas_threads("1", *argv)
+    solution = json.loads(one)
+    assert solution["status"] == "optimal" and solution["iterations"] > 64, solution
+    assert one == stdout_at_blas_threads("2", *argv)

@@ -26,7 +26,7 @@ from rieszdml import (
     score_derivatives,
     score_psi,
 )
-from rieszdml import dml
+from rieszdml import dml, lp
 from rieszdml.rmd import LambdaRule, gram_and_moments
 
 
@@ -342,7 +342,7 @@ class BlasThreadRecorder(AverageDerivative):
 
 
 def test_estimate_runs_blas_on_one_thread_and_restores_the_callers_count():
-    get, put = dml._openblas_thread_calls()
+    get, put = lp._openblas_thread_calls()
     if not isinstance(get, ctypes._CFuncPtr):
         pytest.skip("numpy's bundled OpenBLAS or its thread-count symbols not found")
     data, dic, _, _ = small_setup(n=50, noise=0.5)
