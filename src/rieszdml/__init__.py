@@ -12,7 +12,7 @@ _HOMES = {
     "dictionaries": ("Dataset", "Dictionary", "FourierDictionary", "IdentityDictionary",
                      "PolynomialDictionary", "TreatmentInteractedDictionary", "design_matrix",
                      "load_csv"),
-    "dml": ("DmlResult", "FoldPlan", "dml_estimate", "fit_and_score_fold", "make_fold_plan",
+    "dml": ("DmlResult", "dml_estimate", "fit_and_score_fold", "make_fold_plan",
             "orthogonality_report", "score_derivatives", "score_psi"),
     "functional": ("AverageDerivative", "AverageTreatmentEffect", "PolicyShift", "m_hat_vector"),
     "rmd": ("LambdaRule", "RmdInfeasibleError", "RmdProblem", "RmdSolution", "SolverError",

@@ -9,11 +9,13 @@ theta.  Every term of psi comes from two per-observation arrays, B = b(X)
 and Mx = m(X, b), which every caller here gets from the functional's one
 ``features(dictionary, X)`` method.
 
-The nuisances on a fold complement A see the data only through the row sums
-sum b b', sum Y b and sum m(X, b), which add across folds.  ``dml_estimate``
-sorts the rows by fold, makes one features call on the sorted rows and sums
-each fold's contiguous block with ``rmd.gram_and_moments``; a complement's
-sums are the sum of the other K - 1 blocks, so no fold gathers its complement.
+The folds are ``make_fold_plan``'s K sorted arrays of rows, near-equal slices
+of one seeded permutation.  The nuisances on a fold complement A see the data
+only through the row sums sum b b', sum Y b and sum m(X, b), which add across
+folds.  ``dml_estimate`` concatenates the folds' rows, makes one features
+call on the rows in that order and sums each fold's contiguous block with
+``rmd.gram_and_moments``; a complement's sums are the sum of the other K - 1
+blocks, so no fold gathers its complement.
 The fold's own rows give its score contributions (``_fold_contributions``)
 and its own block its score-derivative sums (``_derivative_sums``).  The
 estimator is the unweighted average of the per-fold roots, with a
@@ -46,46 +48,19 @@ from .rmd import (
 )
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Partition of {0..n-1} into K folds whose sizes differ by at most one."""
-
-    K: int
-    assignments: np.ndarray  # fold ids in 1..K
-
-    def __post_init__(self):
-        a = np.asarray(self.assignments, dtype=int)
-        if self.K < 2:
-            raise ValueError("need K >= 2 folds")
-        if np.any((a < 1) | (a > self.K)):
-            raise ValueError(f"fold ids must lie in 1..{self.K}")
-        sizes = np.bincount(a, minlength=self.K + 1)[1:]
-        if np.any(sizes == 0):
-            raise ValueError("every fold must be non-empty")
-        if sizes.max() - sizes.min() > 1:
-            raise ValueError("fold sizes must differ by at most one")
-        a.setflags(write=False)
-        object.__setattr__(self, "assignments", a)
-
-    @property
-    def n(self):
-        return self.assignments.shape[0]
-
-    def fold_rows(self, k):
-        return np.flatnonzero(self.assignments == k)
-
-
 def make_fold_plan(n, K, seed):
-    """Seeded balanced partition; deterministic given (n, K, seed)."""
+    """K seeded folds of {0..n-1} whose sizes differ by at most one, as sorted row arrays.
+
+    Fold k is the k-th of K near-equal slices of one seeded permutation;
+    deterministic given (n, K, seed).
+    """
     if n < 2 * K:
         raise ValueError("need n >= 2K observations")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    assignments = np.empty(n, dtype=int)
+    if K < 2:
+        raise ValueError("need K >= 2 folds")
+    perm = np.random.default_rng(seed).permutation(n)
     edges = np.linspace(0, n, K + 1).astype(int)
-    for k in range(K):
-        assignments[perm[edges[k]:edges[k + 1]]] = k + 1
-    return FoldPlan(K=K, assignments=assignments)
+    return [np.sort(perm[a:b]) for a, b in zip(edges, edges[1:])]
 
 
 # -- score function and derivatives -----------------------------------------
@@ -243,14 +218,14 @@ def _mean_lambda(lams):
 
 
 def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
-                 l1_bound=np.inf, alpha=0.05, seed=0, plugin_only=False, plan=None):
+                 l1_bound=np.inf, alpha=0.05, seed=0, plugin_only=False):
     """Cross-fitted estimate with standard error and Gaussian confidence interval.
 
     ``rule`` drives the BLP lambda and, unless ``riesz_rule`` is given, the
     Riesz lambda as well.  ``plugin_only`` forces rho_hat = 0 (no debiasing
     term); it exists as a comparison baseline for simulation studies.
-    An explicit ``plan`` overrides the seeded fold construction.
-    Deterministic given (data, config, seed).
+    The K folds are ``make_fold_plan(n, K, seed)``, so the result is
+    deterministic given (data, config, seed).
     """
     functional.check_compatible(dictionary, data)
     if rule is None:
@@ -258,17 +233,11 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
     if riesz_rule is None:
         riesz_rule = rule
     n = data.n
-    if plan is None:
-        plan = make_fold_plan(n, K, seed)
-    else:
-        if plan.n != n:
-            raise ValueError("fold plan length does not match the dataset")
-        K = plan.K
+    fold_rows = make_fold_plan(n, K, seed)
 
     with _one_blas_thread():
         # Sort the rows by fold: fold k is the contiguous block folds[k - 1] of the
         # sorted rows, and order maps each sorted row back to its original row.
-        fold_rows = [plan.fold_rows(k) for k in range(1, K + 1)]
         order = np.concatenate(fold_rows)
         edges = [0, *accumulate(rows.size for rows in fold_rows)]
         folds = [slice(a, b) for a, b in zip(edges, edges[1:])]

@@ -7,21 +7,32 @@ feasible basis exists).  It shares no code with the simplex backend.
 ``true_riesz_rows`` is the closed-form Riesz representer of the simulation
 designs that have one.
 
+``highs_l1`` is the optimal l1 norm of an RMD instance from scipy's HiGHS.
+
 ``PerTermPolynomialDictionary`` and ``PerTermFourierDictionary`` write one
 column per term, the way ``src/`` did before it wrote column blocks; they
 are the reference the block forms must match bit for bit.
+
+``reference_dml`` is the cross-fitted estimator written the slow, plain way,
+the reference ``dml_estimate`` must match as a whole.
 """
 
+import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.stats import norm
 
 from rieszdml import (
     AteLogisticDgp,
     AverageDerivative,
     AverageTreatmentEffect,
     PolicyShift,
+    RmdProblem,
     SparseLinearDgp,
+    solve_rmd,
 )
 from rieszdml.dictionaries import Dictionary, _check_rows
 
@@ -72,6 +83,19 @@ def lp_vertex_oracle(G, M, lam, l1_bound=np.inf):
         return None
     objs = np.einsum("nj,nj->n", c[bases], sols)
     return float(objs[feasible].min())
+
+
+def highs_l1(G, M, lam, l1_bound=np.inf):
+    """Optimal l1 norm from scipy's HiGHS on the 2p-inequality form, or None if infeasible."""
+    p = len(M)
+    A_ub = np.vstack([np.hstack([G, -G]), np.hstack([-G, G])])
+    b_ub = np.concatenate([M + lam, lam - M])
+    if np.isfinite(l1_bound):
+        A_ub = np.vstack([A_ub, np.ones(2 * p)])
+        b_ub = np.append(b_ub, l1_bound)
+    res = linprog(np.ones(2 * p), A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.fun if res.status == 0 else None
 
 
 def fd_jacobian(func, x, h=1e-5):
@@ -183,6 +207,72 @@ class PerTermFourierDictionary(Dictionary):
             out[:, col + 1] = a[k] * w * np.cos(arg)
             col += 2
         return out
+
+
+def reference_m_rows(dictionary, functional, X):
+    """m(x_i, b) row by row, from the functional's definition rather than its ``features``."""
+    if isinstance(functional, AverageDerivative):
+        return dictionary.directional_gradient_rows(X, functional.direction)
+    if isinstance(functional, PolicyShift):
+        S, c = functional.transport_matrix, functional.shift
+        shifted = np.array([S @ x + c for x in X])
+        return dictionary.evaluate_rows(shifted) - dictionary.evaluate_rows(X)
+    if isinstance(functional, AverageTreatmentEffect):
+        treated, untreated = X.copy(), X.copy()
+        treated[:, functional.treatment_col] = 1.0
+        untreated[:, functional.treatment_col] = 0.0
+        return dictionary.evaluate_rows(treated) - dictionary.evaluate_rows(untreated)
+    raise TypeError(f"no reference m for {type(functional).__name__}")
+
+
+def reference_fit(G, M, rule, n_rows):
+    """One RMD fit at the lambda ``rule`` picks, its optimal l1 norm checked against HiGHS."""
+    sol = solve_rmd(RmdProblem(G, M, rule.lam(n_rows, len(M))))
+    assert sol.status == "optimal", sol.status
+    expect = highs_l1(G, M, sol.lam)
+    assert math.isclose(sol.l1_norm, expect, rel_tol=1e-7, abs_tol=1e-12), (sol.l1_norm, expect)
+    return sol
+
+
+def reference_folds(n, K, seed):
+    """The K folds: fold k holds the k-th of K near-equal slices of one seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(n)
+    edges = np.linspace(0, n, K + 1).astype(int)
+    fold_of = np.empty(n, dtype=int)
+    for k in range(K):
+        fold_of[perm[edges[k]:edges[k + 1]]] = k
+    return [np.flatnonzero(fold_of == k) for k in range(K)]
+
+
+def reference_dml(data, dictionary, functional, K, rule, alpha=0.05, seed=0):
+    """The cross-fitted estimate of E m(X, gamma) on the folds ``reference_folds`` draws.
+
+    Each fold's nuisances are fitted on the means G = E_A[b b'], E_A[Y b] and
+    E_A[m(X, b)] over its gathered complement rows A; its theta is the mean
+    of m'beta + rho'b (Y - b'beta) over its own rows.  ``dictionary`` should
+    be a per-term reference, and m comes from ``reference_m_rows``.
+    """
+    X, Y, n = data.covariates, data.outcome, data.n
+    B = dictionary.evaluate_rows(X)
+    Mx = reference_m_rows(dictionary, functional, X)
+    contributions = np.empty(n)
+    fold_theta, blp, riesz = [], [], []
+    for rows in reference_folds(n, K, seed):
+        rest = np.setdiff1d(np.arange(n), rows)
+        B_A = B[rest]
+        G = B_A.T @ B_A / rest.size
+        beta = reference_fit(G, B_A.T @ Y[rest] / rest.size, rule, rest.size)
+        rho = reference_fit(G, Mx[rest].mean(axis=0), rule, rest.size)
+        fit = B[rows] @ beta.t_hat
+        contributions[rows] = Mx[rows] @ beta.t_hat + (B[rows] @ rho.t_hat) * (Y[rows] - fit)
+        fold_theta.append(contributions[rows].mean())
+        blp.append(beta)
+        riesz.append(rho)
+    theta = np.mean(fold_theta)
+    sigma = np.sqrt(np.mean((theta - contributions) ** 2))
+    half = norm.ppf(1.0 - alpha / 2.0) * sigma / np.sqrt(n)
+    return SimpleNamespace(theta_hat=theta, sigma_hat=sigma, ci=(theta - half, theta + half),
+                           fold_theta=fold_theta, blp=blp, riesz=riesz)
 
 
 class NoClosedFormError(ValueError):

@@ -966,7 +966,7 @@ assert "numpy" not in sys.modules, "import rieszdml loaded numpy"
 star = {}
 exec("from rieszdml import *", star)
 star.pop("__builtins__")
-assert len(rieszdml.__all__) == 35 and sorted(star) == rieszdml.__all__, sorted(star)
+assert len(rieszdml.__all__) == 34 and sorted(star) == rieszdml.__all__, sorted(star)
 for name, value in star.items():
     home = sys.modules[value.__module__]
     assert home.__name__.startswith("rieszdml.") and getattr(home, name) is value, name

@@ -6,13 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszdml
 from rieszdml import (
     AverageDerivative,
     AverageTreatmentEffect,
     Dataset,
-    FoldPlan,
     FourierDictionary,
     IdentityDictionary,
     PolicyShift,
@@ -29,6 +30,8 @@ from rieszdml import (
 from rieszdml import dml, lp
 from rieszdml.rmd import LambdaRule, gram_and_moments
 
+from oracles import PerTermFourierDictionary, PerTermPolynomialDictionary, reference_dml
+
 
 def small_setup(seed=0, n=60, p=4, noise=0.3):
     rng = np.random.default_rng(seed)
@@ -44,31 +47,33 @@ def small_setup(seed=0, n=60, p=4, noise=0.3):
 # -- fold plans ----------------------------------------------------------------
 
 def test_fold_plan_balance_and_partition():
-    plan = make_fold_plan(23, 5, seed=1)
-    sizes = np.bincount(plan.assignments, minlength=6)[1:]
-    assert sizes.max() - sizes.min() <= 1
-    assert sizes.sum() == 23
-    all_rows = np.sort(np.concatenate([plan.fold_rows(k) for k in range(1, 6)]))
-    np.testing.assert_array_equal(all_rows, np.arange(23))
+    blocks = make_fold_plan(23, 5, seed=1)
+    assert len(blocks) == 5
+    np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(23))
+    for rows in blocks:
+        np.testing.assert_array_equal(rows, np.sort(rows))
+    sizes = [rows.size for rows in blocks]
+    assert max(sizes) - min(sizes) <= 1
     # deterministic under seed
-    plan2 = make_fold_plan(23, 5, seed=1)
-    np.testing.assert_array_equal(plan.assignments, plan2.assignments)
+    for rows, again in zip(blocks, make_fold_plan(23, 5, seed=1)):
+        np.testing.assert_array_equal(rows, again)
 
 
 def test_fold_plan_validation():
-    with pytest.raises(ValueError):
-        make_fold_plan(9, 5, seed=0)  # n < 2K
-    with pytest.raises(ValueError):
-        FoldPlan(K=1, assignments=np.ones(4, dtype=int))
-    with pytest.raises(ValueError):
-        FoldPlan(K=3, assignments=np.array([1, 1, 2, 2]))  # empty fold
+    with pytest.raises(ValueError, match="n >= 2K"):
+        make_fold_plan(9, 5, seed=0)
+    with pytest.raises(ValueError, match="K >= 2"):
+        make_fold_plan(10, 1, seed=0)
 
 
-@pytest.mark.parametrize("ids", [[1, 2, 3], [0, 1, 2]])
-def test_fold_plan_rejects_ids_outside_1_to_K(ids):
-    # folds 1 and 2 are balanced, so only the id range can reject these plans
-    with pytest.raises(ValueError, match="fold ids"):
-        FoldPlan(K=2, assignments=np.repeat(ids, 20))
+@pytest.mark.parametrize("n, K, seed, expected", [
+    (11, 3, 4, [[0, 1, 8], [2, 7, 9, 10], [3, 4, 5, 6]]),
+    (12, 5, 20, [[8, 9], [0, 4], [3, 6, 11], [2, 7], [1, 5, 10]]),
+])
+def test_fold_plan_keeps_its_seeded_assignment(n, K, seed, expected):
+    # every estimate moves if a seed starts assigning rows to other folds
+    blocks = make_fold_plan(n, K, seed)
+    assert [rows.tolist() for rows in blocks] == expected
 
 
 # -- score function -------------------------------------------------------------
@@ -220,10 +225,7 @@ def test_dml_per_fold_mean_and_ci():
 def test_dml_exact_root_per_fold():
     data, dic, f, _ = small_setup(n=80, noise=0.4)
     res = dml_estimate(data, dic, f, K=4, rule=LambdaRule.fixed(0.1), seed=9)
-    plan = make_fold_plan(data.n, 4, seed=9)
-    for k in range(1, 5):
-        rec = res.per_fold[k - 1]
-        rows = plan.fold_rows(k)
+    for rec, rows in zip(res.per_fold, make_fold_plan(data.n, 4, seed=9)):
         psi_mean = np.mean([
             score_psi((data.outcome[i], data.covariates[i]), rec.theta,
                       rec.blp.t_hat, rec.riesz.t_hat, dic, f) for i in rows
@@ -243,15 +245,17 @@ def test_dml_degenerate_sigma_zero_outcome():
     assert any("degenerate" in w for w in res.warnings)
 
 
-def test_dml_permutation_invariance():
+def test_dml_permutation_invariance(monkeypatch):
     data, dic, f, _ = small_setup(n=90, noise=0.6, seed=12)
-    plan = make_fold_plan(90, 3, seed=5)
-    res = dml_estimate(data, dic, f, rule=LambdaRule.fixed(0.1), plan=plan)
+    res = dml_estimate(data, dic, f, K=3, rule=LambdaRule.fixed(0.1), seed=5)
     rng = np.random.default_rng(8)
     perm = rng.permutation(90)
     data_p = Dataset(data.outcome[perm], data.covariates[perm])
-    plan_p = FoldPlan(K=3, assignments=plan.assignments[perm])
-    res_p = dml_estimate(data_p, dic, f, rule=LambdaRule.fixed(0.1), plan=plan_p)
+    # the same folds, as rows of the permuted data: row i of data_p is row perm[i]
+    where = np.argsort(perm)
+    blocks_p = [np.sort(where[rows]) for rows in make_fold_plan(90, 3, seed=5)]
+    monkeypatch.setattr(dml, "make_fold_plan", lambda n, K, seed: blocks_p)
+    res_p = dml_estimate(data_p, dic, f, K=3, rule=LambdaRule.fixed(0.1), seed=5)
     assert res_p.theta_hat == pytest.approx(res.theta_hat, abs=1e-12)
 
 
@@ -272,14 +276,12 @@ def test_dml_scaling_in_outcome():
 def test_fold_fits_ignore_the_fold_outcomes():
     # cross-fitting hygiene: a fold's nuisance fits never see its own outcomes
     data, dic, f, _ = small_setup(n=90, noise=0.5, seed=3)
-    plan = make_fold_plan(data.n, 3, seed=6)
     rule = LambdaRule.fixed(0.08)
-    res = dml_estimate(data, dic, f, rule=rule, plan=plan)
-    for k in range(1, 4):
+    res = dml_estimate(data, dic, f, K=3, rule=rule, seed=6)
+    for k, rows in enumerate(make_fold_plan(data.n, 3, seed=6), start=1):
         y = data.outcome.copy()
-        rows = plan.fold_rows(k)
         y[rows] = 10.0 + np.arange(rows.size) ** 2
-        moved = dml_estimate(Dataset(y, data.covariates), dic, f, rule=rule, plan=plan)
+        moved = dml_estimate(Dataset(y, data.covariates), dic, f, K=3, rule=rule, seed=6)
         for which in ("blp", "riesz"):
             a, b = getattr(res.per_fold[k - 1], which), getattr(moved.per_fold[k - 1], which)
             np.testing.assert_array_equal(a.t_hat, b.t_hat)
@@ -296,7 +298,6 @@ def test_fold_fits_ignore_the_fold_outcomes():
 def test_fold_complement_statistics_match_direct_sums(monkeypatch, f):
     data = small_setup(n=103, p=3, noise=0.5, seed=4)[0]
     dic = PolynomialDictionary(3, degree=2)
-    plan = make_fold_plan(data.n, 5, seed=2)
     calls = []
     real = dml.fit_and_score_fold
 
@@ -305,13 +306,14 @@ def test_fold_complement_statistics_match_direct_sums(monkeypatch, f):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dml, "fit_and_score_fold", spy)
-    dml_estimate(data, dic, f, rule=LambdaRule.fixed(0.1), plan=plan)
+    dml_estimate(data, dic, f, K=5, rule=LambdaRule.fixed(0.1), seed=2)
     B, Mx = f.features(dic, data.covariates)
     y = data.outcome
     assert len(calls) == 5
-    for k, (args, kwargs) in enumerate(calls, start=1):
+    blocks = make_fold_plan(data.n, 5, seed=2)
+    for k, ((args, kwargs), own) in enumerate(zip(calls, blocks), start=1):
         assert kwargs["fold_id"] == k
-        own, rest = plan.fold_rows(k), np.flatnonzero(plan.assignments != k)
+        rest = np.setdiff1d(np.arange(data.n), own)
         np.testing.assert_array_equal(args[2], y[own])
         np.testing.assert_allclose(args[0], B[own], rtol=1e-13)
         n_train, BB, By, m_sum = args[3]
@@ -525,6 +527,72 @@ def test_dml_k2_vs_k5_coverage():
                               rule=LambdaRule.gaussian_quantile(c=1.0, alpha=0.05))
         rep = run_monte_carlo(dgp, est, R=200, n=4000, seed=33, workers=2)
         assert rep.coverage >= 0.90, (K, rep.coverage)
+
+
+# -- against the reference estimator -------------------------------------------------
+
+_REFERENCE_CASES = [(family, functional)
+                    for family in ("polynomial", "fourier", "identity")
+                    for functional in ("average_derivative", "policy_shift")]
+_REFERENCE_CASES += [("treatment_interacted", functional)
+                     for functional in ("ate", "average_derivative", "policy_shift")]
+
+
+def reference_case(draw, family, functional):
+    """(data, dictionary, its per-term reference, functional) for a small random design."""
+    n = draw(st.integers(40, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "treatment_interacted":
+        t = (rng.random(n) < 0.5).astype(float)
+        X = np.column_stack([t, rng.uniform(-1.0, 1.0, (n, 2))])
+        data = Dataset(2.0 * t + X[:, 1] + 0.3 * rng.standard_normal(n), X, treatment_col=0)
+        degree = draw(st.integers(1, 2))
+        dic = TreatmentInteractedDictionary(PolynomialDictionary(2, degree), treatment_index=0)
+        ref = TreatmentInteractedDictionary(PerTermPolynomialDictionary(2, degree),
+                                            treatment_index=0)
+        f = {"ate": AverageTreatmentEffect(0),
+             "average_derivative": AverageDerivative(np.array([0.0, 1.0, -0.5])),
+             "policy_shift": PolicyShift(np.diag([1.0, 0.8, 0.9]), np.array([0.0, 0.1, 0.0]))}
+        return data, dic, ref, f[functional]
+    X = rng.uniform(-1.0, 1.0, (n, 2))
+    data = Dataset(1.0 + 2.0 * X[:, 0] - X[:, 1] ** 2 + 0.3 * rng.standard_normal(n), X)
+    if family == "polynomial":
+        degree = draw(st.integers(1, 3))
+        pairs = degree >= 2 and draw(st.booleans())
+        dic = PolynomialDictionary(2, degree, with_interactions=pairs)
+        ref = PerTermPolynomialDictionary(2, degree, with_interactions=pairs)
+    elif family == "fourier":
+        order = draw(st.integers(1, 2))
+        dic, ref = FourierDictionary(2, order), PerTermFourierDictionary(2, order)
+    else:
+        dic = ref = IdentityDictionary(2)
+    if functional == "average_derivative":
+        f = AverageDerivative(draw(st.sampled_from([np.array([1.0, 0.0]), np.array([0.5, -1.0])])))
+    else:
+        f = PolicyShift(0.8 * np.eye(2), np.array([0.1, 0.0]))
+    return data, dic, ref, f
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+@pytest.mark.parametrize("family, functional", _REFERENCE_CASES)
+@settings(max_examples=3, deadline=None)
+@given(draws=st.data())
+def test_dml_estimate_matches_the_reference_estimator(family, functional, K, draws):
+    data, dic, ref_dic, f = reference_case(draws.draw, family, functional)
+    seed = draws.draw(st.integers(0, 1000))
+    rule = LambdaRule.gaussian_quantile(c=draws.draw(st.sampled_from([0.5, 1.1])))
+    res = dml_estimate(data, dic, f, K=K, rule=rule, seed=seed)
+    ref = reference_dml(data, ref_dic, f, K, rule, seed=seed)
+
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=0)
+
+    close(res.theta_hat, ref.theta_hat)
+    close(res.sigma_hat, ref.sigma_hat)
+    close(res.ci, ref.ci)
+    close([rec.theta for rec in res.per_fold], ref.fold_theta)
+    close([rec.blp.l1_norm for rec in res.per_fold], [sol.l1_norm for sol in ref.blp])
+    close([rec.riesz.l1_norm for rec in res.per_fold], [sol.l1_norm for sol in ref.riesz])
 
 
 # -- orthogonality diagnostics -----------------------------------------------------

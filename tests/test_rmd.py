@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 from scipy.stats import norm
 
 from rieszdml import (
@@ -20,7 +19,7 @@ from rieszdml import (
 from rieszdml import lp, rmd
 from rieszdml.rmd import LambdaRule, RmdProblem
 
-from oracles import lp_vertex_oracle
+from oracles import highs_l1, lp_vertex_oracle
 
 
 def random_problem(rng, p, lam_scale=0.4, allow_bound=True):
@@ -143,7 +142,7 @@ def _assert_matches_highs(prob):
     sol = solve_rmd(prob)
     assert sol.status == "optimal"
     assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
-    assert sol.l1_norm == pytest.approx(_highs_l1(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound),
+    assert sol.l1_norm == pytest.approx(highs_l1(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound),
                                         rel=1e-7)
 
 
@@ -236,19 +235,6 @@ def test_uncertified_optimum_is_numerical_failure(monkeypatch):
 
 # -- differential test against HiGHS ------------------------------------------------
 
-def _highs_l1(G, M, lam, l1_bound):
-    """Optimal l1 norm from scipy's HiGHS on the 2p-inequality form, or None if infeasible."""
-    p = len(M)
-    A_ub = np.vstack([np.hstack([G, -G]), np.hstack([-G, G])])
-    b_ub = np.concatenate([M + lam, lam - M])
-    if np.isfinite(l1_bound):
-        A_ub = np.vstack([A_ub, np.ones(2 * p)])
-        b_ub = np.append(b_ub, l1_bound)
-    res = linprog(np.ones(2 * p), A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    assert res.status in (0, 2), res.message
-    return res.fun if res.status == 0 else None
-
-
 @pytest.mark.parametrize("p", [30, 80, 160, 250])
 @pytest.mark.parametrize("budget", [None, 1.5, 0.5])
 def test_differential_against_highs(p, budget):
@@ -266,7 +252,7 @@ def test_differential_against_highs(p, budget):
     if budget is not None:
         l1_bound = budget * solve_rmd(RmdProblem(G, M, lam)).l1_norm
     sol = solve_rmd(RmdProblem(G, M, lam, l1_bound))
-    expect = _highs_l1(G, M, lam, l1_bound)
+    expect = highs_l1(G, M, lam, l1_bound)
     if expect is None:
         assert sol.status == "infeasible"
         return
@@ -283,7 +269,7 @@ def test_budget_at_the_optimum_is_feasible():
     l1_bound = solve_rmd(RmdProblem(G, M, lam)).l1_norm
     sol = solve_rmd(RmdProblem(G, M, lam, l1_bound))
     assert sol.status == "optimal"
-    assert sol.l1_norm == pytest.approx(_highs_l1(G, M, lam, l1_bound), rel=1e-7)
+    assert sol.l1_norm == pytest.approx(highs_l1(G, M, lam, l1_bound), rel=1e-7)
 
 
 # -- property tests ------------------------------------------------------------------
