@@ -15,8 +15,9 @@ _HOMES = {
     "dml": ("DmlResult", "dml_estimate", "fit_and_score_fold", "make_fold_plan",
             "orthogonality_report", "score_derivatives", "score_psi"),
     "functional": ("AverageDerivative", "AverageTreatmentEffect", "PolicyShift", "m_hat_vector"),
-    "rmd": ("LambdaRule", "RmdInfeasibleError", "RmdProblem", "RmdSolution", "SolverError",
-            "estimate_blp", "estimate_riesz", "solve_rmd"),
+    "lp": ("SolverError",),
+    "rmd": ("LambdaRule", "RmdInfeasibleError", "RmdProblem", "RmdSolution", "estimate_blp",
+            "estimate_riesz", "solve_rmd"),
     "simulation": ("AteLogisticDgp", "EstimatorConfig", "MonteCarloReport", "SparseLinearDgp",
                    "dense_decay_dgp", "run_monte_carlo", "true_theta_info"),
 }

@@ -50,7 +50,8 @@ from .dictionaries import (FourierDictionary, IdentityDictionary, PolynomialDict
                            TreatmentInteractedDictionary, load_csv)
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
-from .rmd import LambdaRule, LambdaRuleError, RmdInfeasibleError, RmdProblem, SolverError, solve_rmd
+from .lp import SolverError
+from .rmd import LambdaRule, LambdaRuleError, RmdInfeasibleError, RmdProblem, solve_rmd
 from .simulation import (
     AteLogisticDgp,
     EstimatorConfig,
@@ -344,11 +345,7 @@ def cmd_estimate(args):
         # the settings are checked above, so an overflow or a bad RMD
         # instance from here on comes from the data
         with np.errstate(over="raise"):
-            result = dml_estimate(
-                data, dictionary, functional, K=est.K, rule=est.rule,
-                riesz_rule=est.riesz_rule, l1_bound=est.l1_bound, alpha=est.alpha,
-                seed=seed, plugin_only=est.plugin_only,
-            )
+            result = dml_estimate(data, **vars(est), seed=seed)
     except (ValueError, FloatingPointError) as exc:
         raise ConfigError(f"cannot estimate from --data file {args.data}: {exc}") from None
     payload = result.summary()
@@ -410,10 +407,15 @@ def cmd_rmd_solve(args):
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read matrix/vector input: {exc}") from None
     try:
-        prob = RmdProblem(G, M, args.lambda_, args.l1_bound)
+        with np.errstate(over="raise"):
+            prob = RmdProblem(G, M, args.lambda_, args.l1_bound)
+            solution = solve_rmd(prob)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    payload = asdict(solve_rmd(prob))
+    except FloatingPointError as exc:
+        raise ConfigError(f"cannot solve the RMD problem in --g-matrix {args.g_matrix} "
+                          f"and --m-vector {args.m_vector}: {exc}") from None
+    payload = asdict(solution)
     payload["lambda"] = payload.pop("lam")
     _emit({**payload, "l1_bound": prob.l1_bound, "p": prob.p}, args.output)
     return 0

@@ -34,18 +34,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .lp import _one_blas_thread
-from .rmd import (
-    INFEASIBLE,
-    ITERATION_LIMIT,
-    NUMERICAL_FAILURE,
-    LambdaRule,
-    RmdInfeasibleError,
-    RmdSolution,
-    SolverError,
-    fit_rmd,
-    gram_and_moments,
-)
+from .lp import INFEASIBLE, ITERATION_LIMIT, SolverError, _one_blas_thread
+from .rmd import (NUMERICAL_FAILURE, LambdaRule, RmdInfeasibleError, RmdSolution, fit_rmd,
+                  gram_and_moments)
 
 
 def make_fold_plan(n, K, seed):
@@ -225,8 +216,10 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
     Riesz lambda as well.  ``plugin_only`` forces rho_hat = 0 (no debiasing
     term); it exists as a comparison baseline for simulation studies.
     The K folds are ``make_fold_plan(n, K, seed)``, so the result is
-    deterministic given (data, config, seed).
+    deterministic given (data, config, seed).  ``alpha`` must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     functional.check_compatible(dictionary, data)
     if rule is None:
         rule = LambdaRule.gaussian_quantile()

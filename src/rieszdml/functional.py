@@ -8,12 +8,13 @@ on linearity: m(x, b'beta) = m(x, b)'beta.
 
 Each functional defines one method, ``features(dictionary, X)``, which
 returns b(X) and m(X, b) together; it is the only code that computes either
-for the estimator, the RMD fits and the per-observation score.  ``m_rows`` is
-its second array.  A dictionary supplies only b(X) and a' grad b(X); the
-rest of m belongs here.  The policy shift evaluates b(X) once and reuses it
-in b(S X + c) - b(X), and the average treatment effect writes the contrast
-b(1, z) - b(0, z) = (0, b_in(z)) from the first half of b(X), so one
-dictionary pass yields both arrays.
+for the estimator, the RMD fits, the per-observation score and the
+true-theta oracles, which read m(X, b) as its second array.  A dictionary
+supplies only b(X) and a' grad b(X); the rest of m belongs here.  The policy
+shift evaluates b(X) once and reuses it in b(S X + c) - b(X), and the
+average treatment effect writes the contrast b(1, z) - b(0, z) =
+(0, b_in(z)) from the first half of b(X), so one dictionary pass yields
+both arrays.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class Functional:
     def features(self, dictionary, X):
         """(b(X), m(X, b)) for the rows of X, each of shape (n, p)."""
         raise NotImplementedError
-
-    def m_rows(self, dictionary, X):
-        """m(x_i, b) for each row: (n, d) -> (n, p)."""
-        return self.features(dictionary, X)[1]
 
 
 class AverageDerivative(Functional):
@@ -126,4 +123,4 @@ def m_hat_vector(functional, dictionary, data, rows):
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         raise ValueError("empty row index set")
-    return functional.m_rows(dictionary, data.covariates[rows]).mean(axis=0)
+    return functional.features(dictionary, data.covariates[rows])[1].mean(axis=0)

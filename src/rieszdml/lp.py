@@ -7,7 +7,8 @@ read off G, a unit vector or a row of B^-1.  The slack basis (t = 0) is dual
 feasible as the costs are >= 0, and its inverse is known (-I).  There is no
 l1-budget row: the objective is ||t||_1 itself, so a budget ||t||_1 <= B can
 only make the problem infeasible, and ``rmd.solve_rmd`` decides that from
-the dual bound of the unbudgeted solve.
+the dual bound of the unbudgeted solve.  The column layout stays in here:
+the result carries t = t+ - t-, and the pivot budget is ``MAX_ITERS``.
 
 Each pivot follows the dual simplex with bounded variables (Vanderbei,
 *Linear Programming: Foundations and Extensions*): the basic variable
@@ -36,6 +37,7 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
+MAX_ITERS = 100_000  # pivot budget of one solve
 
 
 class SolverError(RuntimeError):
@@ -78,7 +80,7 @@ def _one_blas_thread():
 
 @dataclass
 class LpResult:
-    z: np.ndarray  # (t+, t-, s)
+    t: np.ndarray  # t+ - t-
     status: str
     iterations: int
     y: np.ndarray | None = None  # row duals c_B' B^-1 of the final basis
@@ -86,13 +88,13 @@ class LpResult:
     bland_switches: int = 0  # times a degenerate stall turned on Bland's rule
 
 
-def solve_standard_form(G, M, lam, max_iters=100_000):
+def solve_standard_form(G, M, lam):
     """Solve the RMD LP of a symmetric ``G`` by the dual simplex method.
 
-    ``z`` is a basic solution (a vertex when "optimal"), ``y`` the row duals.
-    "infeasible" means the dual ratio test proved there is no feasible point,
-    "iteration_limit" that ``max_iters`` pivots were spent (the incumbent,
-    primal infeasible, is returned as-is).
+    ``t`` is read off a basic solution (a vertex when "optimal"), ``y`` are
+    the row duals.  "infeasible" means the dual ratio test proved there is no
+    feasible point, "iteration_limit" that ``MAX_ITERS`` pivots were spent
+    (the incumbent, primal infeasible, is returned as-is).
     """
     G, M = np.ascontiguousarray(G, dtype=float), np.asarray(M, dtype=float)
     p = M.shape[0]
@@ -138,7 +140,7 @@ def solve_standard_form(G, M, lam, max_iters=100_000):
                 continue
             status = OPTIMAL
             break
-        if iterations >= max_iters:
+        if iterations >= MAX_ITERS:
             status = ITERATION_LIMIT
             break
 
@@ -191,7 +193,7 @@ def solve_standard_form(G, M, lam, max_iters=100_000):
 
     z = x_N  # every column's value once the basic ones are written in
     z[basis] = x_B
-    return LpResult(z, status, iterations, c[basis] @ B_inv,
+    return LpResult(z[:p] - z[p:2 * p], status, iterations, c[basis] @ B_inv,
                     refactorizations, bland_switches)
 
 

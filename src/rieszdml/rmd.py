@@ -12,12 +12,14 @@ Both, and the cross-fitted folds in ``dml``, divide the block sums of
 picks lambda from the fitting sample and solves one instance exactly with
 ``lp.solve_standard_form``, a dual simplex on the p-row LP
 G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0  that pivots on G itself and
-starts from the slack basis t = 0.  Every optimum is certified outside
-the solver: its residuals are re-checked and a lower bound on min ||t||_1 is
-computed from G_hat, M_hat, lambda and the row duals alone.  The budget B
-never enters the LP.  Since the objective is ||t||_1 itself, B cannot change
-the fitted coefficients; it only decides feasibility: a fit whose certified
-lower bound exceeds B is infeasible.
+starts from the slack basis t = 0.  The simplex's statuses, pivot budget
+and ``SolverError`` live in ``lp``; this module adds "numerical_failure"
+for an answer that fails its certificate.  Every optimum is certified
+outside the solver: its residuals are re-checked and a lower bound on
+min ||t||_1 is computed from G_hat, M_hat, lambda and the row duals alone.
+The budget B never enters the LP.  Since the objective is ||t||_1 itself,
+B cannot change the fitted coefficients; it only decides feasibility: a fit
+whose certified lower bound exceeds B is infeasible.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ import numpy as np
 from . import lp
 from .dictionaries import design_matrix
 
-OPTIMAL = lp.OPTIMAL
-INFEASIBLE = lp.INFEASIBLE
-ITERATION_LIMIT = lp.ITERATION_LIMIT
 NUMERICAL_FAILURE = "numerical_failure"
-SolverError = lp.SolverError
-
-MAX_ITERS = 100_000  # pivot budget of one simplex solve
 FEAS_TOL = 1e-7  # slack allowed in the residual, l1-budget and duality-gap checks
 
 
@@ -66,7 +62,8 @@ class RmdProblem:
             raise ValueError("non-finite entries in RMD problem")
         if np.abs(G - G.T).max() > 1e-10 * (1.0 + np.abs(G).max()):
             raise ValueError("G_hat is not symmetric")
-        self.G_hat = 0.5 * (G + G.T)
+        half = 0.5 * G  # halved before adding: G + G' may overflow
+        self.G_hat = half + half.T
         self.M_hat = M
         self.lam = float(self.lam)
         if not np.isfinite(self.lam) or self.lam < 0.0:
@@ -176,24 +173,22 @@ def solve_rmd(prob):
     or when the dual simplex proves M_hat unreachable within lambda (possible
     for a singular G_hat).
     """
-    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam, max_iters=MAX_ITERS)
-    p = prob.p
-    t = res.z[:p] - res.z[p:2 * p]
-    status = res.status
+    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam)
+    t, status = res.t, res.status
     max_resid = float(np.abs(prob.G_hat @ t - prob.M_hat).max(initial=0.0))
     l1 = float(np.abs(t).sum())
     gap = float("nan")
-    if status == OPTIMAL:
+    if status == lp.OPTIMAL:
         lower = float(_lower_bound(prob, res.y))
         if lower > prob.l1_bound + FEAS_TOL:
-            status = INFEASIBLE
+            status = lp.INFEASIBLE
         else:
             gap = l1 - lower
             feasible = max_resid <= prob.lam + FEAS_TOL and l1 <= prob.l1_bound + FEAS_TOL
             if not (feasible and gap <= FEAS_TOL * (1.0 + l1)):
                 status = NUMERICAL_FAILURE
-    if status == INFEASIBLE:
-        t = np.zeros(p)
+    if status == lp.INFEASIBLE:
+        t = np.zeros(prob.p)
         l1 = 0.0
         max_resid = float(np.abs(prob.M_hat).max())
     return RmdSolution(t_hat=t, l1_norm=l1, max_residual=max_resid,

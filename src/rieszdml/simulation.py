@@ -33,7 +33,8 @@ import numpy as np
 from .dictionaries import Dataset, FourierDictionary, IdentityDictionary, PolynomialDictionary
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
-from .rmd import LambdaRule, RmdInfeasibleError, SolverError
+from .lp import SolverError
+from .rmd import LambdaRule, RmdInfeasibleError
 
 
 _LOGIT_BOUND = float(np.log(0.95 / 0.05))  # propensity clipped to [0.05, 0.95]
@@ -231,7 +232,7 @@ def true_theta_info(dgp, functional, mc_draws=10_000_000):
     while done < mc_draws:
         size = min(chunk, mc_draws - done)
         X = _draw_x(rng, size, dgp.d, dgp.x_dist)
-        vals = functional.m_rows(dgp.dictionary, X) @ dgp.beta_star
+        vals = functional.features(dgp.dictionary, X)[1] @ dgp.beta_star
         total += vals.sum()
         total_sq += (vals ** 2).sum()
         done += size
@@ -247,7 +248,7 @@ def _quadrature(dgp, functional, nodes=120):
     else:
         x, w = np.polynomial.legendre.leggauss(nodes)
         w = w / 2.0
-    vals = functional.m_rows(dgp.dictionary, x[:, np.newaxis]) @ dgp.beta_star
+    vals = functional.features(dgp.dictionary, x[:, np.newaxis])[1] @ dgp.beta_star
     return float(w @ vals)
 
 
@@ -255,7 +256,7 @@ def _quadrature(dgp, functional, nodes=120):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Everything dml_estimate needs besides the data."""
+    """Everything dml_estimate needs besides the data and the seed, under its keyword names."""
 
     dictionary: object
     functional: object
@@ -311,11 +312,7 @@ def _replicate(task):
     try:
         with np.errstate(over="raise"):
             data = dgp.generate(n, data_seed)
-            result = dml_estimate(
-                data, est.dictionary, est.functional, K=est.K, rule=est.rule,
-                riesz_rule=est.riesz_rule, l1_bound=est.l1_bound, alpha=est.alpha,
-                seed=fold_seed, plugin_only=est.plugin_only,
-            )
+            result = dml_estimate(data, **vars(est), seed=fold_seed)
         out.update(
             theta_hat=result.theta_hat,
             sigma_hat=result.sigma_hat,

@@ -133,7 +133,7 @@ def test_criterion_3_feasibility_and_restricted_set():
 
         rho_hat, sol_r = estimate_riesz(data, rows, dic, f, rule)
         assert sol_r.status == "optimal"
-        M = f.m_rows(dic, B).mean(axis=0)
+        M = f.features(dic, B)[1].mean(axis=0)
         resid = np.abs(G @ rho_hat - M).max()
         worst_slack = max(worst_slack, resid - lam)
         if np.abs(G @ rho_star - M).max() <= lam:

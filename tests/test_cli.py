@@ -123,6 +123,21 @@ def test_rmd_solve_empty_gram_is_config_error(tmp_path, capsys):
     assert "G_hat is empty" in error_line(err)["error"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_rmd_solve_gram_near_float_max_keeps_the_output_contract(tmp_path, capsys):
+    m = write(tmp_path / "M.txt", "1 1\n")
+    g = write(tmp_path / "G.txt", "1e308 0\n0 1\n")  # G + G' overflows
+    code, out, err = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m,
+                             "--lambda", "0.1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "optimal"
+    g = write(tmp_path / "G.txt", "1 1e308\n-1e308 1\n")  # G - G' overflows
+    code, out, err = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m,
+                             "--lambda", "0.1")
+    assert code == 2 and out == ""
+    assert f"--g-matrix {g}" in error_line(err)["error"]
+
+
 # -- estimate ---------------------------------------------------------------------
 
 def test_estimate_matches_golden(capsys):
@@ -186,10 +201,10 @@ def test_estimate_missing_treatment_column_names_its_key(tmp_path, capsys):
 def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
     from rieszdml import lp
 
-    def failing_solve(G, M, lam, max_iters=100_000):
+    def failing_solve(G, M, lam):
         if failure == "unbounded":
             raise lp.SolverError("simplex: unbounded direction encountered")
-        return lp.LpResult(np.zeros(3 * len(M)), lp.ITERATION_LIMIT, max_iters)
+        return lp.LpResult(np.zeros(len(M)), lp.ITERATION_LIMIT, lp.MAX_ITERS)
 
     monkeypatch.setattr(lp, "solve_standard_form", failing_solve)
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
@@ -203,9 +218,9 @@ def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
 def test_estimate_uncertified_optimum_exit_code(monkeypatch, capsys):
     from rieszdml import lp
 
-    def uncertified_solve(G, M, lam, max_iters=100_000):
+    def uncertified_solve(G, M, lam):
         # claims t = 0 optimal, which leaves the BLP residual above lambda
-        return lp.LpResult(np.zeros(3 * len(M)), lp.OPTIMAL, 0, np.zeros(len(M)))
+        return lp.LpResult(np.zeros(len(M)), lp.OPTIMAL, 0, np.zeros(len(M)))
 
     monkeypatch.setattr(lp, "solve_standard_form", uncertified_solve)
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,

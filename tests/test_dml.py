@@ -90,7 +90,7 @@ def test_score_psi_arithmetic_example():
     dic = PolynomialDictionary(1, degree=1)
     f = AverageDerivative(np.array([1.0]))
     w = (3.0, np.array([2.0]))
-    np.testing.assert_allclose(m := f.m_rows(dic, [w[1]])[0], [0.0, 1.0])
+    np.testing.assert_allclose(m := f.features(dic, [w[1]])[1][0], [0.0, 1.0])
     assert score_psi(w, 5.0, np.array([1.0, 1.0]), np.array([0.0, 1.0]), dic, f) == pytest.approx(4.0)
 
 
@@ -106,7 +106,7 @@ def test_score_mean_zero_at_population_truth():
     a = np.array([1.0, 0.0, 0.0])
     f = AverageDerivative(a)
     theta0 = 1.0
-    m = f.m_rows(dic, X)
+    m = f.features(dic, X)[1]
     psi = theta0 - m @ beta_star - (X @ a) * (y - X @ beta_star)
     tol = 3.0 * psi.std() / np.sqrt(n)
     assert abs(psi.mean()) <= tol
@@ -124,7 +124,7 @@ def test_score_derivatives_formulas_and_fd():
         theta = rng.standard_normal()
         d_beta, d_rho = score_derivatives((y, x), theta, beta, rho, dic, f)
         b = dic.evaluate_rows(x[None])[0]
-        m = f.m_rows(dic, [x])[0]
+        m = f.features(dic, [x])[1][0]
         np.testing.assert_allclose(d_beta, -m + (rho @ b) * b, rtol=1e-12)
         np.testing.assert_allclose(d_rho, -b * (y - b @ beta), rtol=1e-12)
         # central finite differences, relative tolerance 1e-6
@@ -149,7 +149,7 @@ def test_score_derivatives_special_cases():
     w = (data.outcome[3], data.covariates[3])
     # rho = 0 kills the second term of d_beta
     d_beta, _ = score_derivatives(w, 0.0, beta_star, np.zeros(4), dic, f)
-    np.testing.assert_allclose(d_beta, -f.m_rows(dic, [w[1]])[0])
+    np.testing.assert_allclose(d_beta, -f.features(dic, [w[1]])[1][0])
     # exact fit kills d_rho
     _, d_rho = score_derivatives(w, 0.0, beta_star, np.ones(4), dic, f)
     np.testing.assert_allclose(d_rho, 0.0, atol=1e-12)
@@ -171,7 +171,7 @@ def test_fit_and_score_fold_plugin_when_rho_zero():
     rule = LambdaRule.fixed(0.1)
     rec, _ = fit_and_score_fold(*fold_inputs(data, dic, f, rows), rule, rule, plugin_only=True)
     np.testing.assert_array_equal(rec.riesz.t_hat, 0.0)
-    m = f.m_rows(dic, data.covariates[rows])
+    m = f.features(dic, data.covariates[rows])[1]
     assert rec.theta == pytest.approx(float((m @ rec.blp.t_hat).mean()), rel=1e-12)
 
 
@@ -220,6 +220,14 @@ def test_dml_per_fold_mean_and_ci():
     assert np.isfinite(res.sigma_hat) and res.sigma_hat > 0
     assert len(res.per_fold) == 4
     assert res.lambda_used["blp"] == pytest.approx(0.08)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])
+def test_dml_rejects_alpha_outside_the_unit_interval(alpha):
+    # unchecked, 1.5 gives an inverted interval, 1.0 a zero-width one and nan nan bounds
+    data, dic, f, _ = small_setup(n=100)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        dml_estimate(data, dic, f, K=2, alpha=alpha)
 
 
 def test_dml_exact_root_per_fold():
@@ -617,7 +625,7 @@ def test_orthogonality_zero_outcome_case():
     dic = IdentityDictionary(3)
     f = AverageDerivative(np.array([1.0, 0.0, 0.0]))
     d_beta_sup, d_rho_sup = orthogonality_report(data, dic, f, np.zeros(3), np.zeros(3))
-    m_bar = f.m_rows(dic, X).mean(axis=0)
+    m_bar = f.features(dic, X)[1].mean(axis=0)
     assert d_beta_sup == pytest.approx(np.abs(m_bar).max())
     assert d_rho_sup == 0.0
 

@@ -21,21 +21,21 @@ def ate_dictionary():
 def test_average_derivative_equals_gradient_column():
     dic = PolynomialDictionary(1, degree=2)
     f = AverageDerivative(np.array([1.0]))
-    np.testing.assert_allclose(f.m_rows(dic, [[2.0]])[0], [0.0, 1.0, 4.0])
+    np.testing.assert_allclose(f.features(dic, [[2.0]])[1][0], [0.0, 1.0, 4.0])
 
 
 def test_policy_shift_identity_is_zero():
     for dic in [PolynomialDictionary(2, 2), FourierDictionary(2, 1), IdentityDictionary(2)]:
         f = PolicyShift(np.eye(2), np.zeros(2))
         x = np.array([0.3, -0.4])
-        np.testing.assert_allclose(f.m_rows(dic, [x])[0], 0.0)
+        np.testing.assert_allclose(f.features(dic, [x])[1][0], 0.0)
 
 
 def test_ate_componentwise_difference():
     dic = ate_dictionary()  # b(t, z) = (1, z, t, tz)
     f = AverageTreatmentEffect(0)
     np.testing.assert_allclose(
-        f.m_rows(dic, [[1.0, 0.5]])[0], [0.0, 0.0, 1.0, 0.5]
+        f.features(dic, [[1.0, 0.5]])[1][0], [0.0, 0.0, 1.0, 0.5]
     )
 
 
@@ -48,7 +48,7 @@ def test_ate_matches_direct_evaluation():
         x = np.concatenate([[1.0], z])
         direct = (dic.evaluate_rows(np.concatenate([[1.0], z])[None])[0]
                   - dic.evaluate_rows(np.concatenate([[0.0], z])[None])[0])
-        np.testing.assert_allclose(f.m_rows(dic, [x])[0], direct)
+        np.testing.assert_allclose(f.features(dic, [x])[1][0], direct)
 
 
 def test_m_hat_vector_single_row():
@@ -56,7 +56,7 @@ def test_m_hat_vector_single_row():
     f = AverageDerivative(np.array([1.0]))
     data = Dataset(np.zeros(2), np.array([[2.0], [0.0]]))
     np.testing.assert_allclose(
-        m_hat_vector(f, dic, data, [0]), f.m_rows(dic, [[2.0]])[0]
+        m_hat_vector(f, dic, data, [0]), f.features(dic, [[2.0]])[1][0]
     )
 
 
@@ -85,7 +85,7 @@ def test_m_hat_vector_empty_rows():
 def test_m_of_gamma_zero_beta():
     dic = PolynomialDictionary(2, degree=2)
     f = PolicyShift(np.eye(2), np.array([0.5, 0.0]))
-    assert f.m_rows(dic, [[0.1, 0.2]])[0] @ np.zeros(dic.output_dim) == 0.0
+    assert f.features(dic, [[0.1, 0.2]])[1][0] @ np.zeros(dic.output_dim) == 0.0
 
 
 def test_m_of_gamma_ate_reads_tau():
@@ -93,14 +93,14 @@ def test_m_of_gamma_ate_reads_tau():
     f = AverageTreatmentEffect(0)
     tau = 2.5
     beta = np.array([0.0, 0.0, tau, 0.0])
-    assert f.m_rows(dic, [[0.0, 0.5]])[0] @ beta == pytest.approx(tau)
+    assert f.features(dic, [[0.0, 0.5]])[1][0] @ beta == pytest.approx(tau)
 
 
 def test_m_of_gamma_derivative_of_square():
     dic = PolynomialDictionary(1, degree=2)
     f = AverageDerivative(np.array([1.0]))
     beta = np.array([0.0, 0.0, 1.0])  # gamma(x) = x^2
-    assert f.m_rows(dic, [[2.0]])[0] @ beta == pytest.approx(4.0)
+    assert f.features(dic, [[2.0]])[1][0] @ beta == pytest.approx(4.0)
 
 
 def test_linearity_in_beta():
@@ -115,8 +115,9 @@ def test_linearity_in_beta():
             x = rng.standard_normal(3)
             b1, b2 = rng.standard_normal((2, dic.output_dim))
             c1, c2 = rng.standard_normal(2)
-            lhs = f.m_rows(dic, [x])[0] @ (c1 * b1 + c2 * b2)
-            rhs = c1 * (f.m_rows(dic, [x])[0] @ b1) + c2 * (f.m_rows(dic, [x])[0] @ b2)
+            m = f.features(dic, [x])[1][0]
+            lhs = m @ (c1 * b1 + c2 * b2)
+            rhs = c1 * (m @ b1) + c2 * (m @ b2)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -130,8 +131,8 @@ def test_average_derivative_is_policy_shift_limit(dic):
     f_shift = PolicyShift(np.eye(2), eps * a)
     for _ in range(5):
         x = rng.uniform(-0.8, 0.8, size=2)
-        m_d = f_deriv.m_rows(dic, [x])[0]
-        m_s = f_shift.m_rows(dic, [x])[0] / eps
+        m_d = f_deriv.features(dic, [x])[1][0]
+        m_s = f_shift.features(dic, [x])[1][0] / eps
         scale = 1.0 + np.abs(m_d).max()
         assert np.abs(m_s - m_d).max() <= 1e-2 * scale
 
@@ -142,9 +143,9 @@ def test_compatibility_errors():
     dic = ate_dictionary()
     f = AverageDerivative(np.array([1.0, 0.0]))  # touches treatment coordinate
     with pytest.raises(ValueError):
-        f.m_rows(dic, np.array([[1.0, 0.5]]))
+        f.features(dic, np.array([[1.0, 0.5]]))
     f_ok = AverageDerivative(np.array([0.0, 1.0]))
-    f_ok.m_rows(dic, np.array([[1.0, 0.5]]))  # z-direction is fine
+    f_ok.features(dic, np.array([[1.0, 0.5]]))  # z-direction is fine
     with pytest.raises(ValueError):
         AverageTreatmentEffect(0).check_compatible(PolynomialDictionary(2, 1))
     data = Dataset(np.zeros(2), np.array([[1.0, 0.1], [0.0, 0.2]]))  # no treatment_col

@@ -16,7 +16,7 @@ from rieszdml import (
     estimate_riesz,
     solve_rmd,
 )
-from rieszdml import lp, rmd
+from rieszdml import lp
 from rieszdml.rmd import LambdaRule, RmdProblem
 
 from oracles import highs_l1, lp_vertex_oracle
@@ -189,7 +189,7 @@ def test_drifted_basic_solution_is_refactorized_before_optimal():
 def test_iteration_limit_status(monkeypatch):
     rng = np.random.default_rng(9)
     prob = random_problem(rng, 10, allow_bound=False)
-    monkeypatch.setattr(rmd, "MAX_ITERS", 1)
+    monkeypatch.setattr(lp, "MAX_ITERS", 1)
     sol = solve_rmd(prob)
     assert sol.status == "iteration_limit"
 
@@ -215,21 +215,21 @@ def test_problem_rejects_empty_gram():
 def test_uncertified_optimum_is_numerical_failure(monkeypatch):
     # G = I, M = (1, 0), lambda = 0.5: the optimum is t = (0.5, 0), l1 0.5.
     prob = RmdProblem(np.eye(2), np.array([1.0, 0.0]), 0.5)
-    z_optimal = np.array([0.5, 0.0, 0.0, 0.0, 0.5, 0.0])
-    z_infeasible = np.zeros(6)  # residual 1 > lambda
-    z_gap_open = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # feasible, l1 1 > 0.5
+    t_optimal = np.array([0.5, 0.0])
+    t_infeasible = np.zeros(2)  # residual 1 > lambda
+    t_gap_open = np.array([1.0, 0.0])  # feasible, l1 1 > 0.5
     y_optimal = np.array([1.0, 0.0])
 
-    def claims_optimal(z, y):
-        return lambda G, M, lam, max_iters: lp.LpResult(z, lp.OPTIMAL, 1, y)
+    def claims_optimal(t, y):
+        return lambda G, M, lam: lp.LpResult(t, lp.OPTIMAL, 1, y)
 
-    for z, y, expect in [(z_optimal, y_optimal, "optimal"),
-                         (z_infeasible, y_optimal, "numerical_failure"),
-                         (z_gap_open, y_optimal, "numerical_failure"),
-                         (z_optimal, np.zeros(2), "numerical_failure")]:
-        monkeypatch.setattr(lp, "solve_standard_form", claims_optimal(z, y))
+    for t, y, expect in [(t_optimal, y_optimal, "optimal"),
+                         (t_infeasible, y_optimal, "numerical_failure"),
+                         (t_gap_open, y_optimal, "numerical_failure"),
+                         (t_optimal, np.zeros(2), "numerical_failure")]:
+        monkeypatch.setattr(lp, "solve_standard_form", claims_optimal(t, y))
         sol = solve_rmd(prob)
-        assert sol.status == expect, (z, y)
+        assert sol.status == expect, (t, y)
     assert sol.gap == pytest.approx(0.5)
 
 

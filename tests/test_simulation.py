@@ -180,7 +180,7 @@ def test_true_theta_interaction_columns_match_monte_carlo(x_dist):
     rng = np.random.default_rng(7)
     n = 400_000
     X = rng.standard_normal((n, 3)) if x_dist == "normal" else rng.uniform(-1, 1, (n, 3))
-    vals = f.m_rows(dic, X) @ beta
+    vals = f.features(dic, X)[1] @ beta
     assert abs(info.value - vals.mean()) <= 4.0 * vals.std() / np.sqrt(n)
 
 
