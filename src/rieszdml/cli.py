@@ -410,9 +410,7 @@ def cmd_rmd_solve(args):
         with np.errstate(over="raise"):
             prob = RmdProblem(G, M, args.lambda_, args.l1_bound)
             solution = solve_rmd(prob)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    except FloatingPointError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise ConfigError(f"cannot solve the RMD problem in --g-matrix {args.g_matrix} "
                           f"and --m-vector {args.m_vector}: {exc}") from None
     payload = asdict(solution)

@@ -7,19 +7,18 @@ l1-budget ||t||_1 <= B (B = inf drops it).  Two instantiations are exposed:
 * ``estimate_blp``   -- G_hat = E_A[b b'],  M_hat = E_A[Y b]   (sparse regression)
 * ``estimate_riesz`` -- G_hat = E_A[b b'],  M_hat = E_A[m(X, b)] (sparse Riesz representer)
 
-Both, and the cross-fitted folds in ``dml``, divide the block sums of
-``gram_and_moments`` by |A| and reach the solver through ``fit_rmd``, which
-picks lambda from the fitting sample and solves one instance exactly with
-``lp.solve_standard_form``, a dual simplex on the p-row LP
+Each instance is checked once, where it enters.  Both fits, and the folds in
+``dml``, divide the block sums of ``gram_and_moments`` by |A| and enter through
+``fit_rmd``, which checks only what such means can get wrong: G_hat is symmetric
+bit for bit.  ``RmdProblem`` is the entry of ``rmd-solve`` and other callers of
+``solve_rmd``, and checks every field.  ``solve_rmd`` solves one instance exactly
+with ``lp.solve_standard_form``, a dual simplex on the p-row LP
 G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0  that pivots on G itself and
 starts from the slack basis t = 0.  The simplex's statuses, pivot budget
 and ``SolverError`` live in ``lp``; this module adds "numerical_failure"
 for an answer that fails its certificate.  Every optimum is certified
-outside the solver: its residuals are re-checked and a lower bound on
-min ||t||_1 is computed from G_hat, M_hat, lambda and the row duals alone.
-The budget B never enters the LP.  Since the objective is ||t||_1 itself,
-B cannot change the fitted coefficients; it only decides feasibility: a fit
-whose certified lower bound exceeds B is infeasible.
+outside the solver from G_hat, M_hat, lambda and the row duals alone.  The
+budget B never enters the LP; it only decides feasibility (``solve_rmd``).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class RmdInfeasibleError(RuntimeError):
 
 @dataclass
 class RmdProblem:
-    """Data of one RMD instance; G_hat is symmetrized on construction."""
+    """Data of one RMD instance; every field is checked and G_hat symmetrized on construction."""
 
     G_hat: np.ndarray
     M_hat: np.ndarray
@@ -60,9 +59,9 @@ class RmdProblem:
             raise ValueError("M_hat length must match G_hat")
         if not (np.all(np.isfinite(G)) and np.all(np.isfinite(M))):
             raise ValueError("non-finite entries in RMD problem")
-        if np.abs(G - G.T).max() > 1e-10 * (1.0 + np.abs(G).max()):
+        half = 0.5 * G  # halved first: G - G' and G + G' may overflow
+        if np.abs(half - half.T).max() > 0.5e-10 * (1.0 + np.abs(G).max()):
             raise ValueError("G_hat is not symmetric")
-        half = 0.5 * G  # halved before adding: G + G' may overflow
         self.G_hat = half + half.T
         self.M_hat = M
         self.lam = float(self.lam)
@@ -209,12 +208,19 @@ def gram_and_moments(B, y=None, Mx=None):
 def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf):
     """Solve the RMD instance (G_hat, M_hat) at the lambda ``rule`` picks.
 
-    ``n_rows`` is the size of the fitting sample G_hat and M_hat average
-    over.  The returned RmdSolution carries the lambda in ``lam``.
+    G_hat and M_hat are the library's means over ``n_rows`` rows of b(X), so only their
+    finiteness and the budget are checked.  The RmdSolution it returns carries ``lam``.
     """
     if n_rows < 2:
         raise ValueError("need at least 2 rows to fit")
-    return solve_rmd(RmdProblem(G, M, rule.lam(n_rows, M.shape[0]), l1_bound))
+    lam = rule.lam(n_rows, M.shape[0])
+    if not (np.isfinite(G).all() and np.isfinite(M).all()):
+        raise ValueError("non-finite entries in RMD problem")
+    if not l1_bound > 0.0:
+        raise ValueError("l1_bound must be positive (inf drops the constraint)")
+    prob = object.__new__(RmdProblem)  # G is symmetric bit for bit: no __post_init__, no copy
+    prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound = G, M, float(lam), float(l1_bound)
+    return solve_rmd(prob)
 
 
 def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf):

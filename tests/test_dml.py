@@ -27,7 +27,7 @@ from rieszdml import (
     score_derivatives,
     score_psi,
 )
-from rieszdml import dml, lp
+from rieszdml import dml, lp, rmd
 from rieszdml.rmd import LambdaRule, gram_and_moments
 
 from oracles import PerTermFourierDictionary, PerTermPolynomialDictionary, reference_dml
@@ -452,19 +452,27 @@ def test_ate_riesz_fit_evaluates_inner_dictionary_once():
     assert (inner.calls, inner.rows) == (1, rows.size)
 
 
+FAMILIES = ["polynomial", "fourier", "identity", "treatment_interacted"]
+
+
+def _family_case(family):
+    """(data, dictionary, functional) of one dictionary family at n = 120."""
+    if family == "treatment_interacted":
+        dic = TreatmentInteractedDictionary(PolynomialDictionary(2, degree=2), treatment_index=0)
+        return _ate_data(n=120), dic, AverageTreatmentEffect(0)
+    data, _, f, _ = small_setup(n=120, p=3, seed=8)
+    dic = {"polynomial": PolynomialDictionary(3, degree=2, with_interactions=True),
+           "fourier": FourierDictionary(3, order=2),
+           "identity": IdentityDictionary(3)}[family]
+    return data, dic, f
+
+
 @pytest.mark.parametrize("K", [2, 5])
-@pytest.mark.parametrize("family", ["polynomial", "fourier", "identity", "treatment_interacted"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_complement_grams_are_exactly_symmetric(monkeypatch, family, K):
     # each fold's G is B'B of one product plus block sums in a fixed order,
     # so it is symmetric bit for bit, not only to rounding
-    if family == "treatment_interacted":
-        data, f = _ate_data(n=120), AverageTreatmentEffect(0)
-        dic = TreatmentInteractedDictionary(PolynomialDictionary(2, degree=2), treatment_index=0)
-    else:
-        data, _, f, _ = small_setup(n=120, p=3, seed=8)
-        dic = {"polynomial": PolynomialDictionary(3, degree=2, with_interactions=True),
-               "fourier": FourierDictionary(3, order=2),
-               "identity": IdentityDictionary(3)}[family]
+    data, dic, f = _family_case(family)
     grams = []
     real = dml.fit_rmd
 
@@ -477,6 +485,51 @@ def test_complement_grams_are_exactly_symmetric(monkeypatch, family, K):
     assert len(grams) == 2 * K
     for G in grams:
         assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("fit", ["estimate_blp", "estimate_riesz"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_library_fit_grams_are_exactly_symmetric(monkeypatch, family, fit):
+    # estimate_blp and estimate_riesz also hand fit_rmd one B'B / |A|, which it
+    # solves without symmetrizing
+    data, dic, f = _family_case(family)
+    grams = []
+    real = rmd.fit_rmd
+
+    def spy(G, *args):
+        grams.append(G)
+        return real(G, *args)
+
+    monkeypatch.setattr(rmd, "fit_rmd", spy)
+    rows, rule = np.arange(1, data.n, 3), LambdaRule.fixed(0.1)
+    if fit == "estimate_blp":
+        rmd.estimate_blp(data, rows, dic, rule)
+    else:
+        rmd.estimate_riesz(data, rows, dic, f, rule)
+    assert len(grams) == 1
+    assert np.array_equal(grams[0], grams[0].T)
+
+
+@pytest.mark.parametrize("plugin_only, fits_per_fold", [(False, 2), (True, 1)],
+                         ids=["debiased", "plugin_only"])
+def test_estimate_solves_fold_grams_without_rmd_problem_checks(monkeypatch, plugin_only,
+                                                               fits_per_fold):
+    # an estimate checks the Grams it sums in fit_rmd; RmdProblem re-checks and
+    # symmetrizes only instances built outside the library
+    data, dic, f, _ = small_setup(n=120, p=3, seed=8)
+    checked, solved = [], []
+    real = rmd.solve_rmd
+
+    def spy(prob):
+        solved.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(rmd.RmdProblem, "__post_init__", lambda prob: checked.append(prob))
+    monkeypatch.setattr(rmd, "solve_rmd", spy)
+    K = 3
+    dml_estimate(data, dic, f, K=K, rule=LambdaRule.fixed(0.1), plugin_only=plugin_only)
+    assert checked == []
+    assert len(solved) == fits_per_fold * K
 
 
 # Two identical n = 8000 ate_logistic estimates in a fresh interpreter; prints

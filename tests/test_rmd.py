@@ -17,7 +17,7 @@ from rieszdml import (
     solve_rmd,
 )
 from rieszdml import lp
-from rieszdml.rmd import LambdaRule, RmdProblem
+from rieszdml.rmd import LambdaRule, RmdProblem, fit_rmd
 
 from oracles import highs_l1, lp_vertex_oracle
 
@@ -205,6 +205,37 @@ def test_problem_validation():
         RmdProblem(np.eye(2), np.zeros(2), 0.1, l1_bound=0.0)
     with pytest.raises(ValueError):
         RmdProblem(np.eye(2), np.zeros(3), 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_problem_symmetry_check_does_not_overflow():
+    # G - G' overflows here; the halves' difference does not
+    with pytest.raises(ValueError, match="G_hat is not symmetric"):
+        RmdProblem([[1.0, 1e308], [-1e308, 1.0]], np.zeros(2), 0.1)
+
+
+def test_fit_rmd_solves_the_instance_rmd_problem_would():
+    # fit_rmd skips RmdProblem's checks; on a Gram the library summed it solves the same instance
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((40, 6))
+    G, M = X.T @ X / 40, X.T @ (X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(40)) / 40
+    rule = LambdaRule.gaussian_quantile(c=0.5)
+    for l1_bound, status in ((np.inf, "optimal"), (0.5, "infeasible")):
+        sol = fit_rmd(G, M, rule, 40, l1_bound)
+        assert sol.status == status and type(sol.lam) is float
+        np.testing.assert_equal(vars(sol), vars(solve_rmd(RmdProblem(G, M, rule.lam(40, 6), l1_bound))))
+
+
+@pytest.mark.parametrize("G, M, n_rows, l1_bound, message", [
+    (np.eye(2), np.zeros(2), 1, np.inf, "need at least 2 rows"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.zeros(2), 10, np.inf, "non-finite entries"),
+    (np.eye(2), np.array([np.nan, 0.0]), 10, np.inf, "non-finite entries"),
+    (np.eye(2), np.zeros(2), 10, 0.0, "l1_bound must be positive"),
+    (np.eye(2), np.zeros(2), 10, np.nan, "l1_bound must be positive"),
+], ids=["one_row", "G_inf", "M_nan", "budget_zero", "budget_nan"])
+def test_fit_rmd_checks_what_summed_means_can_get_wrong(G, M, n_rows, l1_bound, message):
+    with pytest.raises(ValueError, match=message):
+        fit_rmd(G, M, LambdaRule.fixed(0.1), n_rows, l1_bound)
 
 
 def test_problem_rejects_empty_gram():
