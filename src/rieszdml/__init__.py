@@ -12,14 +12,14 @@ _HOMES = {
     "dictionaries": ("Dataset", "Dictionary", "FourierDictionary", "IdentityDictionary",
                      "PolynomialDictionary", "TreatmentInteractedDictionary", "design_matrix",
                      "load_csv"),
-    "dml": ("DmlResult", "dml_estimate", "fit_and_score_fold", "make_fold_plan",
-            "orthogonality_report", "score_derivatives", "score_psi"),
+    "dml": ("DmlResult", "EstimatorConfig", "dml_estimate", "fit_and_score_fold",
+            "make_fold_plan", "orthogonality_report", "score_derivatives", "score_psi"),
     "functional": ("AverageDerivative", "AverageTreatmentEffect", "PolicyShift", "m_hat_vector"),
     "lp": ("SolverError",),
     "rmd": ("LambdaRule", "RmdInfeasibleError", "RmdProblem", "RmdSolution", "estimate_blp",
             "estimate_riesz", "solve_rmd"),
-    "simulation": ("AteLogisticDgp", "EstimatorConfig", "MonteCarloReport", "SparseLinearDgp",
-                   "dense_decay_dgp", "run_monte_carlo", "true_theta_info"),
+    "simulation": ("AteLogisticDgp", "MonteCarloReport", "SparseLinearDgp", "dense_decay_dgp",
+                   "run_monte_carlo", "true_theta_info"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -23,6 +23,10 @@ goes to stdout first, then to the ``--output`` and ``--csv`` files, so a
 file that cannot be written fails the run (exit 2) after stdout was
 written.  Non-finite numbers are written as null.
 
+The library checks each setting's range once (``dml.EstimatorConfig``, ``make_fold_plan``,
+``run_monte_carlo``), and ``run`` maps the field a ``SettingError`` names to its config key;
+this module checks only what a config alone gets wrong: types, choices, unread keys, seed.
+
 A process whose first numpy import comes from this module (``python -m
 rieszdml.cli``, the ``rieszdml`` script) starts numpy's OpenBLAS on one
 thread unless ``OPENBLAS_NUM_THREADS`` is already set: on the default count
@@ -48,18 +52,10 @@ import numpy as np
 from . import jsonio
 from .dictionaries import (FourierDictionary, IdentityDictionary, PolynomialDictionary,
                            TreatmentInteractedDictionary, load_csv)
-from .dml import dml_estimate
+from .dml import EstimatorConfig, dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .lp import SolverError
-from .rmd import LambdaRule, LambdaRuleError, RmdInfeasibleError, RmdProblem, solve_rmd
-from .simulation import (
-    AteLogisticDgp,
-    EstimatorConfig,
-    SparseLinearDgp,
-    dense_decay_dgp,
-    resolve_workers,
-    run_monte_carlo,
-)
+from .rmd import LambdaRule, RmdInfeasibleError, RmdProblem, SettingError, solve_rmd
 
 
 class ConfigError(Exception):
@@ -209,57 +205,50 @@ def build_functional(cfg, input_dim, treatment_col=None):
         raise ConfigError(f"functional.*: {exc}", key="functional.type") from None
 
 
-def build_lambda_rule(cfg, p, prefix="estimator.lambda"):
-    """The lambda rule under ``prefix``, checked for a p-column dictionary."""
+# the config key of each setting that a SettingError can name
+_RULE_PREFIXES = {"rule": "estimator.lambda", "riesz_rule": "estimator.riesz_lambda"}
+_RULE_FIELDS = ("method", "value", "c", "alpha")
+_SETTING_KEYS = {"K": "estimator.k_folds", "alpha": "estimator.alpha",
+                 "l1_bound": "estimator.l1_bound", "functional": "functional.type",
+                 "R": "simulation.replications", "n": "simulation.n",
+                 "workers": "simulation.workers",
+                 **{f"{rule}.{f}": f"{prefix}_{f}" for rule, prefix in _RULE_PREFIXES.items()
+                    for f in _RULE_FIELDS}}
+
+
+def build_lambda_rule(cfg, name="rule"):
+    """The lambda rule the keys of setting ``name`` spell out; None (the default) if none is set."""
+    prefix = _RULE_PREFIXES[name]
+    if not any(cfg.has(f"{prefix}_{f}") for f in _RULE_FIELDS):
+        return None
     method = cfg.get_str(f"{prefix}_method", default="gaussian_quantile",
                          choices={"gaussian_quantile", "fixed"})
     try:
         if method == "fixed":
-            rule = LambdaRule.fixed(cfg.get_float(f"{prefix}_value", required=True))
-        else:
-            rule = LambdaRule.gaussian_quantile(
-                c=cfg.get_float(f"{prefix}_c", default=1.1),
-                alpha=cfg.get_float(f"{prefix}_alpha", default=0.05),
-            )
-        rule.lam(1, p)
-        return rule
-    except LambdaRuleError as exc:
-        raise ConfigError(f"{prefix}_{exc.field}: {exc}", key=f"{prefix}_{exc.field}") from None
+            return LambdaRule.fixed(cfg.get_float(f"{prefix}_value", required=True))
+        return LambdaRule.gaussian_quantile(c=cfg.get_float(f"{prefix}_c", default=1.1),
+                                            alpha=cfg.get_float(f"{prefix}_alpha", default=0.05))
+    except SettingError as exc:
+        raise SettingError(f"{name}.{exc.field}", str(exc)) from None
 
 
 def build_estimator(cfg, dictionary, functional):
-    K = cfg.get_int("estimator.k_folds", default=5)
-    if K < 2:
-        raise ConfigError("estimator.k_folds must be >= 2", key="estimator.k_folds")
-    alpha = cfg.get_float("estimator.alpha", default=0.05)
-    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
-        raise ConfigError("estimator.alpha must lie in (0, 1), with 1 - alpha / 2 below 1 "
-                          "in floating point", key="estimator.alpha")
-    p = dictionary.output_dim
-    rule = build_lambda_rule(cfg, p)
-    riesz_rule = None
-    if any(cfg.has(f"estimator.riesz_lambda_{s}") for s in ("method", "c", "alpha", "value")):
-        riesz_rule = build_lambda_rule(cfg, p, prefix="estimator.riesz_lambda")
-    l1_bound = cfg.get_float("estimator.l1_bound", default=np.inf)
-    if not l1_bound > 0:
-        raise ConfigError("estimator.l1_bound must be positive", key="estimator.l1_bound")
-    try:
-        functional.check_compatible(dictionary)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="functional.type") from None
+    """The estimator record the ``estimator.*`` keys spell out; the record checks each setting."""
     return EstimatorConfig(
         dictionary=dictionary,
         functional=functional,
-        K=K,
-        rule=rule,
-        riesz_rule=riesz_rule,
-        l1_bound=l1_bound,
-        alpha=alpha,
+        K=cfg.get_int("estimator.k_folds", default=5),
+        alpha=cfg.get_float("estimator.alpha", default=0.05),
+        rule=build_lambda_rule(cfg),
+        riesz_rule=build_lambda_rule(cfg, "riesz_rule"),
+        l1_bound=cfg.get_float("estimator.l1_bound", default=np.inf),
         plugin_only=cfg.get_bool("estimator.plugin_only", default=False),
     )
 
 
 def build_dgp(cfg):
+    from . import simulation  # imported here so that `estimate` loads no simulation code
+
     kind = cfg.get_str("simulation.dgp", required=True,
                        choices={"sparse_linear", "ate_logistic", "dense_decay"})
     noise_sd = cfg.get_float("simulation.noise_sd", default=1.0)
@@ -268,21 +257,21 @@ def build_dgp(cfg):
             d = cfg.get_int("simulation.d", required=True)
             dictionary = build_dictionary(cfg, d)
             beta = cfg.get_vector("simulation.beta_star", required=True)
-            return SparseLinearDgp(
+            return simulation.SparseLinearDgp(
                 dictionary, beta,
                 x_dist=cfg.get_str("simulation.x_dist", default="normal",
                                    choices={"normal", "uniform"}),
                 noise_sd=noise_sd,
             )
         if kind == "dense_decay":
-            return dense_decay_dgp(
+            return simulation.dense_decay_dgp(
                 d=cfg.get_int("simulation.d", required=True),
                 decay=cfg.get_float("simulation.decay", required=True),
                 noise_sd=noise_sd,
                 scale=cfg.get_float("simulation.scale", default=1.0),
             )
         d_z = cfg.get_int("simulation.d_z", required=True)
-        return AteLogisticDgp(
+        return simulation.AteLogisticDgp(
             d_z=d_z,
             outcome_coefs=cfg.get_vector("simulation.outcome_coefs", required=True),
             tau=cfg.get_float("simulation.tau", required=True),
@@ -336,16 +325,14 @@ def cmd_estimate(args):
                                   treatment_index=data.treatment_col or 0)
     functional = build_functional(cfg, data.d, treatment_col=data.treatment_col)
     est = build_estimator(cfg, dictionary, functional)
-    if data.n < 2 * est.K:
-        raise ConfigError(f"estimator.k_folds = {est.K} needs n >= 2K observations, "
-                          f"the data has n = {data.n}", key="estimator.k_folds")
     seed = get_seed(cfg)
     cfg.reject_unread("estimate")
     try:
-        # the settings are checked above, so an overflow or a bad RMD
-        # instance from here on comes from the data
+        # a SettingError is K against the data's n; any other failure comes from the data
         with np.errstate(over="raise"):
             result = dml_estimate(data, **vars(est), seed=seed)
+    except SettingError:
+        raise
     except (ValueError, FloatingPointError) as exc:
         raise ConfigError(f"cannot estimate from --data file {args.data}: {exc}") from None
     payload = result.summary()
@@ -355,9 +342,11 @@ def cmd_estimate(args):
 
 
 def cmd_simulate(args):
+    from . import simulation
+
     cfg = Config.load(args.config)
     dgp = build_dgp(cfg)
-    if isinstance(dgp, AteLogisticDgp):
+    if isinstance(dgp, simulation.AteLogisticDgp):
         # estimation is well-specified by construction: the estimator sees a
         # treatment-interacted dictionary over (D, Z) and targets the ATE
         dictionary = build_dictionary(cfg, dgp.d_z + 1, treatment_index=0)
@@ -373,24 +362,13 @@ def cmd_simulate(args):
         dictionary = dgp.dictionary
         functional = build_functional(cfg, dictionary.input_dim)
     est = build_estimator(cfg, dictionary, functional)
-
     R = cfg.get_int("simulation.replications", required=True)
-    if R < 1:
-        raise ConfigError("simulation.replications must be >= 1", key="simulation.replications")
     n = cfg.get_int("simulation.n", required=True)
-    if n < 2 * est.K:
-        raise ConfigError(f"simulation.n must be >= 2K for K = {est.K} folds", key="simulation.n")
     seed = get_seed(cfg)
     workers = cfg.get_int("simulation.workers")
-    if workers is not None and workers < 1:
-        raise ConfigError("simulation.workers must be >= 1", key="simulation.workers")
-    try:
-        workers = resolve_workers(workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     cfg.reject_unread("simulate")
-    report = run_monte_carlo(dgp, est, R=R, n=n, seed=seed, workers=workers,
-                             config_echo=cfg.echo())
+    report = simulation.run_monte_carlo(dgp, est, R=R, n=n, seed=seed, workers=workers,
+                                        config_echo=cfg.echo())
     _emit(report.summary(), args.output)
     if args.csv:
         with _writing("--csv", args.csv):
@@ -461,18 +439,20 @@ def run(argv):
         return args.func(args)
     except SystemExit as exc:  # --help has printed usage to stdout
         return int(exc.code or 0)
+    except SettingError as exc:
+        key = _SETTING_KEYS.get(exc.field)  # RIESZ_DML_THREADS is no config key
+        error, code = ConfigError(f"{key}: {exc}" if key else str(exc), key), 2
     except ConfigError as exc:
-        err = {"error": str(exc)}
-        if exc.key:
-            err["key"] = exc.key
-        sys.stderr.write(jsonio.dumps(err) + "\n")
-        return 2
+        error, code = exc, 2
     except RmdInfeasibleError as exc:
-        sys.stderr.write(jsonio.dumps({"error": str(exc)}) + "\n")
-        return 3
+        error, code = exc, 3
     except SolverError as exc:
-        sys.stderr.write(jsonio.dumps({"error": str(exc)}) + "\n")
-        return 4
+        error, code = exc, 4
+    err = {"error": str(error)}
+    if getattr(error, "key", None):
+        err["key"] = error.key
+    sys.stderr.write(jsonio.dumps(err) + "\n")
+    return code
 
 
 def main():

@@ -35,8 +35,47 @@ from statistics import NormalDist
 import numpy as np
 
 from .lp import INFEASIBLE, ITERATION_LIMIT, SolverError, _one_blas_thread
-from .rmd import (NUMERICAL_FAILURE, LambdaRule, RmdInfeasibleError, RmdSolution, fit_rmd,
-                  gram_and_moments)
+from .rmd import (NUMERICAL_FAILURE, LambdaRule, RmdInfeasibleError, RmdSolution, SettingError,
+                  fit_rmd, gram_and_moments)
+
+
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """Everything dml_estimate needs besides the data and the seed, under its keyword names.
+
+    Built, it defaults ``rule`` to the Gaussian quantile rule and ``riesz_rule`` to ``rule``,
+    then checks K >= 2, alpha, each rule at the dictionary's p, l1_bound > 0 and the functional
+    against the dictionary, once, raising a ``SettingError`` that names the bad field.
+    """
+
+    dictionary: object
+    functional: object
+    K: int = 5
+    rule: LambdaRule | None = None
+    riesz_rule: LambdaRule | None = None
+    l1_bound: float = np.inf
+    alpha: float = 0.05
+    plugin_only: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "rule", self.rule or LambdaRule.gaussian_quantile())
+        object.__setattr__(self, "riesz_rule", self.riesz_rule or self.rule)
+        if not self.K >= 2:
+            raise SettingError("K", f"need K >= 2 folds, got {self.K!r}")
+        if not (0.0 < self.alpha < 1.0 and 1.0 - self.alpha / 2.0 < 1.0):
+            raise SettingError("alpha", "alpha must lie in (0, 1), with 1 - alpha / 2 below 1 "
+                                        f"in floating point, got {self.alpha!r}")
+        for name in ("rule", "riesz_rule"):
+            try:  # a rule that picks lambda at one row picks it at any n
+                getattr(self, name).lam(1, self.dictionary.output_dim)
+            except SettingError as exc:
+                raise SettingError(f"{name}.{exc.field}", str(exc)) from None
+        if not self.l1_bound > 0.0:
+            raise SettingError("l1_bound", f"l1_bound must be positive, got {self.l1_bound!r}")
+        try:
+            self.functional.check_compatible(self.dictionary)
+        except ValueError as exc:
+            raise SettingError("functional", str(exc)) from None
 
 
 def make_fold_plan(n, K, seed):
@@ -46,9 +85,9 @@ def make_fold_plan(n, K, seed):
     deterministic given (n, K, seed).
     """
     if n < 2 * K:
-        raise ValueError("need n >= 2K observations")
+        raise SettingError("K", f"need n >= 2K observations for K = {K} folds, got n = {n}")
     if K < 2:
-        raise ValueError("need K >= 2 folds")
+        raise SettingError("K", f"need K >= 2 folds, got K = {K} for n = {n}")
     perm = np.random.default_rng(seed).permutation(n)
     edges = np.linspace(0, n, K + 1).astype(int)
     return [np.sort(perm[a:b]) for a, b in zip(edges, edges[1:])]
@@ -216,15 +255,11 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
     Riesz lambda as well.  ``plugin_only`` forces rho_hat = 0 (no debiasing
     term); it exists as a comparison baseline for simulation studies.
     The K folds are ``make_fold_plan(n, K, seed)``, so the result is
-    deterministic given (data, config, seed).  ``alpha`` must lie in (0, 1).
+    deterministic given (data, config, seed).  Before any fit, the keywords are
+    checked as an ``EstimatorConfig`` and K against n by ``make_fold_plan``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    est = EstimatorConfig(dictionary, functional, K, rule, riesz_rule, l1_bound, alpha, plugin_only)
     functional.check_compatible(dictionary, data)
-    if rule is None:
-        rule = LambdaRule.gaussian_quantile()
-    if riesz_rule is None:
-        riesz_rule = rule
     n = data.n
     fold_rows = make_fold_plan(n, K, seed)
 
@@ -247,8 +282,8 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
             others = blocks[:k - 1] + blocks[k:]
             complement = (n - (f.stop - f.start),
                           *(sum(parts[1:], parts[0]) for parts in zip(*others)))
-            record, contrib = fit_and_score_fold(B[f], Mx[f], y[f], complement, rule, riesz_rule,
-                                                 l1_bound, plugin_only, fold_id=k)
+            record, contrib = fit_and_score_fold(B[f], Mx[f], y[f], complement, est.rule,
+                                                 est.riesz_rule, l1_bound, plugin_only, fold_id=k)
             records.append(record)
             contribs[order[f]] = contrib
             d_beta, d_rho = _derivative_sums(blocks[k - 1], record.blp.t_hat, record.riesz.t_hat)

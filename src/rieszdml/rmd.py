@@ -89,8 +89,8 @@ class RmdSolution:
     lam: float
 
 
-class LambdaRuleError(ValueError):
-    """A lambda-rule parameter is out of range; ``field`` names it."""
+class SettingError(ValueError):
+    """A setting is out of range; ``field`` names it (``K``, ``n``, ``c``, ``rule.c``, ...)."""
 
     def __init__(self, field, message):
         super().__init__(message)
@@ -115,12 +115,12 @@ class LambdaRule:
 
     def __post_init__(self):
         if self.method not in ("fixed", "gaussian_quantile"):
-            raise LambdaRuleError("method", f"unknown lambda rule {self.method!r}")
+            raise SettingError("method", f"unknown lambda rule {self.method!r}")
         for field, ok, expected in (("value", 0.0 <= self.value < np.inf, "finite and >= 0"),
                                     ("c", 0.0 <= self.c < np.inf, "finite and >= 0"),
                                     ("alpha", 0.0 < self.alpha < 1.0, "in (0, 1)")):
             if not ok:
-                raise LambdaRuleError(field, f"lambda rule {field} must be {expected}, "
+                raise SettingError(field, f"lambda rule {field} must be {expected}, "
                                              f"got {getattr(self, field)!r}")
 
     @classmethod
@@ -141,11 +141,11 @@ class LambdaRule:
             return float(self.value)
         level = 1.0 - self.alpha / (2.0 * p)
         if level == 1.0:
-            raise LambdaRuleError("alpha", f"lambda rule alpha = {self.alpha!r} is too small "
+            raise SettingError("alpha", f"lambda rule alpha = {self.alpha!r} is too small "
                                            f"for p = {p}: 1 - alpha / (2 p) rounds to 1")
         out = self.c * NormalDist().inv_cdf(level) / np.sqrt(n_rows)
         if not np.isfinite(out):
-            raise LambdaRuleError("c", f"lambda rule c = {self.c!r} overflows lambda at p = {p}")
+            raise SettingError("c", f"lambda rule c = {self.c!r} overflows lambda at p = {p}")
         return out
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .dictionaries import Dataset, FourierDictionary, IdentityDictionary, Polyno
 from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .lp import SolverError
-from .rmd import LambdaRule, RmdInfeasibleError
+from .rmd import RmdInfeasibleError, SettingError
 
 
 _LOGIT_BOUND = float(np.log(0.95 / 0.05))  # propensity clipped to [0.05, 0.95]
@@ -81,8 +81,6 @@ class SparseLinearDgp:
         return self.dictionary.evaluate_rows(X) @ self.beta_star
 
     def generate(self, n, seed):
-        if n < 2:
-            raise ValueError("need n >= 2")
         rng = np.random.default_rng(seed)
         X = _draw_x(rng, n, self.d, self.x_dist)
         y = self.gamma_values(X) + self.noise_sd * rng.standard_normal(n)
@@ -119,8 +117,6 @@ class AteLogisticDgp:
         return 1.0 / (1.0 + np.exp(-index))
 
     def generate(self, n, seed):
-        if n < 2:
-            raise ValueError("need n >= 2")
         rng = np.random.default_rng(seed)
         Z = rng.standard_normal((n, self.d_z))
         pi = self.propensity(Z)
@@ -254,20 +250,6 @@ def _quadrature(dgp, functional, nodes=120):
 
 # -- Monte Carlo harness -----------------------------------------------------
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Everything dml_estimate needs besides the data and the seed, under its keyword names."""
-
-    dictionary: object
-    functional: object
-    K: int = 5
-    rule: LambdaRule = field(default_factory=LambdaRule.gaussian_quantile)
-    riesz_rule: LambdaRule | None = None
-    l1_bound: float = np.inf
-    alpha: float = 0.05
-    plugin_only: bool = False
-
-
 @dataclass
 class MonteCarloReport:
     R: int
@@ -327,18 +309,19 @@ def _replicate(task):
 
 
 def resolve_workers(requested=None):
-    """Pool processes, not BLAS threads: at most RIESZ_DML_THREADS (default, and for None: all cores)."""
+    """Pool processes, not BLAS threads: at most RIESZ_DML_THREADS (default: usable CPUs)."""
     if requested is not None and requested < 1:
-        raise ValueError(f"need workers >= 1, got {requested}")
+        raise SettingError("workers", f"need workers >= 1, got {requested}")
     env = os.environ.get("RIESZ_DML_THREADS")
     try:
-        cap = int(env) if env is not None else (os.cpu_count() or 1)
+        cap = int(env) if env is not None else len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows): all cores
+        cap = os.cpu_count() or 1
     except ValueError:
-        raise ValueError(f"RIESZ_DML_THREADS must be an integer, got {env!r}") from None
+        raise SettingError("RIESZ_DML_THREADS",
+                           f"RIESZ_DML_THREADS must be an integer, got {env!r}") from None
     cap = max(1, cap)
-    if requested is None:
-        return cap
-    return min(int(requested), cap)
+    return cap if requested is None else min(int(requested), cap)
 
 
 def run_monte_carlo(dgp, est, R, n, seed, workers=None, config_echo=None):
@@ -349,13 +332,15 @@ def run_monte_carlo(dgp, est, R, n, seed, workers=None, config_echo=None):
     (config, seed) regardless of ``workers``.  A replication whose data or
     solver fails or overflows (ValueError, RmdInfeasibleError, SolverError,
     FloatingPointError) is recorded as "failed"; any other exception
-    propagates.
+    propagates.  A bad R, n (< 2K) or workers raises ``SettingError`` before any work.
     """
     if R < 1:
-        raise ValueError("need R >= 1")
+        raise SettingError("R", f"need R >= 1 replications, got {R}")
+    if n < 2 * est.K:
+        raise SettingError("n", f"need n >= 2K observations for K = {est.K} folds, got n = {n}")
+    workers = resolve_workers(workers)
     info = true_theta_info(dgp, est.functional)
     tasks = [(dgp, est, n, seed, rep, info.value) for rep in range(R)]
-    workers = resolve_workers(workers)
     if workers > 1 and R > 1:
         # imported here so that `estimate`, which never starts a pool, does not load it
         from concurrent.futures import ProcessPoolExecutor

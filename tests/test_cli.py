@@ -777,7 +777,7 @@ def test_bundled_config_is_fully_read(monkeypatch, path):
         raise _Started
 
     monkeypatch.setattr(cli, "dml_estimate", start)
-    monkeypatch.setattr(cli, "run_monte_carlo", start)
+    monkeypatch.setattr("rieszdml.simulation.run_monte_carlo", start)
     argv = ["estimate", "--data", EXAMPLE_CSV] if path.parent.name == "examples" else ["simulate"]
     with pytest.raises(_Started):
         run([*argv, "--config", str(path)])
@@ -971,6 +971,11 @@ def fresh_python(*args, **env):
 
 def test_cli_import_leaves_process_pool_unloaded():
     code = "import sys, rieszdml.cli; print('concurrent.futures.process' in sys.modules)"
+    assert fresh_python("-c", code) == b"False\n"
+
+
+def test_cli_import_leaves_simulation_unloaded():
+    code = "import sys, rieszdml.cli; print('rieszdml.simulation' in sys.modules)"
     assert fresh_python("-c", code) == b"False\n"
 
 

@@ -18,6 +18,7 @@ from rieszdml import (
     IdentityDictionary,
     PolicyShift,
     PolynomialDictionary,
+    EstimatorConfig,
     RmdInfeasibleError,
     TreatmentInteractedDictionary,
     dml_estimate,
@@ -29,6 +30,7 @@ from rieszdml import (
 )
 from rieszdml import dml, lp, rmd
 from rieszdml.rmd import LambdaRule, gram_and_moments
+from rieszdml.rmd import SettingError
 
 from oracles import PerTermFourierDictionary, PerTermPolynomialDictionary, reference_dml
 
@@ -228,6 +230,41 @@ def test_dml_rejects_alpha_outside_the_unit_interval(alpha):
     data, dic, f, _ = small_setup(n=100)
     with pytest.raises(ValueError, match="alpha must lie in"):
         dml_estimate(data, dic, f, K=2, alpha=alpha)
+
+
+def test_dml_checks_alpha_before_any_fit(monkeypatch):
+    # 1 - 1e-300 / 2 rounds to 1, so the quantile would fail only after all ten fits
+    calls = []
+    real = rmd.solve_rmd
+    monkeypatch.setattr(rmd, "solve_rmd", lambda prob: calls.append(prob) or real(prob))
+    data, dic, f, _ = small_setup(n=100)
+    with pytest.raises(SettingError, match="alpha must lie in") as info:
+        dml_estimate(data, dic, f, K=5, alpha=1e-300)
+    assert info.value.field == "alpha" and calls == []
+
+
+@pytest.mark.parametrize("settings, field", [
+    ({"K": 1}, "K"),
+    ({"l1_bound": 0.0}, "l1_bound"),
+    ({"l1_bound": np.nan}, "l1_bound"),
+    ({"alpha": 7.0}, "alpha"),
+    ({"rule": LambdaRule.gaussian_quantile(alpha=1e-300)}, "rule.alpha"),
+    ({"riesz_rule": LambdaRule.gaussian_quantile(c=1e308, alpha=1e-12)}, "riesz_rule.c"),
+    ({"functional": AverageDerivative(np.ones(3))}, "functional"),
+], ids=["K=1", "l1_bound=0", "l1_bound=nan", "alpha=7", "rule_alpha_rounds",
+        "riesz_rule_c_overflows", "direction_length"])
+def test_estimator_config_names_the_setting_out_of_range(settings, field):
+    _, dic, f, _ = small_setup()
+    with pytest.raises(SettingError) as info:
+        EstimatorConfig(**{"dictionary": dic, "functional": f, **settings})
+    assert info.value.field == field
+
+
+def test_estimator_config_defaults_the_riesz_rule_to_the_rule():
+    _, dic, f, _ = small_setup()
+    rule = LambdaRule.fixed(0.1)
+    assert EstimatorConfig(dic, f).rule == LambdaRule.gaussian_quantile()
+    assert EstimatorConfig(dic, f, rule=rule).riesz_rule is rule
 
 
 def test_dml_exact_root_per_fold():

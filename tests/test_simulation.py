@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rieszdml import (
 )
 from rieszdml import dml, simulation
 from rieszdml.rmd import LambdaRule
+from rieszdml.rmd import SettingError
 from rieszdml.simulation import rep_seeds
 
 
@@ -354,6 +356,31 @@ def test_rep_seeds_documented_rule():
     assert rep_seeds(7, 3) == rep_seeds(7, 3)
     assert rep_seeds(7, 3) != rep_seeds(7, 4)
     assert rep_seeds(8, 3) != rep_seeds(7, 3)
+
+
+@pytest.mark.parametrize("R, n, workers, field", [(4, 6, 1, "n"), (0, 60, 1, "R"),
+                                                    (4, 60, 0, "workers")],
+                         ids=["n_below_2K", "R=0", "workers=0"])
+def test_run_monte_carlo_refuses_a_bad_study_before_any_replication(monkeypatch, R, n,
+                                                                    workers, field):
+    started = []
+    monkeypatch.setattr(simulation, "true_theta_info", lambda *args: started.append(args))
+    monkeypatch.setattr(simulation, "_replicate", lambda task: started.append(task))
+    dgp = sparse_linear()
+    est = EstimatorConfig(dgp.dictionary, AverageDerivative(np.array([1.0, 0, 0, 0])), K=5)
+    with pytest.raises(SettingError) as info:
+        run_monte_carlo(dgp, est, R=R, n=n, seed=0, workers=workers)
+    assert info.value.field == field and started == []
+
+
+def test_default_workers_count_only_usable_cpus(monkeypatch):
+    from rieszdml.simulation import resolve_workers
+
+    monkeypatch.delenv("RIESZ_DML_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers() == 1
+    assert resolve_workers(3) == 1
 
 
 def test_env_var_caps_workers(monkeypatch):
