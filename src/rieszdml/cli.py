@@ -23,9 +23,10 @@ goes to stdout first, then to the ``--output`` and ``--csv`` files, so a
 file that cannot be written fails the run (exit 2) after stdout was
 written.  Non-finite numbers are written as null.
 
-The library checks each setting's range once (``dml.EstimatorConfig``, ``make_fold_plan``,
-``run_monte_carlo``), and ``run`` maps the field a ``SettingError`` names to its config key;
-this module checks only what a config alone gets wrong: types, choices, unread keys, seed.
+The library checks each setting once (a constructor its arguments, ``dml.EstimatorConfig``,
+``make_fold_plan``, ``run_monte_carlo``) and raises a ``SettingError`` whose ``field`` names it.
+A builder reports a parameter under the key it read for it, ``run`` maps a setting to its key,
+and an error's message names its key; this module checks only types, choices and unread keys.
 
 A process whose first numpy import comes from this module (``python -m
 rieszdml.cli``, the ``rieszdml`` script) starts numpy's OpenBLAS on one
@@ -163,12 +164,25 @@ class Config:
 
 # -- builders -----------------------------------------------------------------
 
+@contextmanager
+def _keyed(cfg, prefix, **renames):
+    """Report a ``SettingError`` on a parameter under its key, ``prefix`` + the parameter or its
+    rename, if that key was read here; else the caller set the parameter (say ``input_dim``)."""
+    try:
+        yield
+    except SettingError as exc:
+        key = prefix + renames.get(exc.field, exc.field)
+        if key not in cfg.read:
+            raise
+        raise ConfigError(str(exc), key) from None
+
+
 def build_dictionary(cfg, input_dim, prefix="dictionary", treatment_index=0):
     kinds = {"polynomial", "fourier", "identity"}
     if prefix == "dictionary":  # an inner dictionary cannot itself be interacted
         kinds.add("treatment_interacted")
     kind = cfg.get_str(f"{prefix}.kind", required=True, choices=kinds)
-    try:
+    with _keyed(cfg, f"{prefix}."):
         if kind == "polynomial":
             return PolynomialDictionary(
                 input_dim, cfg.get_int(f"{prefix}.degree", required=True),
@@ -179,36 +193,29 @@ def build_dictionary(cfg, input_dim, prefix="dictionary", treatment_index=0):
             return IdentityDictionary(input_dim)
         inner = build_dictionary(cfg, input_dim - 1, prefix=f"{prefix}.inner")
         return TreatmentInteractedDictionary(inner, treatment_index)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}.*: {exc}", key=f"{prefix}.kind") from None
 
 
 def build_functional(cfg, input_dim, treatment_col=None):
     kind = cfg.get_str("functional.type", required=True,
                        choices={"average_derivative", "policy_shift", "ate"})
-    try:
+    with _keyed(cfg, "functional.", transport_matrix="transport_s", shift="transport_c"):
         if kind == "average_derivative":
-            a = cfg.get_vector("functional.direction", required=True)
-            return AverageDerivative(a)
+            return AverageDerivative(cfg.get_vector("functional.direction", required=True))
         if kind == "policy_shift":
             S = cfg.get_matrix("functional.transport_s")
             if S is None:
                 S = np.eye(input_dim)
             c = cfg.get_vector("functional.transport_c")
-            if c is None:
-                c = np.zeros(input_dim)
-            return PolicyShift(S, c)
-        if treatment_col is None:
-            raise ConfigError("functional.type = ate requires data.treatment", key="data.treatment")
-        return AverageTreatmentEffect(treatment_col)
-    except ValueError as exc:
-        raise ConfigError(f"functional.*: {exc}", key="functional.type") from None
+            return PolicyShift(S, np.zeros(len(S)) if c is None else c)
+    if treatment_col is None:
+        raise ConfigError("functional.type = ate requires data.treatment", key="data.treatment")
+    return AverageTreatmentEffect(treatment_col)
 
 
 # the config key of each setting that a SettingError can name
 _RULE_PREFIXES = {"rule": "estimator.lambda", "riesz_rule": "estimator.riesz_lambda"}
 _RULE_FIELDS = ("method", "value", "c", "alpha")
-_SETTING_KEYS = {"K": "estimator.k_folds", "alpha": "estimator.alpha",
+_SETTING_KEYS = {"seed": "seed", "K": "estimator.k_folds", "alpha": "estimator.alpha",
                  "l1_bound": "estimator.l1_bound", "functional": "functional.type",
                  "R": "simulation.replications", "n": "simulation.n",
                  "workers": "simulation.workers",
@@ -223,13 +230,11 @@ def build_lambda_rule(cfg, name="rule"):
         return None
     method = cfg.get_str(f"{prefix}_method", default="gaussian_quantile",
                          choices={"gaussian_quantile", "fixed"})
-    try:
+    with _keyed(cfg, f"{prefix}_"):
         if method == "fixed":
             return LambdaRule.fixed(cfg.get_float(f"{prefix}_value", required=True))
         return LambdaRule.gaussian_quantile(c=cfg.get_float(f"{prefix}_c", default=1.1),
                                             alpha=cfg.get_float(f"{prefix}_alpha", default=0.05))
-    except SettingError as exc:
-        raise SettingError(f"{name}.{exc.field}", str(exc)) from None
 
 
 def build_estimator(cfg, dictionary, functional):
@@ -252,7 +257,7 @@ def build_dgp(cfg):
     kind = cfg.get_str("simulation.dgp", required=True,
                        choices={"sparse_linear", "ate_logistic", "dense_decay"})
     noise_sd = cfg.get_float("simulation.noise_sd", default=1.0)
-    try:
+    with _keyed(cfg, "simulation.", input_dim="d"):
         if kind == "sparse_linear":
             d = cfg.get_int("simulation.d", required=True)
             dictionary = build_dictionary(cfg, d)
@@ -278,15 +283,6 @@ def build_dgp(cfg):
             propensity_coefs=cfg.get_vector("simulation.propensity_coefs", required=True),
             noise_sd=noise_sd,
         )
-    except ValueError as exc:
-        raise ConfigError(f"simulation.*: {exc}", key="simulation.dgp") from None
-
-
-def get_seed(cfg):
-    seed = cfg.get_int("seed", default=0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}", key="seed")
-    return seed
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -321,14 +317,17 @@ def cmd_estimate(args):
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load data file {args.data}: {exc}") from None
 
-    dictionary = build_dictionary(cfg, data.d,
-                                  treatment_index=data.treatment_col or 0)
+    try:
+        dictionary = build_dictionary(cfg, data.d, treatment_index=data.treatment_col or 0)
+    except SettingError as exc:  # the parameter no key sets: input_dim, the data's width
+        raise ConfigError(f"--data file {args.data} has too few covariates ({data.d}) for the "
+                          f"dictionary: {exc}") from None
     functional = build_functional(cfg, data.d, treatment_col=data.treatment_col)
     est = build_estimator(cfg, dictionary, functional)
-    seed = get_seed(cfg)
+    seed = cfg.get_int("seed", default=0)
     cfg.reject_unread("estimate")
     try:
-        # a SettingError is K against the data's n; any other failure comes from the data
+        # a SettingError is K against the data's n or the seed; any other failure is the data's
         with np.errstate(over="raise"):
             result = dml_estimate(data, **vars(est), seed=seed)
     except SettingError:
@@ -350,21 +349,17 @@ def cmd_simulate(args):
         # estimation is well-specified by construction: the estimator sees a
         # treatment-interacted dictionary over (D, Z) and targets the ATE
         dictionary = build_dictionary(cfg, dgp.d_z + 1, treatment_index=0)
-        functional = AverageTreatmentEffect(0)
-        try:
-            functional.check_compatible(dictionary)
-        except ValueError as exc:  # the study has no functional.* key to blame
-            raise ConfigError(str(exc), key="dictionary.kind") from None
+        with _keyed(cfg, "dictionary.", functional="kind"):  # the study reads no functional.* key
+            est = build_estimator(cfg, dictionary, AverageTreatmentEffect(0))
     else:
         if cfg.raw("functional.type") == "ate":  # a study has no data.treatment to name
             raise ConfigError("functional.type = ate needs the ATE study, "
                               "simulation.dgp = ate_logistic", key="functional.type")
-        dictionary = dgp.dictionary
-        functional = build_functional(cfg, dictionary.input_dim)
-    est = build_estimator(cfg, dictionary, functional)
+        functional = build_functional(cfg, dgp.dictionary.input_dim)
+        est = build_estimator(cfg, dgp.dictionary, functional)
     R = cfg.get_int("simulation.replications", required=True)
     n = cfg.get_int("simulation.n", required=True)
-    seed = get_seed(cfg)
+    seed = cfg.get_int("seed", default=0)
     workers = cfg.get_int("simulation.workers")
     cfg.reject_unread("simulate")
     report = simulation.run_monte_carlo(dgp, est, R=R, n=n, seed=seed, workers=workers,
@@ -439,18 +434,18 @@ def run(argv):
         return args.func(args)
     except SystemExit as exc:  # --help has printed usage to stdout
         return int(exc.code or 0)
-    except SettingError as exc:
-        key = _SETTING_KEYS.get(exc.field)  # RIESZ_DML_THREADS is no config key
-        error, code = ConfigError(f"{key}: {exc}" if key else str(exc), key), 2
+    except SettingError as exc:  # RIESZ_DML_THREADS is no config key
+        error, code = ConfigError(str(exc), _SETTING_KEYS.get(exc.field)), 2
     except ConfigError as exc:
         error, code = exc, 2
     except RmdInfeasibleError as exc:
         error, code = exc, 3
     except SolverError as exc:
         error, code = exc, 4
-    err = {"error": str(error)}
-    if getattr(error, "key", None):
-        err["key"] = error.key
+    message, key = str(error), getattr(error, "key", None)
+    err = {"error": message if not key or key in message else f"{key}: {message}"}
+    if key:
+        err["key"] = key
     sys.stderr.write(jsonio.dumps(err) + "\n")
     return code
 

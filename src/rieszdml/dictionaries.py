@@ -23,7 +23,9 @@ m(x, b), such as the ATE contrast b(1, z) - b(0, z), belongs to the
 functional.
 
 All objects are immutable after construction and safe to share across
-workers; every operation is a pure function of its inputs.
+workers; every operation is a pure function of its inputs.  A constructor
+checks its own arguments and raises ``SettingError`` naming the one at fault;
+the class lives here, in the module that every other module imports.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class SettingError(ValueError):
+    """A setting is out of range; ``field`` names it (``degree``, ``K``, ``rule.c``, ...)."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
 
 
 def _check_rows(X, input_dim):
@@ -64,11 +74,11 @@ class Dictionary:
 class PolynomialDictionary(Dictionary):
     def __init__(self, input_dim, degree, with_interactions=False):
         if input_dim < 1:
-            raise ValueError("input_dim must be positive")
+            raise SettingError("input_dim", f"input_dim must be positive, got {input_dim}")
         if degree < 0:
-            raise ValueError("degree must be >= 0")
+            raise SettingError("degree", f"degree must be >= 0, got {degree}")
         if with_interactions and degree < 2:
-            raise ValueError("pairwise interactions require degree >= 2")
+            raise SettingError("with_interactions", "pairwise interactions require degree >= 2")
         self.input_dim = int(input_dim)
         self.degree = int(degree)
         self.with_interactions = bool(with_interactions)
@@ -115,9 +125,9 @@ class PolynomialDictionary(Dictionary):
 class FourierDictionary(Dictionary):
     def __init__(self, input_dim, order):
         if input_dim < 1:
-            raise ValueError("input_dim must be positive")
+            raise SettingError("input_dim", f"input_dim must be positive, got {input_dim}")
         if order < 1:
-            raise ValueError("order must be >= 1")
+            raise SettingError("order", f"order must be >= 1, got {order}")
         self.input_dim = int(input_dim)
         self.order = int(order)
         self.output_dim = 1 + 2 * self.input_dim * self.order
@@ -155,7 +165,7 @@ class FourierDictionary(Dictionary):
 class IdentityDictionary(Dictionary):
     def __init__(self, input_dim):
         if input_dim < 1:
-            raise ValueError("input_dim must be positive")
+            raise SettingError("input_dim", f"input_dim must be positive, got {input_dim}")
         self.input_dim = int(input_dim)
         self.output_dim = self.input_dim
 
@@ -173,7 +183,7 @@ class TreatmentInteractedDictionary(Dictionary):
         self.inner = inner
         self.input_dim = inner.input_dim + 1
         if not 0 <= treatment_index < self.input_dim:
-            raise ValueError("treatment_index out of range")
+            raise SettingError("treatment_index", f"treatment_index {treatment_index} out of range")
         self.treatment_index = int(treatment_index)
         self.output_dim = 2 * inner.output_dim
 

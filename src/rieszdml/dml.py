@@ -78,6 +78,12 @@ class EstimatorConfig:
             raise SettingError("functional", str(exc)) from None
 
 
+def check_seed(seed):
+    """Raise ``SettingError("seed")`` unless ``seed`` is an integer >= 0, as numpy's seeds are."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise SettingError("seed", f"seed must be an integer >= 0, got {seed!r}")
+
+
 def make_fold_plan(n, K, seed):
     """K seeded folds of {0..n-1} whose sizes differ by at most one, as sorted row arrays.
 
@@ -88,6 +94,7 @@ def make_fold_plan(n, K, seed):
         raise SettingError("K", f"need n >= 2K observations for K = {K} folds, got n = {n}")
     if K < 2:
         raise SettingError("K", f"need K >= 2 folds, got K = {K} for n = {n}")
+    check_seed(seed)
     perm = np.random.default_rng(seed).permutation(n)
     edges = np.linspace(0, n, K + 1).astype(int)
     return [np.sort(perm[a:b]) for a, b in zip(edges, edges[1:])]

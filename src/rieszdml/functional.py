@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dictionaries import TreatmentInteractedDictionary
+from .dictionaries import SettingError, TreatmentInteractedDictionary
 
 
 class Functional:
@@ -38,10 +38,9 @@ class AverageDerivative(Functional):
 
     def __init__(self, direction):
         a = np.asarray(direction, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)):
-            raise ValueError("direction must be a finite vector")
-        if np.linalg.norm(a) == 0.0:
-            raise ValueError("direction must be nonzero")
+        if a.ndim != 1 or not np.all(np.isfinite(a)) or np.linalg.norm(a) == 0.0:
+            raise SettingError("direction", "direction must be a finite nonzero vector, "
+                                            f"got {a.tolist()}")
         self.direction = a
 
     def check_compatible(self, dictionary, data=None):
@@ -70,12 +69,12 @@ class PolicyShift(Functional):
     def __init__(self, transport_matrix, shift):
         S = np.asarray(transport_matrix, dtype=float)
         c = np.asarray(shift, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("transport matrix must be square")
-        if c.ndim != 1 or c.shape[0] != S.shape[0]:
-            raise ValueError("shift length must match transport matrix")
-        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(c))):
-            raise ValueError("non-finite transport")
+        if S.ndim != 2 or S.shape[0] != S.shape[1] or not np.all(np.isfinite(S)):
+            raise SettingError("transport_matrix", "transport_matrix must be a finite square "
+                                                   f"matrix, got {S.tolist()}")
+        if c.shape != S.shape[:1] or not np.all(np.isfinite(c)):
+            raise SettingError("shift", f"shift must be a finite vector of length {S.shape[0]}, "
+                                        f"got {c.tolist()}")
         self.transport_matrix = S
         self.shift = c
 

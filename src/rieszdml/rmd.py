@@ -29,7 +29,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import lp
-from .dictionaries import design_matrix
+from .dictionaries import SettingError, design_matrix
 
 NUMERICAL_FAILURE = "numerical_failure"
 FEAS_TOL = 1e-7  # slack allowed in the residual, l1-budget and duality-gap checks
@@ -87,14 +87,6 @@ class RmdSolution:
     iterations: int
     gap: float  # ||t||_1 minus a certified lower bound; nan unless the simplex finished
     lam: float
-
-
-class SettingError(ValueError):
-    """A setting is out of range; ``field`` names it (``K``, ``n``, ``c``, ``rule.c``, ...)."""
-
-    def __init__(self, field, message):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dictionaries import Dataset, FourierDictionary, IdentityDictionary, PolynomialDictionary
-from .dml import dml_estimate
+from .dml import check_seed, dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .lp import SolverError
 from .rmd import RmdInfeasibleError, SettingError
@@ -49,7 +49,7 @@ def _draw_x(rng, n, d, x_dist):
 
 def _require_finite(name, value):
     if not np.isfinite(value).all():
-        raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+        raise SettingError(name, f"{name} must be finite, got {np.asarray(value).tolist()}")
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,13 @@ class SparseLinearDgp:
     def __post_init__(self):
         beta = np.asarray(self.beta_star, dtype=float)
         if beta.shape != (self.dictionary.output_dim,):
-            raise ValueError("beta_star length must equal the dictionary output_dim")
+            raise SettingError("beta_star", "beta_star must have output_dim = "
+                                            f"{self.dictionary.output_dim} entries, got {beta.size}")
         _require_finite("beta_star", beta)
         if self.x_dist not in ("normal", "uniform"):
-            raise ValueError(f"unknown x_dist {self.x_dist!r}")
+            raise SettingError("x_dist", f"unknown x_dist {self.x_dist!r}")
         if not 0.0 <= self.noise_sd < np.inf:
-            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+            raise SettingError("noise_sd", f"noise_sd must lie in [0, inf), got {self.noise_sd}")
         beta.setflags(write=False)
         object.__setattr__(self, "beta_star", beta)
 
@@ -98,19 +99,19 @@ class AteLogisticDgp:
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        oc = np.asarray(self.outcome_coefs, dtype=float)
-        pc = np.asarray(self.propensity_coefs, dtype=float)
-        if oc.shape != (self.d_z,) or pc.shape != (self.d_z,):
-            raise ValueError("coefficient lengths must equal d_z")
-        _require_finite("outcome_coefs", oc)
-        _require_finite("propensity_coefs", pc)
+        if self.d_z < 1:
+            raise SettingError("d_z", f"d_z must be >= 1, got {self.d_z!r}")
+        for name in ("outcome_coefs", "propensity_coefs"):
+            coefs = np.asarray(getattr(self, name), dtype=float)
+            if coefs.shape != (self.d_z,):
+                raise SettingError(name, f"{name} must have d_z = {self.d_z} entries, "
+                                         f"got {coefs.size}")
+            _require_finite(name, coefs)
+            coefs.setflags(write=False)
+            object.__setattr__(self, name, coefs)
         _require_finite("tau", self.tau)
         if not 0.0 <= self.noise_sd < np.inf:
-            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
-        oc.setflags(write=False)
-        pc.setflags(write=False)
-        object.__setattr__(self, "outcome_coefs", oc)
-        object.__setattr__(self, "propensity_coefs", pc)
+            raise SettingError("noise_sd", f"noise_sd must lie in [0, inf), got {self.noise_sd}")
 
     def propensity(self, Z):
         index = np.clip(Z @ self.propensity_coefs, -_LOGIT_BOUND, _LOGIT_BOUND)
@@ -137,10 +138,13 @@ def dense_decay_dgp(d, decay, noise_sd=1.0, scale=1.0):
     p = dictionary.output_dim
     beta = np.zeros(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        beta[1:] = scale * np.arange(1, p, dtype=float) ** (-float(decay))
+        beta[1:] = np.arange(1, p, dtype=float) ** (-float(decay))
+        if not np.isfinite(beta).all():
+            raise SettingError("decay", f"decay = {decay!r} overflows j^(-decay) at p = {p}")
+        beta[1:] *= scale
     if not np.isfinite(beta).all():
-        raise ValueError(f"decay = {decay!r} and scale = {scale!r} give non-finite "
-                         f"coefficients scale * j^(-decay) at p = {p}")
+        raise SettingError("scale", f"scale = {scale!r} gives non-finite coefficients "
+                                    f"scale * j^(-decay) at p = {p}")
     return SparseLinearDgp(dictionary, beta, "normal", noise_sd)
 
 
@@ -332,8 +336,9 @@ def run_monte_carlo(dgp, est, R, n, seed, workers=None, config_echo=None):
     (config, seed) regardless of ``workers``.  A replication whose data or
     solver fails or overflows (ValueError, RmdInfeasibleError, SolverError,
     FloatingPointError) is recorded as "failed"; any other exception
-    propagates.  A bad R, n (< 2K) or workers raises ``SettingError`` before any work.
+    propagates.  A bad R, n (< 2K), seed or workers raises ``SettingError`` before any work.
     """
+    check_seed(seed)
     if R < 1:
         raise SettingError("R", f"need R >= 1 replications, got {R}")
     if n < 2 * est.K:

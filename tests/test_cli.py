@@ -562,7 +562,7 @@ def test_estimate_config_sweep_keeps_the_output_contract(entries):
         return
     assert code in (2, 3, 4) and out.getvalue() == ""
     payload = error_line(err.getvalue())
-    assert (code != 2) or "key" in payload, payload
+    assert (code != 2) or payload["key"] in payload["error"], payload
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -889,7 +889,74 @@ def test_non_finite_dgp_parameter_is_config_error(tmp_path, capsys, settings_, p
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 2 and out == ""
     payload = error_line(err)
-    assert payload["key"] == "simulation.dgp" and param in payload["error"], payload
+    assert payload["key"] == f"simulation.{param}" and param in payload["error"], payload
+
+
+_POLICY_STUDY = {**_STUDY, "functional.type": "policy_shift"}
+del _POLICY_STUDY["functional.direction"]
+
+
+# Each parameter fault is reported under the key that set the parameter, and the
+# message names that key: (base, changed entries, dropped keys, key).
+@pytest.mark.parametrize("base, changes, drop, key", [
+    (_STUDY, {"simulation.d": "0"}, (), "simulation.d"),
+    (_STUDY, {"dictionary.degree": "-1"}, (), "dictionary.degree"),
+    (_STUDY, {"dictionary.with_interactions": "true"}, (), "dictionary.with_interactions"),
+    (_STUDY, {"dictionary.kind": "fourier", "dictionary.order": "0"}, ("dictionary.degree",),
+     "dictionary.order"),
+    (_STUDY, {"simulation.noise_sd": "-1"}, (), "simulation.noise_sd"),
+    (_STUDY, {"simulation.beta_star": "0,1"}, (), "simulation.beta_star"),
+    (_STUDY, {"functional.direction": "0,0,0,0"}, (), "functional.direction"),
+    (_STUDY, {"functional.direction": "nan,0,0,0"}, (), "functional.direction"),
+    (_POLICY_STUDY, {"functional.transport_c": "nan,0,0,0"}, (), "functional.transport_c"),
+    (_POLICY_STUDY, {"functional.transport_c": "0,0"}, (), "functional.transport_c"),
+    (_POLICY_STUDY, {"functional.transport_s": "1,0,0,0"}, (), "functional.transport_s"),
+    (_POLICY_STUDY, {"functional.transport_s": "inf"}, (), "functional.transport_s"),
+    (_DENSE, {"simulation.d": "0"}, (), "simulation.d"),
+    (_DENSE, {"simulation.decay": "-400"}, (), "simulation.decay"),
+    (_DENSE, {"simulation.scale": "inf"}, (), "simulation.scale"),
+    (_ATE_STUDY, {"simulation.d_z": "0"}, (), "simulation.d_z"),
+    (_ATE_STUDY, {"simulation.outcome_coefs": "1"}, (), "simulation.outcome_coefs"),
+    (_ATE_STUDY, {"simulation.propensity_coefs": "1"}, (), "simulation.propensity_coefs"),
+    (_ATE_STUDY, {"dictionary.inner.degree": "-2"}, (), "dictionary.inner.degree"),
+    (_ATE_STUDY, {"dictionary.kind": "identity"}, ("dictionary.inner.kind",
+                                                   "dictionary.inner.degree"), "dictionary.kind"),
+    (None, {"dictionary.inner.degree": "-2"}, (), "dictionary.inner.degree"),
+    (None, {"dictionary.inner.kind": "fourier", "dictionary.inner.order": "0"},
+     ("dictionary.inner.degree",), "dictionary.inner.order"),
+    (None, {"data.outcome": "nope"}, (), "data.outcome"),
+    (None, {"data.treatment": "nope"}, (), "data.treatment"),
+], ids=["d", "degree", "with_interactions", "order", "noise_sd", "beta_star_length",
+        "direction_zero", "direction_nan", "transport_c_nan", "transport_c_length",
+        "transport_s_not_square", "transport_s_inf", "dense_d", "decay", "scale", "d_z",
+        "outcome_coefs", "propensity_coefs", "ate_inner_degree", "ate_dictionary_kind",
+        "inner_degree", "inner_order", "outcome_column", "treatment_column"])
+def test_parameter_fault_names_the_key_that_set_it(tmp_path, capsys, base, changes, drop, key):
+    entries = {**(example_entries() if base is None else base), **changes}
+    for k in drop:
+        del entries[k]
+    cfg = write_cfg(tmp_path / "c.cfg", entries)
+    argv = ["simulate"] if base is not None else ["estimate", "--data", EXAMPLE_CSV]
+    code, out, err = run_cli(capsys, *argv, "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == key and key in payload["error"], payload
+
+
+@pytest.mark.parametrize("header, kind", [("y,d", "treatment_interacted"), ("y", "identity")],
+                         ids=["treatment_only", "no_covariate"])
+def test_data_too_narrow_for_the_dictionary_names_the_data_file(tmp_path, capsys, header, kind):
+    rows = [",".join(["1.5", "0", "1", "0"][:header.count(",") + 1]) for _ in range(20)]
+    data = write(tmp_path / "narrow.csv", "\n".join([header, *rows]) + "\n")
+    entries = {**example_entries(), "dictionary.kind": kind}
+    if kind == "identity":
+        del entries["dictionary.inner.kind"], entries["dictionary.inner.degree"]
+        del entries["data.treatment"]
+    code, out, err = run_cli(capsys, "estimate", "--data", data,
+                             "--config", write_cfg(tmp_path / "c.cfg", entries))
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert data in payload["error"] and "input_dim" in payload["error"] and "key" not in payload
 
 
 # The simulate sweep: mutate the simulation.* keys and seed of one of the three
@@ -955,7 +1022,7 @@ def test_simulate_config_sweep_keeps_the_output_contract(entries):
         return
     assert code in (2, 3, 4) and out.getvalue() == ""
     payload = error_line(err.getvalue())
-    assert (code != 2) or "key" in payload, payload
+    assert (code != 2) or payload["key"] in payload["error"], payload
 
 
 def fresh_python(*args, **env):

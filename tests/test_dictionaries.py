@@ -15,6 +15,8 @@ from rieszdml import (
     design_matrix,
     load_csv,
 )
+from rieszdml import rmd
+from rieszdml.dictionaries import SettingError
 
 from oracles import (
     PerTermFourierDictionary,
@@ -131,6 +133,27 @@ def test_polynomial_output_dim_formula():
     assert TreatmentInteractedDictionary(inner).output_dim == 2 * inner.output_dim
     with pytest.raises(ValueError):  # pairwise interactions need degree >= 2
         PolynomialDictionary(2, degree=1, with_interactions=True)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: PolynomialDictionary(0, degree=1), "input_dim"),
+    (lambda: PolynomialDictionary(2, degree=-1), "degree"),
+    (lambda: PolynomialDictionary(2, degree=1, with_interactions=True), "with_interactions"),
+    (lambda: FourierDictionary(-1, order=1), "input_dim"),
+    (lambda: FourierDictionary(2, order=0), "order"),
+    (lambda: IdentityDictionary(0), "input_dim"),
+    (lambda: TreatmentInteractedDictionary(IdentityDictionary(2), treatment_index=3),
+     "treatment_index"),
+], ids=["polynomial_input_dim", "degree", "with_interactions", "fourier_input_dim", "order",
+        "identity_input_dim", "treatment_index"])
+def test_constructor_names_the_parameter_out_of_range(build, field):
+    with pytest.raises(SettingError) as info:
+        build()
+    assert info.value.field == field and isinstance(info.value, ValueError)
+
+
+def test_setting_error_has_one_class_under_both_names():
+    assert rmd.SettingError is SettingError
 
 
 def test_first_element_is_constant():

@@ -260,6 +260,22 @@ def test_estimator_config_names_the_setting_out_of_range(settings, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_fold_plan_refuses_a_seed_that_is_no_integer_at_least_zero(seed):
+    with pytest.raises(SettingError) as info:
+        make_fold_plan(10, 2, seed)
+    assert info.value.field == "seed"
+
+
+def test_dml_checks_the_seed_before_any_fit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rmd, "solve_rmd", lambda prob: calls.append(prob))
+    data, dic, f, _ = small_setup(n=100)
+    with pytest.raises(SettingError) as info:
+        dml_estimate(data, dic, f, K=2, seed=1.5)
+    assert info.value.field == "seed" and calls == []
+
+
 def test_estimator_config_defaults_the_riesz_rule_to_the_rule():
     _, dic, f, _ = small_setup()
     rule = LambdaRule.fixed(0.1)

@@ -12,6 +12,7 @@ from rieszdml import (
     TreatmentInteractedDictionary,
     m_hat_vector,
 )
+from rieszdml.dictionaries import SettingError
 
 
 def ate_dictionary():
@@ -174,3 +175,18 @@ def test_ate_features_match_two_evaluations_bit_for_bit(inner, treatment_index):
     np.testing.assert_array_equal(B, np.hstack([b_in, X[:, [treatment_index]] * b_in]))
     np.testing.assert_array_equal(B, dic.evaluate_rows(X))
     np.testing.assert_array_equal(Mx, dic.evaluate_rows(X1) - dic.evaluate_rows(X0))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: AverageDerivative([0.0, 0.0]), "direction"),
+    (lambda: AverageDerivative([np.nan, 1.0]), "direction"),
+    (lambda: PolicyShift(np.ones((2, 3)), np.zeros(2)), "transport_matrix"),
+    (lambda: PolicyShift(np.full((2, 2), np.inf), np.zeros(2)), "transport_matrix"),
+    (lambda: PolicyShift(np.eye(2), np.zeros(3)), "shift"),
+    (lambda: PolicyShift(np.eye(2), [np.nan, 0.0]), "shift"),
+], ids=["direction_zero", "direction_nan", "transport_not_square", "transport_inf",
+        "shift_length", "shift_nan"])
+def test_constructor_names_the_parameter_out_of_range(build, field):
+    with pytest.raises(SettingError) as info:
+        build()
+    assert info.value.field == field

@@ -358,19 +358,44 @@ def test_rep_seeds_documented_rule():
     assert rep_seeds(8, 3) != rep_seeds(7, 3)
 
 
-@pytest.mark.parametrize("R, n, workers, field", [(4, 6, 1, "n"), (0, 60, 1, "R"),
-                                                    (4, 60, 0, "workers")],
-                         ids=["n_below_2K", "R=0", "workers=0"])
+@pytest.mark.parametrize("R, n, workers, seed, field", [
+    (4, 6, 1, 0, "n"), (0, 60, 1, 0, "R"), (4, 60, 0, 0, "workers"), (4, 60, 1, -1, "seed"),
+    (4, 60, 1, 1.5, "seed"), (4, 60, 1, None, "seed"),
+], ids=["n_below_2K", "R=0", "workers=0", "seed=-1", "seed=1.5", "seed=None"])
 def test_run_monte_carlo_refuses_a_bad_study_before_any_replication(monkeypatch, R, n,
-                                                                    workers, field):
+                                                                    workers, seed, field):
     started = []
     monkeypatch.setattr(simulation, "true_theta_info", lambda *args: started.append(args))
     monkeypatch.setattr(simulation, "_replicate", lambda task: started.append(task))
     dgp = sparse_linear()
     est = EstimatorConfig(dgp.dictionary, AverageDerivative(np.array([1.0, 0, 0, 0])), K=5)
     with pytest.raises(SettingError) as info:
-        run_monte_carlo(dgp, est, R=R, n=n, seed=0, workers=workers)
+        run_monte_carlo(dgp, est, R=R, n=n, seed=seed, workers=workers)
     assert info.value.field == field and started == []
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: SparseLinearDgp(IdentityDictionary(2), [1.0]), "beta_star"),
+    (lambda: SparseLinearDgp(IdentityDictionary(2), [1.0, np.inf]), "beta_star"),
+    (lambda: SparseLinearDgp(IdentityDictionary(2), [1.0, 0.0], "cauchy"), "x_dist"),
+    (lambda: SparseLinearDgp(IdentityDictionary(2), [1.0, 0.0], noise_sd=-1.0), "noise_sd"),
+    (lambda: AteLogisticDgp(0, [], 1.0, []), "d_z"),
+    (lambda: AteLogisticDgp(2, [1.0], 1.0, [0.5, 0.0]), "outcome_coefs"),
+    (lambda: AteLogisticDgp(2, [1.0, 0.0], 1.0, [0.5]), "propensity_coefs"),
+    (lambda: AteLogisticDgp(2, [1.0, 0.0], 1.0, [np.nan, 0.0]), "propensity_coefs"),
+    (lambda: AteLogisticDgp(2, [1.0, 0.0], np.nan, [0.5, 0.0]), "tau"),
+    (lambda: AteLogisticDgp(2, [1.0, 0.0], 1.0, [0.5, 0.0], noise_sd=np.inf), "noise_sd"),
+    (lambda: dense_decay_dgp(3, decay=-400.0), "decay"),
+    (lambda: dense_decay_dgp(3, decay=1.0, scale=np.inf), "scale"),
+    (lambda: dense_decay_dgp(3, decay=-1.0, scale=1e308), "scale"),
+    (lambda: dense_decay_dgp(0, decay=1.0), "input_dim"),
+], ids=["beta_star_length", "beta_star_inf", "x_dist", "sparse_noise_sd", "d_z",
+        "outcome_coefs_length", "propensity_coefs_length", "propensity_coefs_nan", "tau",
+        "ate_noise_sd", "decay_overflows", "scale_inf", "scale_overflows", "dense_d"])
+def test_dgp_names_the_parameter_out_of_range(build, field):
+    with pytest.raises(SettingError) as info:
+        build()
+    assert info.value.field == field
 
 
 def test_default_workers_count_only_usable_cpus(monkeypatch):
