@@ -16,7 +16,7 @@ _HOMES = {
             "make_fold_plan", "orthogonality_report", "score_derivatives", "score_psi"),
     "functional": ("AverageDerivative", "AverageTreatmentEffect", "PolicyShift", "m_hat_vector"),
     "lp": ("SolverError",),
-    "rmd": ("LambdaRule", "RmdInfeasibleError", "RmdProblem", "RmdSolution", "estimate_blp",
+    "rmd": ("LambdaRule", "RmdInfeasibleError", "RmdSolution", "check_problem", "estimate_blp",
             "estimate_riesz", "solve_rmd"),
     "simulation": ("AteLogisticDgp", "MonteCarloReport", "SparseLinearDgp", "dense_decay_dgp",
                    "run_monte_carlo", "true_theta_info"),

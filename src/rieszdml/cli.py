@@ -27,6 +27,7 @@ The library checks each setting once (a constructor its arguments, ``dml.Estimat
 ``make_fold_plan``, ``run_monte_carlo``) and raises a ``SettingError`` whose ``field`` names it.
 A builder reports a parameter under the key it read for it, ``run`` maps a setting to its key,
 and an error's message names its key; this module checks only types, choices and unread keys.
+``rmd-solve`` reports a fault that ``rmd.check_problem`` finds under the flag that set it.
 
 A process whose first numpy import comes from this module (``python -m
 rieszdml.cli``, the ``rieszdml`` script) starts numpy's OpenBLAS on one
@@ -56,7 +57,7 @@ from .dictionaries import (FourierDictionary, IdentityDictionary, PolynomialDict
 from .dml import EstimatorConfig, dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .lp import SolverError
-from .rmd import LambdaRule, RmdInfeasibleError, RmdProblem, SettingError, solve_rmd
+from .rmd import LambdaRule, RmdInfeasibleError, SettingError, check_problem, solve_rmd
 
 
 class ConfigError(Exception):
@@ -372,23 +373,28 @@ def cmd_simulate(args):
 
 
 def cmd_rmd_solve(args):
-    try:
-        with warnings.catch_warnings():  # an empty file is reported as an empty Gram below
-            warnings.simplefilter("ignore", UserWarning)
-            G = np.loadtxt(args.g_matrix, ndmin=2)
-            M = np.loadtxt(args.m_vector, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read matrix/vector input: {exc}") from None
+    flags = {"G_hat": f"--g-matrix {args.g_matrix}", "M_hat": f"--m-vector {args.m_vector}",
+             "lam": "--lambda", "l1_bound": "--l1-bound"}
+    arrays = []
+    with warnings.catch_warnings():  # an empty file is reported as an empty Gram
+        warnings.simplefilter("ignore", UserWarning)
+        for flag, path, ndmin in (("--g-matrix", args.g_matrix, 2), ("--m-vector", args.m_vector, 1)):
+            try:
+                arrays.append(np.loadtxt(path, ndmin=ndmin))
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read {flag} file {path}: {exc}") from None
     try:
         with np.errstate(over="raise"):
-            prob = RmdProblem(G, M, args.lambda_, args.l1_bound)
-            solution = solve_rmd(prob)
-    except (ValueError, FloatingPointError) as exc:
+            G, M, lam, l1_bound = check_problem(*arrays, args.lambda_, args.l1_bound)
+            solution = solve_rmd(G, M, lam, l1_bound)
+    except SettingError as exc:
+        raise ConfigError(f"{flags[exc.field]}: {exc}") from None
+    except FloatingPointError as exc:
         raise ConfigError(f"cannot solve the RMD problem in --g-matrix {args.g_matrix} "
                           f"and --m-vector {args.m_vector}: {exc}") from None
     payload = asdict(solution)
     payload["lambda"] = payload.pop("lam")
-    _emit({**payload, "l1_bound": prob.l1_bound, "p": prob.p}, args.output)
+    _emit({**payload, "l1_bound": l1_bound, "p": M.shape[0]}, args.output)
     return 0
 
 

@@ -215,12 +215,21 @@ def _column(B_inv, G, q):
 def _refactorize(G, M, c, basis, x_N):
     """Fresh B^-1, basic values and reduced costs of ``basis``."""
     p = G.shape[0]
-    eye = np.eye(p)
     try:
         with _one_blas_thread():
-            B_inv = np.linalg.inv(np.column_stack([_column(eye, G, q) for q in basis]))
+            B_inv = np.linalg.inv(_basis_matrix(G, basis))
     except np.linalg.LinAlgError:
         raise SolverError("simplex: singular basis at refactorization") from None
     d = c - _pricing_row(c[basis] @ B_inv, G)
     # Nonbasic t+- sit at 0, so M - A x_N is M + s_N.
     return B_inv, B_inv @ (M + x_N[2 * p:]), d
+
+
+def _basis_matrix(G, basis):
+    """The columns A_q of ``basis``, read off G: G_q, -G_q or -e_i."""
+    p = G.shape[0]
+    B = G[:, basis % p] * np.where(basis < p, 1.0, -1.0) + 0.0  # +0.0 zeros, as I @ G_q has
+    slack = (basis >= 2 * p).nonzero()[0]
+    B[:, slack] = -0.0
+    B[basis[slack] - 2 * p, slack] = -1.0
+    return B

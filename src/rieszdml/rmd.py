@@ -7,18 +7,18 @@ l1-budget ||t||_1 <= B (B = inf drops it).  Two instantiations are exposed:
 * ``estimate_blp``   -- G_hat = E_A[b b'],  M_hat = E_A[Y b]   (sparse regression)
 * ``estimate_riesz`` -- G_hat = E_A[b b'],  M_hat = E_A[m(X, b)] (sparse Riesz representer)
 
-Each instance is checked once, where it enters.  Both fits, and the folds in
-``dml``, divide the block sums of ``gram_and_moments`` by |A| and enter through
-``fit_rmd``, which checks only what such means can get wrong: G_hat is symmetric
-bit for bit.  ``RmdProblem`` is the entry of ``rmd-solve`` and other callers of
-``solve_rmd``, and checks every field.  ``solve_rmd`` solves one instance exactly
-with ``lp.solve_standard_form``, a dual simplex on the p-row LP
-G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0  that pivots on G itself and
-starts from the slack basis t = 0.  The simplex's statuses, pivot budget
-and ``SolverError`` live in ``lp``; this module adds "numerical_failure"
-for an answer that fails its certificate.  Every optimum is certified
-outside the solver from G_hat, M_hat, lambda and the row duals alone.  The
-budget B never enters the LP; it only decides feasibility (``solve_rmd``).
+Each instance is checked once, where it enters.  ``solve_rmd`` trusts its
+arrays: G_hat square, finite and symmetric bit for bit, M_hat finite.  Input
+from outside the library (``rmd-solve``) goes through ``check_problem``, which
+names the value at fault and symmetrizes G_hat.  The fits and folds divide the
+block sums of ``gram_and_moments`` by |A| and enter through ``fit_rmd``, which
+checks only what such means can get wrong.  ``solve_rmd`` solves one instance
+exactly with ``lp.solve_standard_form``, a dual simplex on the p-row LP
+G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0 that pivots on G and starts from
+t = 0; ``lp`` owns its statuses, pivot budget and ``SolverError``, and this
+module adds "numerical_failure" for an answer that fails its certificate,
+which is checked outside the solver from G_hat, M_hat, lambda and the row
+duals alone.  The budget B never enters the LP; it only decides feasibility.
 """
 
 from __future__ import annotations
@@ -37,43 +37,6 @@ FEAS_TOL = 1e-7  # slack allowed in the residual, l1-budget and duality-gap chec
 
 class RmdInfeasibleError(RuntimeError):
     """Raised when an RMD fit required by a pipeline is certified infeasible."""
-
-
-@dataclass
-class RmdProblem:
-    """Data of one RMD instance; every field is checked and G_hat symmetrized on construction."""
-
-    G_hat: np.ndarray
-    M_hat: np.ndarray
-    lam: float
-    l1_bound: float = np.inf
-
-    def __post_init__(self):
-        G = np.asarray(self.G_hat, dtype=float)
-        M = np.asarray(self.M_hat, dtype=float)
-        if G.size == 0:
-            raise ValueError("G_hat is empty: an RMD problem needs a p x p Gram with p >= 1")
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ValueError("G_hat must be square")
-        if M.shape != (G.shape[0],):
-            raise ValueError("M_hat length must match G_hat")
-        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(M))):
-            raise ValueError("non-finite entries in RMD problem")
-        half = 0.5 * G  # halved first: G - G' and G + G' may overflow
-        if np.abs(half - half.T).max() > 0.5e-10 * (1.0 + np.abs(G).max()):
-            raise ValueError("G_hat is not symmetric")
-        self.G_hat = half + half.T
-        self.M_hat = M
-        self.lam = float(self.lam)
-        if not np.isfinite(self.lam) or self.lam < 0.0:
-            raise ValueError("lambda must be finite and >= 0")
-        self.l1_bound = float(self.l1_bound)
-        if not self.l1_bound > 0.0:
-            raise ValueError("l1_bound must be positive (inf drops the constraint)")
-
-    @property
-    def p(self):
-        return self.M_hat.shape[0]
 
 
 @dataclass
@@ -141,18 +104,43 @@ class LambdaRule:
         return out
 
 
-def _lower_bound(prob, y):
+def check_problem(G_hat, M_hat, lam, l1_bound=np.inf):
+    """Check an RMD instance from outside the library; return (G, M, lam, l1_bound), G
+    symmetrized, for ``solve_rmd``.  A fault raises ``SettingError`` naming its argument."""
+    G, M = np.asarray(G_hat, dtype=float), np.asarray(M_hat, dtype=float)
+    if G.size == 0:
+        raise SettingError("G_hat", "G_hat is empty: an RMD problem needs a p x p Gram with p >= 1")
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise SettingError("G_hat", "G_hat must be square")
+    if M.shape != (G.shape[0],):
+        raise SettingError("M_hat", "M_hat length must match G_hat")
+    for field, values in (("G_hat", G), ("M_hat", M)):
+        if not np.all(np.isfinite(values)):
+            raise SettingError(field, f"non-finite entries in {field}")
+    half = 0.5 * G  # halved first: G - G' and G + G' may overflow
+    if np.abs(half - half.T).max() > 0.5e-10 * (1.0 + np.abs(G).max()):
+        raise SettingError("G_hat", "G_hat is not symmetric")
+    lam = float(lam)
+    if not np.isfinite(lam) or lam < 0.0:
+        raise SettingError("lam", "lambda must be finite and >= 0")
+    l1_bound = float(l1_bound)
+    if not l1_bound > 0.0:
+        raise SettingError("l1_bound", "l1_bound must be positive (inf drops the constraint)")
+    return half + half.T, M, lam, l1_bound
+
+
+def _lower_bound(G, M, lam, y):
     """A lower bound on min ||t||_1 s.t. ||G t - M||_inf <= lambda, from any ``y``.
 
     The dual of the RMD LP is max M'y - lambda ||y||_1 s.t. ||G y||_inf <= 1,
     and ``y`` divided by max(1, ||G y||_inf) is dual feasible, so by weak
     duality the bound holds whatever ``y`` the solver returned.
     """
-    scale = max(1.0, np.abs(prob.G_hat @ y).max(initial=0.0))
-    return (prob.M_hat @ y - prob.lam * np.abs(y).sum()) / scale
+    scale = max(1.0, np.abs(G @ y).max(initial=0.0))
+    return (M @ y - lam * np.abs(y).sum()) / scale
 
 
-def solve_rmd(prob):
+def solve_rmd(G, M, lam, l1_bound=np.inf):
     """Solve one RMD instance; the answer is certified outside the solver.
 
     The LP is always solved without the l1 budget: the objective is ||t||_1
@@ -164,26 +152,24 @@ def solve_rmd(prob):
     or when the dual simplex proves M_hat unreachable within lambda (possible
     for a singular G_hat).
     """
-    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam)
+    res = lp.solve_standard_form(G, M, lam)
     t, status = res.t, res.status
-    max_resid = float(np.abs(prob.G_hat @ t - prob.M_hat).max(initial=0.0))
+    max_resid = float(np.abs(G @ t - M).max(initial=0.0))
     l1 = float(np.abs(t).sum())
     gap = float("nan")
     if status == lp.OPTIMAL:
-        lower = float(_lower_bound(prob, res.y))
-        if lower > prob.l1_bound + FEAS_TOL:
+        lower = float(_lower_bound(G, M, lam, res.y))
+        if lower > l1_bound + FEAS_TOL:
             status = lp.INFEASIBLE
         else:
             gap = l1 - lower
-            feasible = max_resid <= prob.lam + FEAS_TOL and l1 <= prob.l1_bound + FEAS_TOL
+            feasible = max_resid <= lam + FEAS_TOL and l1 <= l1_bound + FEAS_TOL
             if not (feasible and gap <= FEAS_TOL * (1.0 + l1)):
                 status = NUMERICAL_FAILURE
     if status == lp.INFEASIBLE:
-        t = np.zeros(prob.p)
-        l1 = 0.0
-        max_resid = float(np.abs(prob.M_hat).max())
+        t, l1, max_resid = np.zeros(M.shape[0]), 0.0, float(np.abs(M).max())
     return RmdSolution(t_hat=t, l1_norm=l1, max_residual=max_resid,
-                       status=status, iterations=res.iterations, gap=gap, lam=prob.lam)
+                       status=status, iterations=res.iterations, gap=gap, lam=lam)
 
 
 def gram_and_moments(B, y=None, Mx=None):
@@ -210,9 +196,7 @@ def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf):
         raise ValueError("non-finite entries in RMD problem")
     if not l1_bound > 0.0:
         raise ValueError("l1_bound must be positive (inf drops the constraint)")
-    prob = object.__new__(RmdProblem)  # G is symmetric bit for bit: no __post_init__, no copy
-    prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound = G, M, float(lam), float(l1_bound)
-    return solve_rmd(prob)
+    return solve_rmd(G, M, float(lam), float(l1_bound))
 
 
 def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf):

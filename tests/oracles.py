@@ -30,8 +30,8 @@ from rieszdml import (
     AverageDerivative,
     AverageTreatmentEffect,
     PolicyShift,
-    RmdProblem,
     SparseLinearDgp,
+    check_problem,
     solve_rmd,
 )
 from rieszdml.dictionaries import Dictionary, _check_rows
@@ -227,7 +227,7 @@ def reference_m_rows(dictionary, functional, X):
 
 def reference_fit(G, M, rule, n_rows):
     """One RMD fit at the lambda ``rule`` picks, its optimal l1 norm checked against HiGHS."""
-    sol = solve_rmd(RmdProblem(G, M, rule.lam(n_rows, len(M))))
+    sol = solve_rmd(*check_problem(G, M, rule.lam(n_rows, len(M))))
     assert sol.status == "optimal", sol.status
     expect = highs_l1(G, M, sol.lam)
     assert math.isclose(sol.l1_norm, expect, rel_tol=1e-7, abs_tol=1e-12), (sol.l1_norm, expect)

@@ -28,7 +28,7 @@ from rieszdml import (
     solve_rmd,
 )
 from rieszdml.cli import Config, build_dgp, build_estimator, build_functional
-from rieszdml.rmd import LambdaRule, RmdProblem
+from rieszdml.rmd import LambdaRule, check_problem
 from rieszdml.simulation import run_monte_carlo
 
 from oracles import lp_vertex_oracle
@@ -76,7 +76,7 @@ def test_criterion_1_rmd_oracle_equivalence():
         lam = float(abs(rng.standard_normal()) * 0.4)
         B = np.inf if rng.random() < 0.7 else float(abs(rng.standard_normal()) * 2.0 + 0.5)
         oracle = lp_vertex_oracle(G, M, lam, B)
-        sol = solve_rmd(RmdProblem(G, M, lam, B))
+        sol = solve_rmd(*check_problem(G, M, lam, B))
         if oracle is None:
             assert sol.status == "infeasible", i
         else:
@@ -95,7 +95,7 @@ def test_criterion_2_soft_threshold_exactness():
         p = int(rng.integers(1, 15))
         M = 2.0 * rng.standard_normal(p)
         lam = float(abs(rng.standard_normal()))
-        sol = solve_rmd(RmdProblem(np.eye(p), M, lam))
+        sol = solve_rmd(*check_problem(np.eye(p), M, lam))
         closed_form = np.sign(M) * np.maximum(np.abs(M) - lam, 0.0)
         worst = max(worst, float(np.abs(sol.t_hat - closed_form).max()))
     elapsed = time.monotonic() - start

@@ -105,12 +105,16 @@ def test_rmd_solve_reports_closed_gap(tmp_path, capsys):
 
 
 def test_rmd_solve_bad_input(tmp_path, capsys):
-    g = write(tmp_path / "G.txt", "1 0\nnot numbers\n")
-    m = write(tmp_path / "M.txt", "1 1\n")
-    code, out, err = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m,
-                             "--lambda", "0.1")
-    assert code == 2
-    assert "error" in json.loads(err.strip())
+    # a file that does not parse is an error naming its flag and its path
+    for flag, g_text, m_text in (("--g-matrix", "1 0\nnot numbers\n", "1 1\n"),
+                                 ("--m-vector", "1 0\n0 1\n", "1 1 x\n")):
+        g = write(tmp_path / "G.txt", g_text)
+        m = write(tmp_path / "M.txt", m_text)
+        code, out, err = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m,
+                                 "--lambda", "0.1")
+        assert code == 2 and out == ""
+        path = g if flag == "--g-matrix" else m
+        assert f"cannot read {flag} file {path}: " in error_line(err)["error"], err
 
 
 @pytest.mark.filterwarnings("error")
@@ -136,6 +140,26 @@ def test_rmd_solve_gram_near_float_max_keeps_the_output_contract(tmp_path, capsy
                              "--lambda", "0.1")
     assert code == 2 and out == ""
     assert f"--g-matrix {g}" in error_line(err)["error"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, g_text, m_text, extra", [
+    ("--lambda", "1 0\n0 1\n", "1 0\n", ["--lambda", "-1"]),
+    ("--lambda", "1 0\n0 1\n", "1 0\n", ["--lambda", "nan"]),
+    ("--l1-bound", "1 0\n0 1\n", "1 0\n", ["--lambda", "0.1", "--l1-bound", "0"]),
+    ("--g-matrix", "1 0.5\n0 1\n", "1 0\n", ["--lambda", "0.1"]),
+    ("--m-vector", "1 0\n0 1\n", "1 nan\n", ["--lambda", "0.1"]),
+    ("--m-vector", "1 0\n0 1\n", "1 0 0\n", ["--lambda", "0.1"]),
+], ids=["lambda-negative", "lambda-nan", "l1-bound-zero", "g-asymmetric", "m-non-finite",
+        "m-mis-sized"])
+def test_rmd_solve_bad_problem_names_the_flag_at_fault(tmp_path, capsys, flag, g_text, m_text,
+                                                       extra):
+    g = write(tmp_path / "G.txt", g_text)
+    m = write(tmp_path / "M.txt", m_text)
+    code, out, err = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m, *extra)
+    assert code == 2 and out == ""
+    named = {"--g-matrix": f"--g-matrix {g}: ", "--m-vector": f"--m-vector {m}: "}
+    assert error_line(err)["error"].startswith(named.get(flag, f"{flag}: ")), err
 
 
 # -- estimate ---------------------------------------------------------------------

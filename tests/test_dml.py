@@ -567,18 +567,22 @@ def test_library_fit_grams_are_exactly_symmetric(monkeypatch, family, fit):
                          ids=["debiased", "plugin_only"])
 def test_estimate_solves_fold_grams_without_rmd_problem_checks(monkeypatch, plugin_only,
                                                                fits_per_fold):
-    # an estimate checks the Grams it sums in fit_rmd; RmdProblem re-checks and
+    # an estimate checks the Grams it sums in fit_rmd; check_problem checks and
     # symmetrizes only instances built outside the library
     data, dic, f, _ = small_setup(n=120, p=3, seed=8)
     checked, solved = [], []
-    real = rmd.solve_rmd
+    real_check, real_solve = rmd.check_problem, rmd.solve_rmd
 
-    def spy(prob):
-        solved.append(prob)
-        return real(prob)
+    def check_spy(*args):
+        checked.append(args)
+        return real_check(*args)
 
-    monkeypatch.setattr(rmd.RmdProblem, "__post_init__", lambda prob: checked.append(prob))
-    monkeypatch.setattr(rmd, "solve_rmd", spy)
+    def solve_spy(*args):
+        solved.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(rmd, "check_problem", check_spy)
+    monkeypatch.setattr(rmd, "solve_rmd", solve_spy)
     K = 3
     dml_estimate(data, dic, f, K=K, rule=LambdaRule.fixed(0.1), plugin_only=plugin_only)
     assert checked == []

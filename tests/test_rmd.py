@@ -17,7 +17,7 @@ from rieszdml import (
     solve_rmd,
 )
 from rieszdml import lp
-from rieszdml.rmd import LambdaRule, RmdProblem, fit_rmd
+from rieszdml.rmd import LambdaRule, SettingError, check_problem, fit_rmd
 
 from oracles import highs_l1, lp_vertex_oracle
 
@@ -30,13 +30,13 @@ def random_problem(rng, p, lam_scale=0.4, allow_bound=True):
     B = np.inf
     if allow_bound and rng.random() < 0.3:
         B = float(abs(rng.standard_normal()) * 2.0 + 0.5)
-    return RmdProblem(G, M, lam, B)
+    return check_problem(G, M, lam, B)
 
 
 # -- solve_rmd examples -------------------------------------------------------
 
 def test_identity_soft_threshold_example():
-    sol = solve_rmd(RmdProblem(np.eye(3), np.array([0.9, 0.1, 0.0]), 0.2))
+    sol = solve_rmd(*check_problem(np.eye(3), np.array([0.9, 0.1, 0.0]), 0.2))
     np.testing.assert_allclose(sol.t_hat, [0.7, 0.0, 0.0], atol=1e-12)
     assert sol.status == "optimal"
 
@@ -44,9 +44,8 @@ def test_identity_soft_threshold_example():
 def test_large_lambda_gives_zero():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        prob = random_problem(rng, 4, allow_bound=False)
-        prob = RmdProblem(prob.G_hat, prob.M_hat, np.abs(prob.M_hat).max() + 0.1)
-        sol = solve_rmd(prob)
+        G, M, _, _ = random_problem(rng, 4, allow_bound=False)
+        sol = solve_rmd(*check_problem(G, M, np.abs(M).max() + 0.1))
         np.testing.assert_allclose(sol.t_hat, 0.0)
         assert sol.status == "optimal"
 
@@ -54,7 +53,7 @@ def test_large_lambda_gives_zero():
 def test_invertible_gram_zero_lambda():
     G = np.array([[1.0, 0.5], [0.5, 1.0]])
     M = np.array([1.0, 1.0])
-    sol = solve_rmd(RmdProblem(G, M, 0.0))
+    sol = solve_rmd(*check_problem(G, M, 0.0))
     # unique solution of G t = M, cross-checked by the vertex oracle
     oracle = lp_vertex_oracle(G, M, 0.0)
     np.testing.assert_allclose(sol.t_hat, [2.0 / 3.0, 2.0 / 3.0], atol=1e-10)
@@ -67,7 +66,7 @@ def test_soft_threshold_law_100_random():
         p = int(rng.integers(1, 12))
         M = rng.standard_normal(p) * 2.0
         lam = float(abs(rng.standard_normal()))
-        sol = solve_rmd(RmdProblem(np.eye(p), M, lam))
+        sol = solve_rmd(*check_problem(np.eye(p), M, lam))
         expect = np.sign(M) * np.maximum(np.abs(M) - lam, 0.0)
         assert sol.status == "optimal"
         assert np.abs(sol.t_hat - expect).max() <= 1e-10
@@ -78,8 +77,8 @@ def test_oracle_equivalence_100_random():
     for i in range(100):
         p = int(rng.integers(1, 5))
         prob = random_problem(rng, p)
-        oracle = lp_vertex_oracle(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound)
-        sol = solve_rmd(prob)
+        oracle = lp_vertex_oracle(*prob)
+        sol = solve_rmd(*prob)
         if oracle is None:
             assert sol.status == "infeasible", i
         else:
@@ -90,23 +89,23 @@ def test_oracle_equivalence_100_random():
 def test_homogeneity_of_optimal_value():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        prob = random_problem(rng, 5, allow_bound=False)
+        G, M, lam, _ = random_problem(rng, 5, allow_bound=False)
         c = float(rng.uniform(0.2, 5.0))
-        base = solve_rmd(prob)
-        scaled = solve_rmd(RmdProblem(prob.G_hat, c * prob.M_hat, c * prob.lam))
+        base = solve_rmd(G, M, lam)
+        scaled = solve_rmd(*check_problem(G, c * M, c * lam))
         assert scaled.l1_norm == pytest.approx(c * base.l1_norm, rel=1e-9, abs=1e-9)
 
 
 def test_feasibility_postcheck_direct():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        prob = random_problem(rng, 8)
-        sol = solve_rmd(prob)
+        G, M, lam, l1_bound = random_problem(rng, 8)
+        sol = solve_rmd(G, M, lam, l1_bound)
         if sol.status != "optimal":
             continue
-        resid = np.abs(prob.G_hat @ sol.t_hat - prob.M_hat).max()
-        assert resid <= prob.lam + 1e-7
-        assert sol.l1_norm <= prob.l1_bound + 1e-7
+        resid = np.abs(G @ sol.t_hat - M).max()
+        assert resid <= lam + 1e-7
+        assert sol.l1_norm <= l1_bound + 1e-7
         assert sol.max_residual == pytest.approx(resid, abs=1e-12)
 
 
@@ -123,7 +122,7 @@ def test_restricted_set_membership_when_t0_feasible():
     for lam in [0.0, 0.05, 0.2]:
         # beta* is feasible at every lambda here since G beta* = M exactly
         assert np.abs(G @ beta_star - M).max() <= lam + 1e-12
-        sol = solve_rmd(RmdProblem(G, M, lam))
+        sol = solve_rmd(*check_problem(G, M, lam))
         assert sol.l1_norm <= np.abs(beta_star).sum() + 1e-7
 
 
@@ -133,17 +132,16 @@ def test_degenerate_gram_duplicated_columns():
     X = np.hstack([X, X[:, :1]])  # duplicated dictionary column
     G = X.T @ X / 30
     M = X.T @ (X[:, 0] + 0.2 * rng.standard_normal(30)) / 30
-    sol = solve_rmd(RmdProblem(G, M, 0.1))
+    sol = solve_rmd(*check_problem(G, M, 0.1))
     assert sol.status == "optimal"
     assert np.abs(G @ sol.t_hat - M).max() <= 0.1 + 1e-7
 
 
 def _assert_matches_highs(prob):
-    sol = solve_rmd(prob)
+    sol = solve_rmd(*prob)
     assert sol.status == "optimal"
     assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
-    assert sol.l1_norm == pytest.approx(highs_l1(prob.G_hat, prob.M_hat, prob.lam, prob.l1_bound),
-                                        rel=1e-7)
+    assert sol.l1_norm == pytest.approx(highs_l1(*prob), rel=1e-7)
 
 
 def test_refactorization_path_rank_deficient_gram():
@@ -154,8 +152,8 @@ def test_refactorization_path_rank_deficient_gram():
     X = rng.standard_normal((n, p - 1))
     X = np.hstack([X, X[:, :1]])
     y = X[:, :5] @ np.array([1.0, -0.8, 0.5, 0.3, -0.2]) + rng.standard_normal(n)
-    prob = RmdProblem(X.T @ X / n, X.T @ y / n, 0.25 * np.sqrt(np.log(p) / n))
-    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam)
+    prob = check_problem(X.T @ X / n, X.T @ y / n, 0.25 * np.sqrt(np.log(p) / n))
+    res = lp.solve_standard_form(*prob[:3])
     assert res.iterations > lp._REFACTOR_EVERY and res.refactorizations > 0
     _assert_matches_highs(prob)
 
@@ -166,9 +164,9 @@ def test_bland_path_duplicated_columns(monkeypatch):
     rng = np.random.default_rng(2501)
     X = rng.integers(-2, 3, size=(3, 8)) / 2.0
     X[:, 4:] = X[:, :4]
-    prob = RmdProblem(X.T @ X / 3, X.T @ rng.integers(-2, 3, size=3) / 3, 0.125)
+    prob = check_problem(X.T @ X / 3, X.T @ rng.integers(-2, 3, size=3) / 3, 0.125)
     monkeypatch.setattr(lp, "_STALL_LIMIT_FACTOR", 0)
-    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam)
+    res = lp.solve_standard_form(*prob[:3])
     assert res.bland_switches > 0
     _assert_matches_highs(prob)
 
@@ -179,43 +177,82 @@ def test_drifted_basic_solution_is_refactorized_before_optimal():
     # certificate rejects; one refactorization brings it to 5e-12.
     G = np.array([[0, 0, 0, 0, 0, 0], [0, 13, 7, -11, 5, 4], [0, 7, 13, 1, -1, 11],
                   [0, -11, 1, 25, -3, 0], [0, 5, -1, -3, 23, 9], [0, 4, 11, 0, 9, 19]]) / 24.0
-    prob = RmdProblem(G, np.array([0, 0, 0, 0, 0, 0.25]), 0.0)
-    res = lp.solve_standard_form(prob.G_hat, prob.M_hat, prob.lam)
+    prob = check_problem(G, np.array([0, 0, 0, 0, 0, 0.25]), 0.0)
+    res = lp.solve_standard_form(*prob[:3])
     assert res.status == "optimal" and res.refactorizations == 1
-    sol = solve_rmd(prob)
+    sol = solve_rmd(*prob)
     assert sol.status == "optimal" and sol.max_residual <= 1e-9
+
+
+def test_basis_matrix_is_the_column_products_bit_for_bit():
+    # _refactorize reads the basis matrix off G; it must equal the columns B^-1 A_q at
+    # B^-1 = I that the pivots use, signed zeros included, for t+, t- and slack columns
+    rng = np.random.default_rng(11)
+    for p in (3, 50, 250):
+        X = rng.standard_normal((p + 2, p))
+        grid = rng.integers(-2, 3, size=(p, p)).astype(float)  # exact zeros, of both signs
+        grid[0, -1] = -0.0
+        for G in (X.T @ X, grid + grid.T):
+            kinds = [0, p, 2 * p]  # one t+, one t- and one slack column, then any others
+            others = rng.permutation(np.setdiff1d(np.arange(3 * p), kinds))
+            basis = np.concatenate((kinds, others))[:p]
+            expect = np.column_stack([lp._column(np.eye(p), G, q) for q in basis])
+            assert lp._basis_matrix(G, basis).tobytes() == expect.tobytes()
 
 
 def test_iteration_limit_status(monkeypatch):
     rng = np.random.default_rng(9)
     prob = random_problem(rng, 10, allow_bound=False)
     monkeypatch.setattr(lp, "MAX_ITERS", 1)
-    sol = solve_rmd(prob)
+    sol = solve_rmd(*prob)
     assert sol.status == "iteration_limit"
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        RmdProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), 0.1)  # asymmetric
-    with pytest.raises(ValueError):
-        RmdProblem(np.eye(2), np.zeros(2), -0.1)
-    with pytest.raises(ValueError):
-        RmdProblem(np.eye(2), np.array([np.nan, 0.0]), 0.1)
-    with pytest.raises(ValueError):
-        RmdProblem(np.eye(2), np.zeros(2), 0.1, l1_bound=0.0)
-    with pytest.raises(ValueError):
-        RmdProblem(np.eye(2), np.zeros(3), 0.1)
+    # each fault is a SettingError (a ValueError) naming the value at fault; checks run
+    # in this order: G empty or not square, M's length, finiteness, symmetry, lambda, budget
+    G, M, asym = np.eye(2), np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])
+    for args, field in [((np.zeros((0, 0)), np.zeros(0), 0.1), "G_hat"),
+                        ((np.ones(3), M, 0.1), "G_hat"),
+                        ((np.ones((2, 3)), M, 0.1), "G_hat"),
+                        ((asym, M, 0.1), "G_hat"),
+                        ((np.array([[np.inf, 0.0], [0.0, 1.0]]), M, 0.1), "G_hat"),
+                        ((G, np.zeros(3), 0.1), "M_hat"),
+                        ((G, np.array([np.nan, 0.0]), 0.1), "M_hat"),
+                        ((G, M, -0.1), "lam"),
+                        ((G, M, np.nan), "lam"),
+                        ((G, M, np.inf), "lam"),
+                        ((G, M, 0.1, 0.0), "l1_bound"),
+                        ((G, M, 0.1, -1.0), "l1_bound"),
+                        ((G, M, 0.1, np.nan), "l1_bound"),
+                        ((asym, np.zeros(3), -0.1, 0.0), "M_hat"),
+                        ((asym, np.array([np.nan, 0.0]), -0.1, 0.0), "M_hat"),
+                        ((asym, M, -0.1, 0.0), "G_hat"),
+                        ((G, M, -0.1, 0.0), "lam")]:
+        with pytest.raises(SettingError) as info:
+            check_problem(*args)
+        assert isinstance(info.value, ValueError) and info.value.field == field, (args, field)
+
+
+def test_check_problem_returns_what_solve_rmd_takes():
+    # G is symmetrized as half + half', so it is symmetric bit for bit; both scalars are floats
+    G = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+    G_out, M_out, lam, l1_bound = check_problem(G, [1, 0], 1, 3)
+    np.testing.assert_array_equal(G_out, G_out.T)
+    np.testing.assert_array_equal(G_out, 0.5 * G + 0.5 * G.T)
+    assert M_out.dtype == float and M_out.tolist() == [1.0, 0.0]
+    assert type(lam) is float and type(l1_bound) is float and (lam, l1_bound) == (1.0, 3.0)
 
 
 @pytest.mark.filterwarnings("error")
 def test_problem_symmetry_check_does_not_overflow():
     # G - G' overflows here; the halves' difference does not
     with pytest.raises(ValueError, match="G_hat is not symmetric"):
-        RmdProblem([[1.0, 1e308], [-1e308, 1.0]], np.zeros(2), 0.1)
+        check_problem([[1.0, 1e308], [-1e308, 1.0]], np.zeros(2), 0.1)
 
 
 def test_fit_rmd_solves_the_instance_rmd_problem_would():
-    # fit_rmd skips RmdProblem's checks; on a Gram the library summed it solves the same instance
+    # fit_rmd skips check_problem; on a Gram the library summed it solves the same instance
     rng = np.random.default_rng(5)
     X = rng.standard_normal((40, 6))
     G, M = X.T @ X / 40, X.T @ (X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(40)) / 40
@@ -223,7 +260,8 @@ def test_fit_rmd_solves_the_instance_rmd_problem_would():
     for l1_bound, status in ((np.inf, "optimal"), (0.5, "infeasible")):
         sol = fit_rmd(G, M, rule, 40, l1_bound)
         assert sol.status == status and type(sol.lam) is float
-        np.testing.assert_equal(vars(sol), vars(solve_rmd(RmdProblem(G, M, rule.lam(40, 6), l1_bound))))
+        checked = check_problem(G, M, rule.lam(40, 6), l1_bound)
+        np.testing.assert_equal(vars(sol), vars(solve_rmd(*checked)))
 
 
 @pytest.mark.parametrize("G, M, n_rows, l1_bound, message", [
@@ -240,12 +278,12 @@ def test_fit_rmd_checks_what_summed_means_can_get_wrong(G, M, n_rows, l1_bound, 
 
 def test_problem_rejects_empty_gram():
     with pytest.raises(ValueError, match="G_hat is empty"):
-        RmdProblem(np.zeros((0, 0)), np.zeros(0), 0.1)
+        check_problem(np.zeros((0, 0)), np.zeros(0), 0.1)
 
 
 def test_uncertified_optimum_is_numerical_failure(monkeypatch):
     # G = I, M = (1, 0), lambda = 0.5: the optimum is t = (0.5, 0), l1 0.5.
-    prob = RmdProblem(np.eye(2), np.array([1.0, 0.0]), 0.5)
+    prob = check_problem(np.eye(2), np.array([1.0, 0.0]), 0.5)
     t_optimal = np.array([0.5, 0.0])
     t_infeasible = np.zeros(2)  # residual 1 > lambda
     t_gap_open = np.array([1.0, 0.0])  # feasible, l1 1 > 0.5
@@ -259,7 +297,7 @@ def test_uncertified_optimum_is_numerical_failure(monkeypatch):
                          (t_gap_open, y_optimal, "numerical_failure"),
                          (t_optimal, np.zeros(2), "numerical_failure")]:
         monkeypatch.setattr(lp, "solve_standard_form", claims_optimal(t, y))
-        sol = solve_rmd(prob)
+        sol = solve_rmd(*prob)
         assert sol.status == expect, (t, y)
     assert sol.gap == pytest.approx(0.5)
 
@@ -281,8 +319,8 @@ def test_differential_against_highs(p, budget):
     lam = 0.5 * np.sqrt(np.log(p) / n)
     l1_bound = np.inf
     if budget is not None:
-        l1_bound = budget * solve_rmd(RmdProblem(G, M, lam)).l1_norm
-    sol = solve_rmd(RmdProblem(G, M, lam, l1_bound))
+        l1_bound = budget * solve_rmd(*check_problem(G, M, lam)).l1_norm
+    sol = solve_rmd(*check_problem(G, M, lam, l1_bound))
     expect = highs_l1(G, M, lam, l1_bound)
     if expect is None:
         assert sol.status == "infeasible"
@@ -292,13 +330,26 @@ def test_differential_against_highs(p, budget):
     assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
 
 
+@pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated_column"])
+def test_differential_against_highs_more_columns_than_rows(duplicated):
+    # The paper's regime p > n: p = 400 dictionary columns from n_A = 100 rows, so the
+    # Gram has rank at most 100; the second case also repeats the first, active, column last.
+    rng = np.random.default_rng(400)
+    n, p = 100, 400
+    X = rng.standard_normal((n, p))
+    if duplicated:
+        X[:, -1] = X[:, 0]
+    y = X[:, :5] @ np.array([1.0, -0.8, 0.5, 0.3, -0.2]) + rng.standard_normal(n)
+    _assert_matches_highs(check_problem(X.T @ X / n, X.T @ y / n, 0.5 * np.sqrt(np.log(p) / n)))
+
+
 def test_budget_at_the_optimum_is_feasible():
     # The budget ||t||_1 <= B with B the certified unbudgeted optimum, l1 ~ 4438.46.
     rng = np.random.default_rng(12)
     X = rng.standard_normal((31, 30))
     G, M, lam = X.T @ X / 31, rng.standard_normal(30), 0.05
-    l1_bound = solve_rmd(RmdProblem(G, M, lam)).l1_norm
-    sol = solve_rmd(RmdProblem(G, M, lam, l1_bound))
+    l1_bound = solve_rmd(*check_problem(G, M, lam)).l1_norm
+    sol = solve_rmd(*check_problem(G, M, lam, l1_bound))
     assert sol.status == "optimal"
     assert sol.l1_norm == pytest.approx(highs_l1(G, M, lam, l1_bound), rel=1e-7)
 
@@ -318,14 +369,15 @@ def rmd_problems(draw, bounded=True):
     l1_bound = np.inf
     if bounded and draw(st.booleans()):
         l1_bound = draw(st.integers(1, 16)) / 4.0
-    return RmdProblem(X.T @ X / k, M, lam, l1_bound)
+    return check_problem(X.T @ X / k, M, lam, l1_bound)
 
 
 @settings(max_examples=50, deadline=None)
 @given(prob=rmd_problems(), a=st.floats(0.1, 10.0))
 def test_property_positive_homogeneity(prob, a):
-    base = solve_rmd(prob)
-    scaled = solve_rmd(RmdProblem(prob.G_hat, a * prob.M_hat, a * prob.lam, a * prob.l1_bound))
+    G, M, lam, l1_bound = prob
+    base = solve_rmd(G, M, lam, l1_bound)
+    scaled = solve_rmd(*check_problem(G, a * M, a * lam, a * l1_bound))
     assert scaled.status == base.status
     assert scaled.l1_norm == pytest.approx(a * base.l1_norm, rel=1e-9, abs=1e-9)
 
@@ -333,10 +385,10 @@ def test_property_positive_homogeneity(prob, a):
 @settings(max_examples=50, deadline=None)
 @given(prob=rmd_problems(), data=st.data())
 def test_property_permutation_invariance(prob, data):
-    perm = np.array(data.draw(st.permutations(range(prob.p))))
-    base = solve_rmd(prob)
-    permuted = solve_rmd(RmdProblem(prob.G_hat[np.ix_(perm, perm)], prob.M_hat[perm],
-                                    prob.lam, prob.l1_bound))
+    G, M, lam, l1_bound = prob
+    perm = np.array(data.draw(st.permutations(range(len(M)))))
+    base = solve_rmd(G, M, lam, l1_bound)
+    permuted = solve_rmd(*check_problem(G[np.ix_(perm, perm)], M[perm], lam, l1_bound))
     assert permuted.status == base.status
     assert permuted.l1_norm == pytest.approx(base.l1_norm, rel=1e-9, abs=1e-9)
 
@@ -344,8 +396,8 @@ def test_property_permutation_invariance(prob, data):
 @settings(max_examples=50, deadline=None)
 @given(prob=rmd_problems(bounded=False), extra=st.integers(0, 4))
 def test_property_large_lambda_gives_zero(prob, extra):
-    lam = np.abs(prob.M_hat).max() + extra / 4.0
-    sol = solve_rmd(RmdProblem(prob.G_hat, prob.M_hat, lam))
+    G, M, _, _ = prob
+    sol = solve_rmd(*check_problem(G, M, np.abs(M).max() + extra / 4.0))
     assert sol.status == "optimal"
     assert np.all(sol.t_hat == 0.0)
 
@@ -353,11 +405,12 @@ def test_property_large_lambda_gives_zero(prob, extra):
 @settings(max_examples=50, deadline=None)
 @given(prob=rmd_problems())
 def test_property_optimum_is_certified(prob):
-    sol = solve_rmd(prob)
+    G, M, lam, l1_bound = prob
+    sol = solve_rmd(G, M, lam, l1_bound)
     assert sol.status in ("optimal", "infeasible")
     if sol.status == "optimal":
-        assert np.abs(prob.G_hat @ sol.t_hat - prob.M_hat).max() <= prob.lam + 1e-7
-        assert sol.l1_norm <= prob.l1_bound + 1e-7
+        assert np.abs(G @ sol.t_hat - M).max() <= lam + 1e-7
+        assert sol.l1_norm <= l1_bound + 1e-7
         assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
 
 
@@ -367,7 +420,8 @@ def sample_gram_problems(draw):
     p = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     X = rng.standard_normal((p + 1, p))
-    return RmdProblem(X.T @ X / (p + 1), rng.standard_normal(p), draw(st.sampled_from([0.05, 0.2])))
+    return check_problem(X.T @ X / (p + 1), rng.standard_normal(p),
+                         draw(st.sampled_from([0.05, 0.2])))
 
 
 @settings(max_examples=50, deadline=None)
@@ -376,10 +430,11 @@ def sample_gram_problems(draw):
 def test_property_slack_budget_keeps_the_fit(prob, slack):
     # The objective is ||t||_1 itself, so a budget at or above the optimum
     # cannot change the fitted coefficients.
-    free = solve_rmd(prob)
+    G, M, lam, _ = prob
+    free = solve_rmd(G, M, lam)
     l1_bound = free.l1_norm + slack / 4.0
     assume(free.status == "optimal" and l1_bound > 0.0)
-    sol = solve_rmd(RmdProblem(prob.G_hat, prob.M_hat, prob.lam, l1_bound))
+    sol = solve_rmd(*check_problem(G, M, lam, l1_bound))
     assert sol.status == "optimal"
     assert sol.t_hat.tobytes() == free.t_hat.tobytes()
 
