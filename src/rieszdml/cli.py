@@ -311,10 +311,8 @@ def cmd_estimate(args):
     treatment = cfg.get_str("data.treatment")
     standardize = cfg.get_bool("data.standardize", default=False)
     try:
-        data = load_csv(args.data, outcome, treatment, standardize)
-    except KeyError as exc:
-        message, role = exc.args
-        raise ConfigError(message, key=f"data.{role}") from None
+        with _keyed(cfg, "data."):  # a missing column: a ConfigError, not caught below
+            data = load_csv(args.data, outcome, treatment, standardize)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load data file {args.data}: {exc}") from None
 
@@ -440,7 +438,7 @@ def run(argv):
         return args.func(args)
     except SystemExit as exc:  # --help has printed usage to stdout
         return int(exc.code or 0)
-    except SettingError as exc:  # RIESZ_DML_THREADS is no config key
+    except SettingError as exc:
         error, code = ConfigError(str(exc), _SETTING_KEYS.get(exc.field)), 2
     except ConfigError as exc:
         error, code = exc, 2

@@ -261,7 +261,9 @@ class Dataset:
         Columns are not centered.
         """
         X = np.array(self.covariates)
-        sd = X.std(axis=0, ddof=1)
+        # over a power of two near each column's largest |entry|, exactly, so no square overflows
+        scale = 2.0 ** np.frexp(np.abs(X).max(axis=0))[1]
+        sd = (X / scale).std(axis=0, ddof=1) * scale
         for j in range(X.shape[1]):
             if self.treatment_col is not None and j == self.treatment_col:
                 continue
@@ -278,7 +280,8 @@ def load_csv(path, outcome, treatment=None, standardize=False):
     The column named ``outcome`` becomes Y; all remaining columns become
     covariates in header order; ``treatment`` optionally names the binary
     treatment column.  A header that names a column twice, or any
-    non-numeric cell, is a parse failure.
+    non-numeric cell, is a parse failure; a missing outcome or treatment
+    column raises ``SettingError`` naming that role.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -300,13 +303,12 @@ def load_csv(path, outcome, treatment=None, standardize=False):
                 rows.append([float(cell) for cell in row])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
-    # the second KeyError argument names the role of the missing column
     if outcome not in header:
-        raise KeyError(f"outcome column {outcome!r} not found in header", "outcome")
+        raise SettingError("outcome", f"outcome column {outcome!r} not found in header")
     if treatment is not None and treatment not in header:
-        raise KeyError(f"treatment column {treatment!r} not found in header", "treatment")
+        raise SettingError("treatment", f"treatment column {treatment!r} not found in header")
     if treatment == outcome:
-        raise KeyError(f"treatment column {treatment!r} is the outcome column", "treatment")
+        raise SettingError("treatment", f"treatment column {treatment!r} is the outcome column")
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"no data rows in {path}")

@@ -268,7 +268,7 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
     est = EstimatorConfig(dictionary, functional, K, rule, riesz_rule, l1_bound, alpha, plugin_only)
     functional.check_compatible(dictionary, data)
     n = data.n
-    fold_rows = make_fold_plan(n, K, seed)
+    fold_rows = make_fold_plan(n, est.K, seed)
 
     with _one_blas_thread():
         # Sort the rows by fold: fold k is the contiguous block folds[k - 1] of the
@@ -290,7 +290,8 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
             complement = (n - (f.stop - f.start),
                           *(sum(parts[1:], parts[0]) for parts in zip(*others)))
             record, contrib = fit_and_score_fold(B[f], Mx[f], y[f], complement, est.rule,
-                                                 est.riesz_rule, l1_bound, plugin_only, fold_id=k)
+                                                 est.riesz_rule, est.l1_bound, est.plugin_only,
+                                                 fold_id=k)
             records.append(record)
             contribs[order[f]] = contrib
             d_beta, d_rho = _derivative_sums(blocks[k - 1], record.blp.t_hat, record.riesz.t_hat)
@@ -304,7 +305,7 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
     warn_list = []
     if sigma_hat == 0.0:
         warn_list.append("degenerate score: psi is constant across observations; zero-width CI")
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - est.alpha / 2.0)
     half = z * sigma_hat / np.sqrt(n)
     ci = (theta_hat - half, theta_hat + half)
 
@@ -320,8 +321,8 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
         theta_hat=theta_hat,
         sigma_hat=sigma_hat,
         ci=ci,
-        alpha=alpha,
-        K=K,
+        alpha=est.alpha,
+        K=est.K,
         n=n,
         per_fold=records,
         orthogonality=orthogonality,

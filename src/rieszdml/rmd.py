@@ -199,7 +199,7 @@ def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf):
     return solve_rmd(G, M, float(lam), float(l1_bound))
 
 
-def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf):
+def estimate_blp(data, rows, dictionary, rule):
     """Sparse best-linear-predictor fit on the given rows.
 
     Returns (beta_hat, RmdSolution); the solution's max_residual equals
@@ -207,11 +207,11 @@ def estimate_blp(data, rows, dictionary, rule, l1_bound=np.inf):
     """
     rows = np.asarray(rows, dtype=int)
     BB, By, _ = gram_and_moments(design_matrix(dictionary, data, rows), data.outcome[rows])
-    sol = fit_rmd(BB / rows.size, By / rows.size, rule, rows.size, l1_bound)
+    sol = fit_rmd(BB / rows.size, By / rows.size, rule, rows.size)
     return sol.t_hat, sol
 
 
-def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf):
+def estimate_riesz(data, rows, dictionary, functional, rule):
     """Sparse Riesz-representer fit on the given rows.
 
     Returns (rho_hat, RmdSolution); the solution's max_residual equals
@@ -223,5 +223,5 @@ def estimate_riesz(data, rows, dictionary, functional, rule, l1_bound=np.inf):
         raise ValueError("empty row index set")
     B, Mx = functional.features(dictionary, data.covariates[rows])
     BB, _, m_sum = gram_and_moments(B, Mx=Mx)
-    sol = fit_rmd(BB / rows.size, m_sum / rows.size, rule, rows.size, l1_bound)
+    sol = fit_rmd(BB / rows.size, m_sum / rows.size, rule, rows.size)
     return sol.t_hat, sol

@@ -39,6 +39,7 @@ from .rmd import RmdInfeasibleError, SettingError
 
 _LOGIT_BOUND = float(np.log(0.95 / 0.05))  # propensity clipped to [0.05, 0.95]
 _MC_SEED = 202_406  # the Monte Carlo oracle of true_theta_info draws from this seed
+_MC_DRAWS = 10_000_000  # ... and this many covariate rows
 
 
 def _draw_x(rng, n, d, x_dist):
@@ -195,13 +196,13 @@ def _mean_directional_derivative(dictionary, x_dist, a):
     return None
 
 
-def true_theta_info(dgp, functional, mc_draws=10_000_000):
+def true_theta_info(dgp, functional):
     """The target E m(X, gamma*) with its provenance.
 
     Analytic where available (an average derivative on a polynomial, Fourier
     or identity dictionary, the identity policy shift, the additive ATE);
     otherwise Gauss quadrature when d = 1, else a Monte Carlo oracle over
-    ``mc_draws`` fresh covariate draws with the reported standard error.
+    ``_MC_DRAWS`` fresh covariate draws with the reported standard error.
     """
     if isinstance(dgp, AteLogisticDgp):
         if isinstance(functional, AverageTreatmentEffect):
@@ -229,24 +230,29 @@ def true_theta_info(dgp, functional, mc_draws=10_000_000):
     total_sq = 0.0
     done = 0
     chunk = 500_000
-    while done < mc_draws:
-        size = min(chunk, mc_draws - done)
+    scale = None
+    while done < _MC_DRAWS:
+        size = min(chunk, _MC_DRAWS - done)
         X = _draw_x(rng, size, dgp.d, dgp.x_dist)
         vals = functional.features(dgp.dictionary, X)[1] @ dgp.beta_star
+        if scale is None:  # a power of two near the largest |value|, so no square overflows
+            scale = 2.0 ** np.frexp(np.abs(vals).max())[1]
+        vals /= scale  # exact; the mean and se are scaled back below
         total += vals.sum()
         total_sq += (vals ** 2).sum()
         done += size
-    mean = total / mc_draws
-    var = total_sq / mc_draws - mean ** 2
-    return TrueTheta(float(mean), float(np.sqrt(max(var, 0.0) / mc_draws)), "monte_carlo")
+    mean = total / _MC_DRAWS
+    var = total_sq / _MC_DRAWS - mean ** 2
+    se = np.sqrt(max(var, 0.0) / _MC_DRAWS)
+    return TrueTheta(float(mean * scale), float(se * scale), "monte_carlo")
 
 
-def _quadrature(dgp, functional, nodes=120):
+def _quadrature(dgp, functional):
     if dgp.x_dist == "normal":
-        x, w = np.polynomial.hermite_e.hermegauss(nodes)
+        x, w = np.polynomial.hermite_e.hermegauss(120)
         w = w / np.sqrt(2.0 * np.pi)
     else:
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = np.polynomial.legendre.leggauss(120)
         w = w / 2.0
     vals = functional.features(dgp.dictionary, x[:, np.newaxis])[1] @ dgp.beta_star
     return float(w @ vals)
@@ -313,18 +319,13 @@ def _replicate(task):
 
 
 def resolve_workers(requested=None):
-    """Pool processes, not BLAS threads: at most RIESZ_DML_THREADS (default: usable CPUs)."""
+    """Pool processes, not BLAS threads: ``requested`` (default: all) capped at the usable CPUs."""
     if requested is not None and requested < 1:
         raise SettingError("workers", f"need workers >= 1, got {requested}")
-    env = os.environ.get("RIESZ_DML_THREADS")
     try:
-        cap = int(env) if env is not None else len(os.sched_getaffinity(0))
+        cap = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity (macOS, Windows): all cores
         cap = os.cpu_count() or 1
-    except ValueError:
-        raise SettingError("RIESZ_DML_THREADS",
-                           f"RIESZ_DML_THREADS must be an integer, got {env!r}") from None
-    cap = max(1, cap)
     return cap if requested is None else min(int(requested), cap)
 
 

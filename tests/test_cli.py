@@ -369,6 +369,41 @@ def test_estimate_gram_overflow_names_the_data_file(tmp_path, capsys):
     assert data in error_line(err)["error"]
 
 
+_STANDARDIZED_CFG = "\n".join([
+    "dictionary.kind = identity",
+    "functional.type = average_derivative",
+    "functional.direction = 1,0",
+    "data.outcome = y",
+    "data.standardize = true",
+])
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_standardizes_a_column_whose_squares_overflow(tmp_path, capsys):
+    # x1 near 1e200: its squares overflow, so a plain std is inf and x1 would turn to 0
+    draws = np.random.default_rng(0).standard_normal((60, 3)).tolist()
+    cfg = write(tmp_path / "c.cfg", _STANDARDIZED_CFG)
+    outs = []
+    for name, scale in (("big.csv", 1e200), ("scaled.csv", 1e200 / 2.0 ** 600)):
+        rows = [f"{y!r},{scale * x1!r},{x2!r}" for y, x1, x2 in draws]
+        data = write(tmp_path / name, "\n".join(["y,x1,x2", *rows]) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--data", data, "--config", cfg)
+        assert code == 0 and err == ""
+        outs.append(out)
+    # dividing x1 by 2^600 is exact and leaves its standardized values as they were
+    assert outs[0] == outs[1]
+
+
+def test_estimate_standardize_names_a_constant_column(tmp_path, capsys):
+    data = write(tmp_path / "d.csv", "y,x1,x2\n" + "\n".join(
+        f"{i % 3},1.5,{i * 0.2}" for i in range(20)))
+    cfg = write(tmp_path / "c.cfg", _STANDARDIZED_CFG)
+    code, out, err = run_cli(capsys, "estimate", "--data", data, "--config", cfg)
+    assert code == 2 and out == ""
+    assert error_line(err)["error"] == (f"cannot load data file {data}: "
+                                        "cannot standardize constant covariate column 'x1'")
+
+
 def test_interacted_inner_dictionary_names_the_inner_key(tmp_path, capsys):
     entries = {**example_entries(), "dictionary.inner.kind": "treatment_interacted"}
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
@@ -630,11 +665,24 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert lines[0].startswith("rep,status,theta_hat")
 
 
-def test_simulate_rejects_non_integer_thread_cap(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RIESZ_DML_THREADS", "two")
-    code, out, err = run_cli(capsys, "simulate", "--config", simulate_cfg(tmp_path))
-    assert code == 2 and out == ""
-    assert "RIESZ_DML_THREADS" in error_line(err)["error"]
+@pytest.mark.filterwarnings("error")
+def test_simulate_oracle_target_near_1e160_keeps_the_output_contract(tmp_path, monkeypatch, capsys):
+    # a two-dimensional policy shift takes theta* from the Monte Carlo oracle, whose
+    # values near 1e159 have squares past the float maximum
+    from rieszdml import simulation
+
+    monkeypatch.setattr(simulation, "_MC_DRAWS", 2_000)
+    cfg = write(tmp_path / "c.cfg", "\n".join([
+        "simulation.dgp = sparse_linear", "simulation.n = 40", "simulation.replications = 2",
+        "simulation.d = 2", "simulation.beta_star = 1e160,0", "dictionary.kind = identity",
+        "functional.type = policy_shift", "functional.transport_c = 0.1,0",
+        "simulation.workers = 1",
+    ]))
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["theta_star_method"] == "monte_carlo"
+    assert np.isfinite(payload["theta_star"]) and np.isfinite(payload["theta_star_se"])
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):
@@ -1033,7 +1081,7 @@ def test_simulate_config_sweep_keeps_the_output_contract(entries):
     out, err = io.StringIO(), io.StringIO()
     # a dropped simulation.workers would otherwise start a process pool
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.dict(os.environ, {"RIESZ_DML_THREADS": "1"}), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cfg = write_cfg(pathlib.Path(tmp) / "c.cfg", entries)

@@ -297,10 +297,12 @@ def test_load_csv_roundtrip(tmp_path):
 def test_load_csv_missing_column(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("y,x\n1,2\n3,4\n")
-    with pytest.raises(KeyError):
+    with pytest.raises(SettingError) as info:
         load_csv(path, outcome="nope")
-    with pytest.raises(KeyError):
+    assert info.value.field == "outcome"
+    with pytest.raises(SettingError) as info:
         load_csv(path, outcome="y", treatment="nope")
+    assert info.value.field == "treatment"
 
 
 def test_load_csv_non_numeric_cell(tmp_path):

@@ -236,7 +236,7 @@ def test_dml_checks_alpha_before_any_fit(monkeypatch):
     # 1 - 1e-300 / 2 rounds to 1, so the quantile would fail only after all ten fits
     calls = []
     real = rmd.solve_rmd
-    monkeypatch.setattr(rmd, "solve_rmd", lambda prob: calls.append(prob) or real(prob))
+    monkeypatch.setattr(rmd, "solve_rmd", lambda *args: calls.append(args) or real(*args))
     data, dic, f, _ = small_setup(n=100)
     with pytest.raises(SettingError, match="alpha must lie in") as info:
         dml_estimate(data, dic, f, K=5, alpha=1e-300)
@@ -269,7 +269,7 @@ def test_fold_plan_refuses_a_seed_that_is_no_integer_at_least_zero(seed):
 
 def test_dml_checks_the_seed_before_any_fit(monkeypatch):
     calls = []
-    monkeypatch.setattr(rmd, "solve_rmd", lambda prob: calls.append(prob))
+    monkeypatch.setattr(rmd, "solve_rmd", lambda *args: calls.append(args))
     data, dic, f, _ = small_setup(n=100)
     with pytest.raises(SettingError) as info:
         dml_estimate(data, dic, f, K=2, seed=1.5)

@@ -158,6 +158,15 @@ def test_compatibility_errors():
         AverageDerivative(np.ones(3)).check_compatible(PolynomialDictionary(2, 1))
 
 
+def test_ate_rejects_a_treatment_column_that_the_dictionary_or_data_do_not_share():
+    dic = TreatmentInteractedDictionary(PolynomialDictionary(1, degree=1), treatment_index=1)
+    with pytest.raises(ValueError, match="dictionary's treatment coordinate"):
+        AverageTreatmentEffect(0).check_compatible(dic)
+    data = Dataset(np.zeros(2), np.array([[1.0, 0.1], [0.0, 0.2]]), treatment_col=0)
+    with pytest.raises(ValueError, match="dataset's treatment_col"):
+        AverageTreatmentEffect(1).check_compatible(dic, data)
+
+
 @pytest.mark.parametrize("treatment_index", [0, 1, 3], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("inner", [PolynomialDictionary(3, 2, with_interactions=True),
                                    FourierDictionary(3, 2), IdentityDictionary(3)],

@@ -139,7 +139,7 @@ def test_true_theta_policy_shift_quadrature():
         assert info.value == pytest.approx(c ** 2, abs=1e-10)
 
 
-def test_true_theta_policy_shift_monte_carlo_path():
+def test_true_theta_policy_shift_monte_carlo_path(monkeypatch):
     # two-dimensional shift falls back to the Monte Carlo oracle
     dic = PolynomialDictionary(2, degree=2)
     beta = np.zeros(dic.output_dim)
@@ -148,17 +148,19 @@ def test_true_theta_policy_shift_monte_carlo_path():
     np.testing.assert_array_equal(dic.evaluate_rows(np.array([[3.0, 5.0]]))[0], [1, 3, 5, 9, 25])
     dgp = SparseLinearDgp(dic, beta, "normal", 1.0)
     f = PolicyShift(np.eye(2), np.array([0.1, 0.0]))
-    info = true_theta_info(dgp, f, mc_draws=200_000)
+    monkeypatch.setattr(simulation, "_MC_DRAWS", 200_000)
+    info = true_theta_info(dgp, f)
     assert info.method == "monte_carlo"
     assert info.se > 0.0
     assert abs(info.value - 0.01) <= 5.0 * info.se
 
 
-def test_true_theta_average_derivative_without_closed_form_uses_monte_carlo():
+def test_true_theta_average_derivative_without_closed_form_uses_monte_carlo(monkeypatch):
     # b(x) = (z, t z) with beta = (1, 0): gamma = z, so dgamma/dz = 1 everywhere
     dic = TreatmentInteractedDictionary(IdentityDictionary(1))
     dgp = SparseLinearDgp(dic, np.array([1.0, 0.0]), "normal", 1.0)
-    info = true_theta_info(dgp, AverageDerivative(np.array([0.0, 1.0])), mc_draws=1000)
+    monkeypatch.setattr(simulation, "_MC_DRAWS", 1000)
+    info = true_theta_info(dgp, AverageDerivative(np.array([0.0, 1.0])))
     assert info.method == "monte_carlo"
     assert info.value == 1.0
 
@@ -401,23 +403,16 @@ def test_dgp_names_the_parameter_out_of_range(build, field):
 def test_default_workers_count_only_usable_cpus(monkeypatch):
     from rieszdml.simulation import resolve_workers
 
-    monkeypatch.delenv("RIESZ_DML_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert resolve_workers() == 1
     assert resolve_workers(3) == 1
-
-
-def test_env_var_caps_workers(monkeypatch):
-    from rieszdml.simulation import resolve_workers
-
-    monkeypatch.delenv("RIESZ_DML_THREADS", raising=False)
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv("RIESZ_DML_THREADS", "1")
-    assert resolve_workers(8) == 1
-    assert resolve_workers() == 1
-    monkeypatch.setenv("RIESZ_DML_THREADS", "4")
+    # a request below the cap is kept
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert resolve_workers(2) == 2
+    assert resolve_workers(8) == 4
+    assert resolve_workers() == 4
 
 
 @pytest.mark.parametrize("workers", [0, -3])
