@@ -25,6 +25,7 @@ written.  Non-finite numbers are written as null.
 
 The library checks each setting once (a constructor its arguments, ``dml.EstimatorConfig``,
 ``make_fold_plan``, ``run_monte_carlo``) and raises a ``SettingError`` whose ``field`` names it.
+A builder passes a parameter only when its key is set, so an unset key gets the library's default.
 A builder reports a parameter under the key it read for it, ``run`` maps a setting to its key,
 and an error's message names its key; this module checks only types, choices and unread keys.
 ``rmd-solve`` reports a fault that ``rmd.check_problem`` finds under the flag that set it.
@@ -165,6 +166,11 @@ class Config:
 
 # -- builders -----------------------------------------------------------------
 
+def _given(**params):
+    """The parameters a key set; an unset key passes nothing, so the library's default applies."""
+    return {name: value for name, value in params.items() if value is not None}
+
+
 @contextmanager
 def _keyed(cfg, prefix, **renames):
     """Report a ``SettingError`` on a parameter under its key, ``prefix`` + the parameter or its
@@ -187,7 +193,7 @@ def build_dictionary(cfg, input_dim, prefix="dictionary", treatment_index=0):
         if kind == "polynomial":
             return PolynomialDictionary(
                 input_dim, cfg.get_int(f"{prefix}.degree", required=True),
-                cfg.get_bool(f"{prefix}.with_interactions", default=False))
+                **_given(with_interactions=cfg.get_bool(f"{prefix}.with_interactions")))
         if kind == "fourier":
             return FourierDictionary(input_dim, cfg.get_int(f"{prefix}.order", required=True))
         if kind == "identity":
@@ -229,27 +235,24 @@ def build_lambda_rule(cfg, name="rule"):
     prefix = _RULE_PREFIXES[name]
     if not any(cfg.has(f"{prefix}_{f}") for f in _RULE_FIELDS):
         return None
-    method = cfg.get_str(f"{prefix}_method", default="gaussian_quantile",
-                         choices={"gaussian_quantile", "fixed"})
+    method = cfg.get_str(f"{prefix}_method", choices={"gaussian_quantile", "fixed"})
     with _keyed(cfg, f"{prefix}_"):
         if method == "fixed":
             return LambdaRule.fixed(cfg.get_float(f"{prefix}_value", required=True))
-        return LambdaRule.gaussian_quantile(c=cfg.get_float(f"{prefix}_c", default=1.1),
-                                            alpha=cfg.get_float(f"{prefix}_alpha", default=0.05))
+        return LambdaRule.gaussian_quantile(**_given(c=cfg.get_float(f"{prefix}_c"),
+                                                     alpha=cfg.get_float(f"{prefix}_alpha")))
 
 
 def build_estimator(cfg, dictionary, functional):
     """The estimator record the ``estimator.*`` keys spell out; the record checks each setting."""
-    return EstimatorConfig(
-        dictionary=dictionary,
-        functional=functional,
-        K=cfg.get_int("estimator.k_folds", default=5),
-        alpha=cfg.get_float("estimator.alpha", default=0.05),
+    return EstimatorConfig(dictionary, functional, **_given(
+        K=cfg.get_int("estimator.k_folds"),
+        alpha=cfg.get_float("estimator.alpha"),
         rule=build_lambda_rule(cfg),
         riesz_rule=build_lambda_rule(cfg, "riesz_rule"),
-        l1_bound=cfg.get_float("estimator.l1_bound", default=np.inf),
-        plugin_only=cfg.get_bool("estimator.plugin_only", default=False),
-    )
+        l1_bound=cfg.get_float("estimator.l1_bound"),
+        plugin_only=cfg.get_bool("estimator.plugin_only"),
+    ))
 
 
 def build_dgp(cfg):
@@ -257,24 +260,20 @@ def build_dgp(cfg):
 
     kind = cfg.get_str("simulation.dgp", required=True,
                        choices={"sparse_linear", "ate_logistic", "dense_decay"})
-    noise_sd = cfg.get_float("simulation.noise_sd", default=1.0)
+    noise = _given(noise_sd=cfg.get_float("simulation.noise_sd"))
     with _keyed(cfg, "simulation.", input_dim="d"):
         if kind == "sparse_linear":
             d = cfg.get_int("simulation.d", required=True)
             dictionary = build_dictionary(cfg, d)
             beta = cfg.get_vector("simulation.beta_star", required=True)
-            return simulation.SparseLinearDgp(
-                dictionary, beta,
-                x_dist=cfg.get_str("simulation.x_dist", default="normal",
-                                   choices={"normal", "uniform"}),
-                noise_sd=noise_sd,
-            )
+            x_dist = cfg.get_str("simulation.x_dist", choices={"normal", "uniform"})
+            return simulation.SparseLinearDgp(dictionary, beta, **_given(x_dist=x_dist), **noise)
         if kind == "dense_decay":
             return simulation.dense_decay_dgp(
                 d=cfg.get_int("simulation.d", required=True),
                 decay=cfg.get_float("simulation.decay", required=True),
-                noise_sd=noise_sd,
-                scale=cfg.get_float("simulation.scale", default=1.0),
+                **noise,
+                **_given(scale=cfg.get_float("simulation.scale")),
             )
         d_z = cfg.get_int("simulation.d_z", required=True)
         return simulation.AteLogisticDgp(
@@ -282,7 +281,7 @@ def build_dgp(cfg):
             outcome_coefs=cfg.get_vector("simulation.outcome_coefs", required=True),
             tau=cfg.get_float("simulation.tau", required=True),
             propensity_coefs=cfg.get_vector("simulation.propensity_coefs", required=True),
-            noise_sd=noise_sd,
+            **noise,
         )
 
 
@@ -309,10 +308,10 @@ def cmd_estimate(args):
     cfg = Config.load(args.config)
     outcome = cfg.get_str("data.outcome", required=True)
     treatment = cfg.get_str("data.treatment")
-    standardize = cfg.get_bool("data.standardize", default=False)
     try:
         with _keyed(cfg, "data."):  # a missing column: a ConfigError, not caught below
-            data = load_csv(args.data, outcome, treatment, standardize)
+            data = load_csv(args.data, outcome, treatment,
+                            **_given(standardize=cfg.get_bool("data.standardize")))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load data file {args.data}: {exc}") from None
 
@@ -323,12 +322,12 @@ def cmd_estimate(args):
                           f"dictionary: {exc}") from None
     functional = build_functional(cfg, data.d, treatment_col=data.treatment_col)
     est = build_estimator(cfg, dictionary, functional)
-    seed = cfg.get_int("seed", default=0)
+    options = _given(seed=cfg.get_int("seed"))
     cfg.reject_unread("estimate")
     try:
         # a SettingError is K against the data's n or the seed; any other failure is the data's
         with np.errstate(over="raise"):
-            result = dml_estimate(data, **vars(est), seed=seed)
+            result = dml_estimate(data, **vars(est), **options)
     except SettingError:
         raise
     except (ValueError, FloatingPointError) as exc:
@@ -358,11 +357,9 @@ def cmd_simulate(args):
         est = build_estimator(cfg, dgp.dictionary, functional)
     R = cfg.get_int("simulation.replications", required=True)
     n = cfg.get_int("simulation.n", required=True)
-    seed = cfg.get_int("seed", default=0)
-    workers = cfg.get_int("simulation.workers")
+    options = _given(seed=cfg.get_int("seed"), workers=cfg.get_int("simulation.workers"))
     cfg.reject_unread("simulate")
-    report = simulation.run_monte_carlo(dgp, est, R=R, n=n, seed=seed, workers=workers,
-                                        config_echo=cfg.echo())
+    report = simulation.run_monte_carlo(dgp, est, R=R, n=n, config_echo=cfg.echo(), **options)
     _emit(report.summary(), args.output)
     if args.csv:
         with _writing("--csv", args.csv):
@@ -383,7 +380,8 @@ def cmd_rmd_solve(args):
                 raise ConfigError(f"cannot read {flag} file {path}: {exc}") from None
     try:
         with np.errstate(over="raise"):
-            G, M, lam, l1_bound = check_problem(*arrays, args.lambda_, args.l1_bound)
+            G, M, lam, l1_bound = check_problem(*arrays, args.lambda_,
+                                                **_given(l1_bound=args.l1_bound))
             solution = solve_rmd(G, M, lam, l1_bound)
     except SettingError as exc:
         raise ConfigError(f"{flags[exc.field]}: {exc}") from None
@@ -426,7 +424,7 @@ def build_parser():
     p_rmd.add_argument("--g-matrix", required=True, help="dense row-major text matrix")
     p_rmd.add_argument("--m-vector", required=True, help="text vector")
     p_rmd.add_argument("--lambda", dest="lambda_", type=float, required=True)
-    p_rmd.add_argument("--l1-bound", dest="l1_bound", type=float, default=np.inf)
+    p_rmd.add_argument("--l1-bound", dest="l1_bound", type=float)
     p_rmd.add_argument("--output", help="also write the JSON solution to this path")
     p_rmd.set_defaults(func=cmd_rmd_solve)
     return parser

@@ -21,9 +21,10 @@ and its own block its score-derivative sums (``_derivative_sums``).  The
 estimator is the unweighted average of the per-fold roots, with a
 cross-fitted plug-in variance and Gaussian confidence interval.
 
-Folds run in order, so results are bit-reproducible.  ``dml_estimate`` runs
-numpy's OpenBLAS on one thread, since an estimate's blocks are too small for two,
-and restores the caller's count; two threads calling it at once may leave it at 1.
+``dml_estimate``'s settings are ``EstimatorConfig``'s fields, and each fold fit receives
+that checked record.  Folds run in order, so results are bit-reproducible.
+``dml_estimate`` runs numpy's OpenBLAS on one thread, since an estimate's blocks are too
+small for two, and restores the caller's count; two threads calling it at once may leave it at 1.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .rmd import (NUMERICAL_FAILURE, LambdaRule, RmdInfeasibleError, RmdSolution
 class EstimatorConfig:
     """Everything dml_estimate needs besides the data and the seed, under its keyword names.
 
-    Built, it defaults ``rule`` to the Gaussian quantile rule and ``riesz_rule`` to ``rule``,
+    Built, it defaults ``rule`` to ``LambdaRule()`` and ``riesz_rule`` to ``rule``,
     then checks K >= 2, alpha, each rule at the dictionary's p, l1_bound > 0 and the functional
     against the dictionary, once, raising a ``SettingError`` that names the bad field.
     """
@@ -58,7 +59,7 @@ class EstimatorConfig:
     plugin_only: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "rule", self.rule or LambdaRule.gaussian_quantile())
+        object.__setattr__(self, "rule", self.rule or LambdaRule())
         object.__setattr__(self, "riesz_rule", self.riesz_rule or self.rule)
         if not self.K >= 2:
             raise SettingError("K", f"need K >= 2 folds, got {self.K!r}")
@@ -200,26 +201,25 @@ class DmlResult:
         }
 
 
-def fit_and_score_fold(B, Mx, y, complement, blp_rule, riesz_rule,
-                       l1_bound=np.inf, plugin_only=False, fold_id=0):
+def fit_and_score_fold(B, Mx, y, complement, est, fold_id=0):
     """Fit nuisances on the fold complement, evaluate the fold estimate on the fold.
 
     ``B``, ``Mx`` and ``y`` hold b(X), m(X, b) and Y for the fold's own rows
     only.  ``complement`` is (n_A, sum b b', sum Y b, sum m(X, b)) over the
-    complement A, so the nuisance fits never see an evaluation row.  Under
-    ``plugin_only`` the Riesz fit is a "not_fitted" solution with rho = 0 and
-    lambda 0.  Returns the fold's record and its per-row score contributions.
+    complement A, so the nuisance fits never see an evaluation row.  ``est`` is the
+    checked ``EstimatorConfig``; under its ``plugin_only`` the Riesz fit is a "not_fitted"
+    solution with rho = 0 and lambda 0.  Returns the record and per-row score contributions.
     """
     if B.shape[0] == 0:
         raise ValueError("empty fold")
     n_train, BB, By, m_sum = complement
     G = BB / n_train
-    blp = _require_solved(fit_rmd(G, By / n_train, blp_rule, n_train, l1_bound), "BLP", fold_id)
-    if plugin_only:
+    blp = _require_solved(fit_rmd(G, By / n_train, est.rule, n_train, est.l1_bound), "BLP", fold_id)
+    if est.plugin_only:
         riesz = RmdSolution(np.zeros(B.shape[1]), 0.0, 0.0, "not_fitted", 0, np.nan, 0.0)
     else:
-        riesz = _require_solved(fit_rmd(G, m_sum / n_train, riesz_rule, n_train, l1_bound),
-                                "Riesz", fold_id)
+        riesz = _require_solved(fit_rmd(G, m_sum / n_train, est.riesz_rule, n_train,
+                                        est.l1_bound), "Riesz", fold_id)
 
     contrib = _fold_contributions(B, Mx, y, blp.t_hat, riesz.t_hat)
     record = FoldRecord(fold=fold_id, n_eval=int(B.shape[0]), n_train=int(n_train),
@@ -254,18 +254,18 @@ def _mean_lambda(lams):
     return float(mean)
 
 
-def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
-                 l1_bound=np.inf, alpha=0.05, seed=0, plugin_only=False):
+def dml_estimate(data, dictionary, functional, seed=0, **settings):
     """Cross-fitted estimate with standard error and Gaussian confidence interval.
 
-    ``rule`` drives the BLP lambda and, unless ``riesz_rule`` is given, the
-    Riesz lambda as well.  ``plugin_only`` forces rho_hat = 0 (no debiasing
-    term); it exists as a comparison baseline for simulation studies.
-    The K folds are ``make_fold_plan(n, K, seed)``, so the result is
-    deterministic given (data, config, seed).  Before any fit, the keywords are
-    checked as an ``EstimatorConfig`` and K against n by ``make_fold_plan``.
+    ``settings`` are ``EstimatorConfig``'s fields (K, rule, riesz_rule, l1_bound, alpha,
+    plugin_only), defaults included.  ``rule`` drives the BLP lambda and, unless
+    ``riesz_rule`` is given, the Riesz lambda as well.  ``plugin_only`` forces rho_hat = 0
+    (no debiasing term); it exists as a comparison baseline for simulation studies.
+    The K folds are ``make_fold_plan(n, K, seed)``, so the result is deterministic given
+    (data, config, seed).  Before any fit, the settings are checked as an
+    ``EstimatorConfig`` and K against n by ``make_fold_plan``.
     """
-    est = EstimatorConfig(dictionary, functional, K, rule, riesz_rule, l1_bound, alpha, plugin_only)
+    est = EstimatorConfig(dictionary, functional, **settings)
     functional.check_compatible(dictionary, data)
     n = data.n
     fold_rows = make_fold_plan(n, est.K, seed)
@@ -289,9 +289,7 @@ def dml_estimate(data, dictionary, functional, K=5, rule=None, riesz_rule=None,
             others = blocks[:k - 1] + blocks[k:]
             complement = (n - (f.stop - f.start),
                           *(sum(parts[1:], parts[0]) for parts in zip(*others)))
-            record, contrib = fit_and_score_fold(B[f], Mx[f], y[f], complement, est.rule,
-                                                 est.riesz_rule, est.l1_bound, est.plugin_only,
-                                                 fold_id=k)
+            record, contrib = fit_and_score_fold(B[f], Mx[f], y[f], complement, est, fold_id=k)
             records.append(record)
             contribs[order[f]] = contrib
             d_beta, d_rho = _derivative_sums(blocks[k - 1], record.blp.t_hat, record.riesz.t_hat)

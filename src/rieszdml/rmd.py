@@ -83,8 +83,8 @@ class LambdaRule:
         return cls(method="fixed", value=float(value))
 
     @classmethod
-    def gaussian_quantile(cls, c=1.1, alpha=0.05):
-        return cls(method="gaussian_quantile", c=float(c), alpha=float(alpha))
+    def gaussian_quantile(cls, **params):  # c and alpha; an unset one keeps the field's default
+        return cls(method="gaussian_quantile", **{k: float(v) for k, v in params.items()})
 
     def lam(self, n_rows, p):
         """lambda for ``n_rows`` >= 1 fitting rows and ``p`` >= 1 features.
@@ -186,16 +186,14 @@ def gram_and_moments(B, y=None, Mx=None):
 def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf):
     """Solve the RMD instance (G_hat, M_hat) at the lambda ``rule`` picks.
 
-    G_hat and M_hat are the library's means over ``n_rows`` rows of b(X), so only their
-    finiteness and the budget are checked.  The RmdSolution it returns carries ``lam``.
+    G_hat and M_hat are the library's means over ``n_rows`` rows of b(X) and the caller checked
+    ``l1_bound``, so only the means' finiteness is checked.  The RmdSolution carries ``lam``.
     """
     if n_rows < 2:
         raise ValueError("need at least 2 rows to fit")
     lam = rule.lam(n_rows, M.shape[0])
     if not (np.isfinite(G).all() and np.isfinite(M).all()):
         raise ValueError("non-finite entries in RMD problem")
-    if not l1_bound > 0.0:
-        raise ValueError("l1_bound must be positive (inf drops the constraint)")
     return solve_rmd(G, M, float(lam), float(l1_bound))
 
 

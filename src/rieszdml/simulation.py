@@ -203,7 +203,17 @@ def true_theta_info(dgp, functional):
     or identity dictionary, the identity policy shift, the additive ATE);
     otherwise Gauss quadrature when d = 1, else a Monte Carlo oracle over
     ``_MC_DRAWS`` fresh covariate draws with the reported standard error.
+    A target or standard error that is not finite raises ``SettingError("functional")``.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        info = _true_theta(dgp, functional)
+    if not np.isfinite([info.value, info.se]).all():
+        raise SettingError("functional", "the target E m(X, gamma*) is not finite in floating "
+                                         f"point: {info.method} gives {info.value} (se {info.se})")
+    return info
+
+
+def _true_theta(dgp, functional):
     if isinstance(dgp, AteLogisticDgp):
         if isinstance(functional, AverageTreatmentEffect):
             # gamma(1, z) - gamma(0, z) = tau for the additive outcome
@@ -281,13 +291,12 @@ class MonteCarloReport:
         return asdict(self)
 
     def write_csv(self, path):
-        cols = ["rep", "status", "theta_hat", "sigma_hat", "ci_lo", "ci_hi", "covered", "error"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
+            writer.writerow(self.per_rep[0])  # _replicate's keys; R >= 1
             for r in self.per_rep:
                 writer.writerow(format(v, ".17g") if isinstance(v, float) else v
-                                for v in (r.get(col) for col in cols))
+                                for v in r.values())
 
 
 def rep_seeds(seed, rep):
@@ -329,7 +338,7 @@ def resolve_workers(requested=None):
     return cap if requested is None else min(int(requested), cap)
 
 
-def run_monte_carlo(dgp, est, R, n, seed, workers=None, config_echo=None):
+def run_monte_carlo(dgp, est, R, n, seed=0, workers=None, config_echo=None):
     """R independent replications of generate -> dml_estimate, aggregated.
 
     Replication r draws its data and fold-plan seeds from

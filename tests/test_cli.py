@@ -162,6 +162,18 @@ def test_rmd_solve_bad_problem_names_the_flag_at_fault(tmp_path, capsys, flag, g
     assert error_line(err)["error"].startswith(named.get(flag, f"{flag}: ")), err
 
 
+@pytest.mark.filterwarnings("error")
+def test_rmd_solve_overflow_names_both_files(tmp_path, capsys):
+    # each entry is finite, but the simplex divides M's 1e305 by G's 1e-5 pivot
+    g = write(tmp_path / "G.txt", "1e-5 0\n0 1\n")
+    m = write(tmp_path / "M.txt", "1e305 0\n")
+    code, out, err = run_cli(capsys, "rmd-solve", "--g-matrix", g, "--m-vector", m,
+                             "--lambda", "0")
+    assert code == 2 and out == ""
+    assert error_line(err) == {"error": f"cannot solve the RMD problem in --g-matrix {g} and "
+                                        f"--m-vector {m}: overflow encountered in scalar divide"}
+
+
 # -- estimate ---------------------------------------------------------------------
 
 def test_estimate_matches_golden(capsys):
@@ -685,6 +697,26 @@ def test_simulate_oracle_target_near_1e160_keeps_the_output_contract(tmp_path, m
     assert np.isfinite(payload["theta_star"]) and np.isfinite(payload["theta_star_se"])
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_oracle_target_that_overflows_names_functional_type(tmp_path, monkeypatch,
+                                                                      capsys):
+    # S x squares past the float maximum, so m(X, gamma*) is not finite at any draw
+    from rieszdml import simulation
+
+    monkeypatch.setattr(simulation, "_MC_DRAWS", 2_000)
+    monkeypatch.setattr(simulation, "_replicate", None)  # the study stops before any replication
+    cfg = write(tmp_path / "c.cfg", "\n".join([
+        "simulation.dgp = sparse_linear", "simulation.n = 40", "simulation.replications = 2",
+        "simulation.d = 2", "simulation.beta_star = 0,1,0,0,0", "dictionary.kind = polynomial",
+        "dictionary.degree = 2", "functional.type = policy_shift",
+        "functional.transport_s = 1e200,0;0,1", "simulation.workers = 1",
+    ]))
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == 2 and out == ""
+    payload = error_line(err)
+    assert payload["key"] == "functional.type" and "not finite" in payload["error"], payload
+
+
 def test_simulate_deterministic_bytes(tmp_path, capsys):
     cfg = simulate_cfg(tmp_path)
     code1, out1, _ = run_cli(capsys, "simulate", "--config", cfg)
@@ -853,6 +885,43 @@ def test_bundled_config_is_fully_read(monkeypatch, path):
     argv = ["estimate", "--data", EXAMPLE_CSV] if path.parent.name == "examples" else ["simulate"]
     with pytest.raises(_Started):
         run([*argv, "--config", str(path)])
+
+
+# only the keys each DGP requires; every other parameter is left to the library
+_REQUIRED = {
+    "sparse_linear": {"simulation.dgp": "sparse_linear", "simulation.d": "2",
+                      "simulation.beta_star": "0,1,0,0,0", "dictionary.kind": "polynomial",
+                      "dictionary.degree": "2"},
+    "dense_decay": {"simulation.dgp": "dense_decay", "simulation.d": "2", "simulation.decay": "1"},
+    "ate_logistic": _ATE,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REQUIRED))
+def test_unset_keys_build_the_library_defaults(tmp_path, kind):
+    from rieszdml import simulation
+    from rieszdml.dml import EstimatorConfig
+    from rieszdml.rmd import LambdaRule
+
+    def fields(obj):
+        out = dict(vars(obj))
+        if "dictionary" in out:
+            out["dictionary"] = vars(out["dictionary"])
+        return out
+
+    cfg = cli.Config.load(write_cfg(tmp_path / "c.cfg", _REQUIRED[kind]))
+    default = {
+        "sparse_linear": lambda: simulation.SparseLinearDgp(rieszdml.PolynomialDictionary(2, 2),
+                                                            [0, 1, 0, 0, 0]),
+        "dense_decay": lambda: simulation.dense_decay_dgp(2, 1.0),
+        "ate_logistic": lambda: simulation.AteLogisticDgp(2, [1, 0], 1.0, [0.5, 0]),
+    }[kind]()
+    np.testing.assert_equal(fields(cli.build_dgp(cfg)), fields(default))
+
+    dic, f = rieszdml.IdentityDictionary(2), rieszdml.AverageDerivative(np.array([1.0, 0.0]))
+    assert vars(cli.build_estimator(cfg, dic, f)) == vars(EstimatorConfig(dic, f))
+    cfg.entries["estimator.lambda_method"] = "gaussian_quantile"  # a rule with its method alone
+    assert cli.build_lambda_rule(cfg) == LambdaRule()
 
 
 @pytest.mark.parametrize("d, beta_star, direction", [

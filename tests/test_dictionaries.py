@@ -271,6 +271,16 @@ def test_dataset_validation():
         ds.covariates[0, 0] = 5.0  # immutable
 
 
+@pytest.mark.parametrize("outcome, covariates, treatment_col, message", [
+    (np.zeros(2), np.zeros(2), None, "covariates must be a 2-d array"),
+    (np.zeros(3), np.zeros((2, 1)), None, "outcome and covariates disagree on n"),
+    (np.zeros(2), np.zeros((2, 1)), 1, "treatment_col out of range"),
+], ids=["covariates_1d", "n_mismatch", "treatment_col_out_of_range"])
+def test_dataset_rejects_malformed_arrays(outcome, covariates, treatment_col, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(outcome, covariates, treatment_col)
+
+
 def test_standardize_skips_treatment_column():
     rng = np.random.default_rng(0)
     Z = 3.0 * rng.standard_normal(50)

@@ -171,7 +171,8 @@ def test_fit_and_score_fold_plugin_when_rho_zero():
     data, dic, f, _ = small_setup()
     rows = np.arange(20)
     rule = LambdaRule.fixed(0.1)
-    rec, _ = fit_and_score_fold(*fold_inputs(data, dic, f, rows), rule, rule, plugin_only=True)
+    est = EstimatorConfig(dic, f, rule=rule, plugin_only=True)
+    rec, _ = fit_and_score_fold(*fold_inputs(data, dic, f, rows), est)
     np.testing.assert_array_equal(rec.riesz.t_hat, 0.0)
     m = f.features(dic, data.covariates[rows])[1]
     assert rec.theta == pytest.approx(float((m @ rec.blp.t_hat).mean()), rel=1e-12)
@@ -182,8 +183,9 @@ def test_fit_and_score_fold_exact_beta_noiseless():
     data, dic, f, beta_star = small_setup(noise=0.0)
     inputs = fold_inputs(data, dic, f, np.arange(25))
     rule = LambdaRule.fixed(0.0)
-    with_corr, _ = fit_and_score_fold(*inputs, rule, LambdaRule.fixed(0.05))
-    plugin, _ = fit_and_score_fold(*inputs, rule, rule, plugin_only=True)
+    with_corr, _ = fit_and_score_fold(
+        *inputs, EstimatorConfig(dic, f, rule=rule, riesz_rule=LambdaRule.fixed(0.05)))
+    plugin, _ = fit_and_score_fold(*inputs, EstimatorConfig(dic, f, rule=rule, plugin_only=True))
     np.testing.assert_allclose(with_corr.blp.t_hat, beta_star, atol=1e-12)
     assert np.abs(with_corr.riesz.t_hat).sum() > 0.5
     assert with_corr.theta == pytest.approx(plugin.theta, rel=1e-12)
@@ -193,7 +195,8 @@ def test_fit_and_score_fold_is_exact_root():
     data, dic, f, _ = small_setup(noise=0.5)
     rows = np.arange(30)
     rule = LambdaRule.fixed(0.05)
-    rec, contrib = fit_and_score_fold(*fold_inputs(data, dic, f, rows), rule, rule)
+    rec, contrib = fit_and_score_fold(*fold_inputs(data, dic, f, rows),
+                                      EstimatorConfig(dic, f, rule=rule))
     assert contrib.shape == (rows.size,)
     psi_mean = np.mean([
         score_psi((data.outcome[i], data.covariates[i]), rec.theta,
@@ -208,7 +211,7 @@ def test_fit_and_score_fold_empty_fold():
     B, Mx, y, complement = fold_inputs(data, dic, f, np.arange(0))
     rule = LambdaRule.fixed(0.1)
     with pytest.raises(ValueError, match="empty fold"):
-        fit_and_score_fold(B, Mx, y, complement, rule, rule)
+        fit_and_score_fold(B, Mx, y, complement, EstimatorConfig(dic, f, rule=rule))
 
 
 # -- the estimator ----------------------------------------------------------------
