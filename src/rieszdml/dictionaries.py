@@ -44,6 +44,12 @@ class SettingError(ValueError):
         self.field = field
 
 
+def pow2_scale(m):
+    """2^(e-1) for m in [2^(e-1), 2^e), 0.5 for m = 0, elementwise; finite up to the float maximum.
+    Dividing by it leaves every |x| <= m below 2 and is exact unless the quotient is subnormal."""
+    return np.ldexp(1.0, np.frexp(m)[1] - 1)
+
+
 def _check_rows(X, input_dim):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != input_dim:
@@ -261,8 +267,7 @@ class Dataset:
         Columns are not centered.
         """
         X = np.array(self.covariates)
-        # over a power of two near each column's largest |entry|, exactly, so no square overflows
-        scale = 2.0 ** np.frexp(np.abs(X).max(axis=0))[1]
+        scale = pow2_scale(np.abs(X).max(axis=0))
         sd = (X / scale).std(axis=0, ddof=1) * scale
         for j in range(X.shape[1]):
             if self.treatment_col is not None and j == self.treatment_col:

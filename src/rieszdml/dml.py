@@ -35,6 +35,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .dictionaries import pow2_scale
 from .lp import INFEASIBLE, ITERATION_LIMIT, SolverError, _one_blas_thread
 from .rmd import (NUMERICAL_FAILURE, LambdaRule, RmdInfeasibleError, RmdSolution, SettingError,
                   fit_rmd, gram_and_moments)
@@ -240,18 +241,10 @@ def _require_solved(sol, which, fold_id):
 
 
 def _mean_lambda(lams):
-    """The mean of the per-fold lambdas, finite whenever each lambda is.
-
-    The plain mean overflows only when the sum passes the float maximum; then
-    the lambdas are first divided by a power of two >= K, which is exact.
-    """
-    lams = np.asarray(lams)
-    with np.errstate(over="ignore"):
-        mean = np.mean(lams)
-    if np.isinf(mean) and np.isfinite(lams).all():
-        scale = 2.0 ** np.ceil(np.log2(lams.size))
-        mean = np.mean(lams / scale) * scale
-    return float(mean)
+    """The mean of the per-fold lambdas over ``pow2_scale`` of the largest: np.mean's bits
+    wherever that is finite and normal, since the division is exact, and finite whenever each is."""
+    scale = pow2_scale(np.abs(lams).max())
+    return float(np.mean(np.divide(lams, scale)) * scale)
 
 
 def dml_estimate(data, dictionary, functional, seed=0, **settings):

@@ -38,7 +38,7 @@ class AverageDerivative(Functional):
 
     def __init__(self, direction):
         a = np.asarray(direction, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or np.linalg.norm(a) == 0.0:
+        if a.ndim != 1 or not np.all(np.isfinite(a)) or not np.any(a):
             raise SettingError("direction", "direction must be a finite nonzero vector, "
                                             f"got {a.tolist()}")
         self.direction = a

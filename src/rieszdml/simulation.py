@@ -30,7 +30,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dictionaries import Dataset, FourierDictionary, IdentityDictionary, PolynomialDictionary
+from .dictionaries import (Dataset, FourierDictionary, IdentityDictionary, PolynomialDictionary,
+                           pow2_scale)
 from .dml import check_seed, dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .lp import SolverError
@@ -245,8 +246,10 @@ def _true_theta(dgp, functional):
         size = min(chunk, _MC_DRAWS - done)
         X = _draw_x(rng, size, dgp.d, dgp.x_dist)
         vals = functional.features(dgp.dictionary, X)[1] @ dgp.beta_star
-        if scale is None:  # a power of two near the largest |value|, so no square overflows
-            scale = 2.0 ** np.frexp(np.abs(vals).max())[1]
+        if not np.isfinite(vals).all():  # refused by true_theta_info; draw no further chunk
+            return TrueTheta(np.nan, np.nan, "monte_carlo")
+        if scale is None:
+            scale = pow2_scale(np.abs(vals).max())
         vals /= scale  # exact; the mean and se are scaled back below
         total += vals.sum()
         total_sq += (vals ** 2).sum()

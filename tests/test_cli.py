@@ -406,6 +406,23 @@ def test_estimate_standardizes_a_column_whose_squares_overflow(tmp_path, capsys)
     assert outs[0] == outs[1]
 
 
+@pytest.mark.filterwarnings("error")
+def test_estimate_standardizes_a_column_near_the_float_maximum(tmp_path, capsys):
+    # x1 holds 1.5e308 >= 2^1023, where a power-of-two scale of 2^e would itself be inf
+    rows = np.random.default_rng(0).standard_normal((60, 3))
+    rows[7, 1] = 1.5e308
+    lines = [f"{y!r},{x1!r},{x2!r}" for y, x1, x2 in rows.tolist()]
+    data = write(tmp_path / "max.csv", "\n".join(["y,x1,x2", *lines]) + "\n")
+    # the derivative runs along x2: x1's other rows standardize to about 5e-308
+    cfg = write(tmp_path / "c.cfg", _STANDARDIZED_CFG.replace("= 1,0", "= 0,1"))
+    code, out, err = run_cli(capsys, "estimate", "--data", data, "--config", cfg)
+    assert code == 0 and err == ""
+    x1 = rows[:, 1]
+    sd = np.std(x1 / 2.0 ** 1023, ddof=1) * 2.0 ** 1023
+    ds = rieszdml.load_csv(data, outcome="y", standardize=True)
+    np.testing.assert_array_equal(ds.covariates[:, 0], x1 / sd)
+
+
 def test_estimate_standardize_names_a_constant_column(tmp_path, capsys):
     data = write(tmp_path / "d.csv", "y,x1,x2\n" + "\n".join(
         f"{i % 3},1.5,{i * 0.2}" for i in range(20)))
@@ -698,23 +715,69 @@ def test_simulate_oracle_target_near_1e160_keeps_the_output_contract(tmp_path, m
 
 
 @pytest.mark.filterwarnings("error")
+def test_simulate_oracle_target_near_the_float_maximum_is_reported(tmp_path, monkeypatch,
+                                                                   capsys):
+    # theta* = 1e308 >= 2^1023, where a power-of-two scale of 2^e would itself be inf
+    from rieszdml import simulation
+
+    monkeypatch.setattr(simulation, "_MC_DRAWS", 2_000)
+    cfg = write(tmp_path / "c.cfg", "\n".join([
+        "simulation.dgp = sparse_linear", "simulation.n = 40", "simulation.replications = 2",
+        "simulation.d = 2", "simulation.beta_star = 1e308,0", "dictionary.kind = identity",
+        "functional.type = policy_shift", "functional.transport_c = 1,0",
+        "simulation.workers = 1",
+    ]))
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["theta_star_method"] == "monte_carlo"
+    assert payload["theta_star"] == pytest.approx(1e308, rel=1e-12)
+
+
+# S x squares past the float maximum, so m(X, gamma*) is not finite at any draw
+_SHIFT_OVERFLOW_CFG = "\n".join([
+    "simulation.dgp = sparse_linear", "simulation.n = 40", "simulation.replications = 2",
+    "simulation.d = 2", "simulation.beta_star = 0,1,0,0,0", "dictionary.kind = polynomial",
+    "dictionary.degree = 2", "functional.type = policy_shift",
+    "functional.transport_s = 1e200,0;0,1", "simulation.workers = 1",
+])
+
+
+@pytest.mark.filterwarnings("error")
 def test_simulate_oracle_target_that_overflows_names_functional_type(tmp_path, monkeypatch,
                                                                       capsys):
-    # S x squares past the float maximum, so m(X, gamma*) is not finite at any draw
     from rieszdml import simulation
 
     monkeypatch.setattr(simulation, "_MC_DRAWS", 2_000)
     monkeypatch.setattr(simulation, "_replicate", None)  # the study stops before any replication
-    cfg = write(tmp_path / "c.cfg", "\n".join([
-        "simulation.dgp = sparse_linear", "simulation.n = 40", "simulation.replications = 2",
-        "simulation.d = 2", "simulation.beta_star = 0,1,0,0,0", "dictionary.kind = polynomial",
-        "dictionary.degree = 2", "functional.type = policy_shift",
-        "functional.transport_s = 1e200,0;0,1", "simulation.workers = 1",
-    ]))
+    cfg = write(tmp_path / "c.cfg", _SHIFT_OVERFLOW_CFG)
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 2 and out == ""
     payload = error_line(err)
     assert payload["key"] == "functional.type" and "not finite" in payload["error"], payload
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_oracle_stops_at_its_first_non_finite_chunk(tmp_path, monkeypatch, capsys):
+    from rieszdml import simulation
+
+    monkeypatch.setattr(simulation, "_MC_DRAWS", 1_000_000)  # two chunks of 500,000 draws
+    monkeypatch.setattr(simulation, "_replicate", None)  # the study stops before any replication
+    sizes = []
+    draw_x = simulation._draw_x
+
+    def spy(rng, n, *args):
+        sizes.append(n)
+        return draw_x(rng, n, *args)
+
+    monkeypatch.setattr(simulation, "_draw_x", spy)
+    cfg = write(tmp_path / "c.cfg", _SHIFT_OVERFLOW_CFG)
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == 2 and out == ""
+    assert error_line(err) == {"key": "functional.type", "error": (
+        "functional.type: the target E m(X, gamma*) is not finite in floating point: "
+        "monte_carlo gives nan (se nan)")}
+    assert sizes == [500_000]
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):

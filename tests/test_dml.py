@@ -227,6 +227,18 @@ def test_dml_per_fold_mean_and_ci():
     assert res.lambda_used["blp"] == pytest.approx(0.08)
 
 
+@settings(max_examples=300, deadline=None)
+@given(lams=st.lists(st.builds(np.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                               st.integers(-1000, 1022)), min_size=2, max_size=10))
+def test_mean_lambda_is_np_mean_wherever_that_is_finite_and_normal(lams):
+    got = dml._mean_lambda(lams)
+    assert np.isfinite(got)
+    with np.errstate(over="ignore"):
+        plain = np.mean(lams)
+    if np.isfinite(plain) and plain >= np.finfo(float).tiny:
+        assert got == plain
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])
 def test_dml_rejects_alpha_outside_the_unit_interval(alpha):
     # unchecked, 1.5 gives an inverted interval, 1.0 a zero-width one and nan nan bounds

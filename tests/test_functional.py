@@ -199,3 +199,8 @@ def test_constructor_names_the_parameter_out_of_range(build, field):
     with pytest.raises(SettingError) as info:
         build()
     assert info.value.field == field
+
+
+def test_average_derivative_direction_near_float_max_builds_without_a_warning():
+    # the zero test must not square the entries: 1e300 ** 2 overflows (zero: ``direction_zero``)
+    np.testing.assert_array_equal(AverageDerivative([1e300, 0.0]).direction, [1e300, 0.0])
