@@ -268,13 +268,16 @@ class Dataset:
         """
         X = np.array(self.covariates)
         scale = pow2_scale(np.abs(X).max(axis=0))
-        sd = (X / scale).std(axis=0, ddof=1) * scale
+        with np.errstate(over="ignore"):  # an sd past the float maximum is refused below
+            sd = (X / scale).std(axis=0, ddof=1) * scale
         for j in range(X.shape[1]):
             if self.treatment_col is not None and j == self.treatment_col:
                 continue
-            if sd[j] <= 0.0:
+            if not 0.0 < sd[j] < np.inf:
                 name = self.covariate_names[j] if self.covariate_names else str(j)
-                raise ValueError(f"cannot standardize constant covariate column {name!r}")
+                what = (f"constant covariate column {name!r}" if sd[j] == 0.0 else
+                        f"covariate column {name!r}: its sample sd passes the float maximum")
+                raise ValueError(f"cannot standardize {what}")
             X[:, j] /= sd[j]
         return Dataset(self.outcome, X, self.treatment_col, self.covariate_names)
 

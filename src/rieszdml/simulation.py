@@ -247,7 +247,7 @@ def _true_theta(dgp, functional):
         X = _draw_x(rng, size, dgp.d, dgp.x_dist)
         vals = functional.features(dgp.dictionary, X)[1] @ dgp.beta_star
         if not np.isfinite(vals).all():  # refused by true_theta_info; draw no further chunk
-            return TrueTheta(np.nan, np.nan, "monte_carlo")
+            return TrueTheta(float(vals.sum()), np.nan, "monte_carlo")  # inf or nan
         if scale is None:
             scale = pow2_scale(np.abs(vals).max())
         vals /= scale  # exact; the mean and se are scaled back below

@@ -423,6 +423,19 @@ def test_estimate_standardizes_a_column_near_the_float_maximum(tmp_path, capsys)
     np.testing.assert_array_equal(ds.covariates[:, 0], x1 / sd)
 
 
+@pytest.mark.filterwarnings("error")
+def test_estimate_standardize_refuses_a_column_whose_sd_overflows(tmp_path, capsys):
+    # six rows of +-1.7e308 have a sample sd of about 1.86e308, past the float maximum
+    data = write(tmp_path / "d.csv", "y,x1,x2\n" + "\n".join(
+        f"{i % 2},{(-1) ** i * 1.7e308!r},{i * 0.2}" for i in range(6)))
+    cfg = write(tmp_path / "c.cfg", _STANDARDIZED_CFG + "\nestimator.k_folds = 3")
+    code, out, err = run_cli(capsys, "estimate", "--data", data, "--config", cfg)
+    assert code == 2 and out == ""
+    assert error_line(err)["error"] == (
+        f"cannot load data file {data}: cannot standardize covariate column 'x1': "
+        "its sample sd passes the float maximum")
+
+
 def test_estimate_standardize_names_a_constant_column(tmp_path, capsys):
     data = write(tmp_path / "d.csv", "y,x1,x2\n" + "\n".join(
         f"{i % 3},1.5,{i * 0.2}" for i in range(20)))
@@ -758,7 +771,10 @@ def test_simulate_oracle_target_that_overflows_names_functional_type(tmp_path, m
 
 
 @pytest.mark.filterwarnings("error")
-def test_simulate_oracle_stops_at_its_first_non_finite_chunk(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("beta_star, target", [("0,1,0,0,0", "nan"), ("0,0,0,1,0", "inf")],
+                         ids=["zero_times_an_inf_square_is_nan", "an_inf_square_is_inf"])
+def test_simulate_oracle_stops_at_its_first_non_finite_chunk(tmp_path, monkeypatch, capsys,
+                                                             beta_star, target):
     from rieszdml import simulation
 
     monkeypatch.setattr(simulation, "_MC_DRAWS", 1_000_000)  # two chunks of 500,000 draws
@@ -771,12 +787,12 @@ def test_simulate_oracle_stops_at_its_first_non_finite_chunk(tmp_path, monkeypat
         return draw_x(rng, n, *args)
 
     monkeypatch.setattr(simulation, "_draw_x", spy)
-    cfg = write(tmp_path / "c.cfg", _SHIFT_OVERFLOW_CFG)
+    cfg = write(tmp_path / "c.cfg", _SHIFT_OVERFLOW_CFG.replace("0,1,0,0,0", beta_star))
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 2 and out == ""
     assert error_line(err) == {"key": "functional.type", "error": (
         "functional.type: the target E m(X, gamma*) is not finite in floating point: "
-        "monte_carlo gives nan (se nan)")}
+        f"monte_carlo gives {target} (se nan)")}
     assert sizes == [500_000]
 
 
