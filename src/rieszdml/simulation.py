@@ -13,9 +13,10 @@ Three DGP families:
   sparse here (the Gaussian score direction is a basis element), which is
   the dense-regression / sparse-representer regime.
 
-``true_theta_info`` is analytic where possible and otherwise falls back to
-quadrature (d = 1) or a large Monte Carlo oracle with a reported standard
-error, and it says which path produced the number.
+``true_theta_info`` is exact for every design above: the target is a closed-form
+moment of X (a policy shift's from E b(S X + c), by ``_mean_basis``), so its
+standard error is 0.  A policy shift on a treatment-interacted dictionary has
+no such form, and ``true_theta_info`` refuses it.
 
 Replications of ``run_monte_carlo`` are independent; per-replication seeds
 are derived as SeedSequence([seed, rep]), so results do not depend on
@@ -25,13 +26,14 @@ execution order and the harness may run replications across processes.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dictionaries import (Dataset, FourierDictionary, IdentityDictionary, PolynomialDictionary,
-                           pow2_scale)
+                           TreatmentInteractedDictionary)
 from .dml import check_seed, dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .lp import SolverError
@@ -39,8 +41,6 @@ from .rmd import RmdInfeasibleError, SettingError
 
 
 _LOGIT_BOUND = float(np.log(0.95 / 0.05))  # propensity clipped to [0.05, 0.95]
-_MC_SEED = 202_406  # the Monte Carlo oracle of true_theta_info draws from this seed
-_MC_DRAWS = 10_000_000  # ... and this many covariate rows
 
 
 def _draw_x(rng, n, d, x_dist):
@@ -155,8 +155,8 @@ def dense_decay_dgp(d, decay, noise_sd=1.0, scale=1.0):
 @dataclass(frozen=True)
 class TrueTheta:
     value: float
-    se: float
-    method: str  # "analytic" | "quadrature" | "monte_carlo"
+    se: float  # 0.0: every target is exact
+    method: str  # "analytic", the one path
 
 
 def _moment(x_dist, g):
@@ -175,7 +175,7 @@ def _moment(x_dist, g):
 
 
 def _mean_directional_derivative(dictionary, x_dist, a):
-    """E[grad b(X) a] per basis element; None unless b is polynomial, Fourier or identity."""
+    """E[grad b(X) a] per basis element."""
     a = np.asarray(a, dtype=float)
     if isinstance(dictionary, IdentityDictionary):
         return a.copy()
@@ -194,23 +194,62 @@ def _mean_directional_derivative(dictionary, x_dist, a):
             w = dictionary.frequencies()
             dictionary.cos_sin(out)[..., 1] = np.outer(a, w * np.exp(-w ** 2 / 2))
         return out
-    return None
+    if not isinstance(dictionary, TreatmentInteractedDictionary):
+        raise ValueError(f"no closed-form target on a {type(dictionary).__name__}")
+    # (b_in(z), t b_in(z)): t is drawn independent of z with E t = 0, so the t half averages to 0
+    inner = _mean_directional_derivative(dictionary.inner, x_dist,
+                                         np.delete(a, dictionary.treatment_index))
+    return np.concatenate([inner, np.zeros_like(inner)])
+
+
+def _mean_basis(dictionary, x_dist, S, c):
+    """E b(S X + c) per basis element, for a polynomial, Fourier or identity dictionary."""
+    if isinstance(dictionary, IdentityDictionary):
+        return c.copy()  # E X = 0
+    out = np.empty(dictionary.output_dim)
+    out[0] = 1.0
+    if isinstance(dictionary, FourierDictionary):
+        # E e^{i w (s'X + c)} = e^{i w c} phi(w s), with phi the real characteristic function of X
+        w = dictionary.frequencies()
+        u = S[:, np.newaxis, :] * w[:, np.newaxis]  # (d, order, d): w s_k
+        phi = (np.exp(-u ** 2 / 2) if x_dist == "normal" else np.sinc(u / np.pi)).prod(axis=-1)
+        cs = dictionary.cos_sin(out)
+        cs[..., 0] = np.cos(np.outer(c, w)) * phi
+        cs[..., 1] = np.sin(np.outer(c, w)) * phi
+        return out
+    if not isinstance(dictionary, PolynomialDictionary):
+        raise ValueError(f"no closed-form target on a {type(dictionary).__name__}")
+    # E[(s_l'X + c_l)^g] for each row s_l of S, adding one independent coordinate at a time by
+    # the binomial convolution; the odd moments of X vanish under both laws
+    G = dictionary.degree
+    m = np.array([_moment(x_dist, h) for h in range(G + 1)])
+    mom = c[:, np.newaxis] ** np.arange(G + 1)
+    for s in S.T:
+        sx = s[:, np.newaxis] ** np.arange(G + 1) * m  # E[(s_lk X_k)^h]
+        mom = np.stack([sum(math.comb(g, h) * sx[:, h] * mom[:, g - h] for h in range(0, g + 1, 2))
+                        for g in range(G + 1)], axis=1)
+    for g in range(1, G + 1):
+        out[dictionary.power_columns(g)] = mom[:, g]
+    if dictionary.with_interactions:
+        for j in range(dictionary.input_dim - 1):
+            out[dictionary.pair_columns(j)] = m[2] * (S[j + 1:] @ S[j]) + c[j] * c[j + 1:]
+    return out
 
 
 def true_theta_info(dgp, functional):
-    """The target E m(X, gamma*) with its provenance.
+    """The exact target E m(X, gamma*), with se 0.0 and method "analytic".
 
-    Analytic where available (an average derivative on a polynomial, Fourier
-    or identity dictionary, the identity policy shift, the additive ATE);
-    otherwise Gauss quadrature when d = 1, else a Monte Carlo oracle over
-    ``_MC_DRAWS`` fresh covariate draws with the reported standard error.
-    A target or standard error that is not finite raises ``SettingError("functional")``.
+    An average derivative is the mean derivative of b, a policy shift
+    E b(S X + c) - E b(X), both closed-form moments of X, and the ATE of the
+    additive outcome is tau.  A policy shift on a treatment-interacted
+    dictionary, and a target that is not finite in floating point, raise
+    ``SettingError("functional")``.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
         info = _true_theta(dgp, functional)
-    if not np.isfinite([info.value, info.se]).all():
+    if not np.isfinite(info.value):
         raise SettingError("functional", "the target E m(X, gamma*) is not finite in floating "
-                                         f"point: {info.method} gives {info.value} (se {info.se})")
+                                         f"point: {info.value}")
     return info
 
 
@@ -223,52 +262,20 @@ def _true_theta(dgp, functional):
     if not isinstance(dgp, SparseLinearDgp):
         raise ValueError(f"unsupported dgp {type(dgp).__name__}")
 
+    dic, x_dist = dgp.dictionary, dgp.x_dist
+    functional.check_compatible(dic)
     if isinstance(functional, AverageDerivative):
-        mean_dd = _mean_directional_derivative(dgp.dictionary, dgp.x_dist, functional.direction)
-        if mean_dd is not None:
-            return TrueTheta(float(mean_dd @ dgp.beta_star), 0.0, "analytic")
+        mean_m = _mean_directional_derivative(dic, x_dist, functional.direction)
     elif isinstance(functional, PolicyShift):
-        S, c = functional.transport_matrix, functional.shift
-        if np.array_equal(S, np.eye(S.shape[0])) and not np.any(c):
-            return TrueTheta(0.0, 0.0, "analytic")
+        if isinstance(dic, TreatmentInteractedDictionary):
+            raise SettingError("functional", "a policy shift on a treatment_interacted "
+                                             "dictionary has no closed-form target")
+        eye, zero = np.eye(dgp.d), np.zeros(dgp.d)
+        mean_m = (_mean_basis(dic, x_dist, functional.transport_matrix, functional.shift)
+                  - _mean_basis(dic, x_dist, eye, zero))
     else:
         raise ValueError(f"unsupported functional {type(functional).__name__} for this dgp")
-
-    if dgp.d == 1:
-        return TrueTheta(_quadrature(dgp, functional), 0.0, "quadrature")
-    rng = np.random.default_rng(_MC_SEED)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 500_000
-    scale = None
-    while done < _MC_DRAWS:
-        size = min(chunk, _MC_DRAWS - done)
-        X = _draw_x(rng, size, dgp.d, dgp.x_dist)
-        vals = functional.features(dgp.dictionary, X)[1] @ dgp.beta_star
-        if not np.isfinite(vals).all():  # refused by true_theta_info; draw no further chunk
-            return TrueTheta(float(vals.sum()), np.nan, "monte_carlo")  # inf or nan
-        if scale is None:
-            scale = pow2_scale(np.abs(vals).max())
-        vals /= scale  # exact; the mean and se are scaled back below
-        total += vals.sum()
-        total_sq += (vals ** 2).sum()
-        done += size
-    mean = total / _MC_DRAWS
-    var = total_sq / _MC_DRAWS - mean ** 2
-    se = np.sqrt(max(var, 0.0) / _MC_DRAWS)
-    return TrueTheta(float(mean * scale), float(se * scale), "monte_carlo")
-
-
-def _quadrature(dgp, functional):
-    if dgp.x_dist == "normal":
-        x, w = np.polynomial.hermite_e.hermegauss(120)
-        w = w / np.sqrt(2.0 * np.pi)
-    else:
-        x, w = np.polynomial.legendre.leggauss(120)
-        w = w / 2.0
-    vals = functional.features(dgp.dictionary, x[:, np.newaxis])[1] @ dgp.beta_star
-    return float(w @ vals)
+    return TrueTheta(float(mean_m @ dgp.beta_star), 0.0, "analytic")
 
 
 # -- Monte Carlo harness -----------------------------------------------------

@@ -5,7 +5,8 @@ behind an RMD instance and returns the optimal l1 value (or None when no
 feasible basis exists).  It shares no code with the simplex backend.
 
 ``true_riesz_rows`` is the closed-form Riesz representer of the simulation
-designs that have one.
+designs that have one, and ``monte_carlo_theta`` the plain Monte Carlo mean
+of m(X, gamma*) that the exact targets of ``true_theta_info`` must match.
 
 ``highs_l1`` is the optimal l1 norm of an RMD instance from scipy's HiGHS.
 
@@ -300,6 +301,19 @@ def true_riesz_rows(dgp, functional, X):
     raise NoClosedFormError(
         f"no closed-form Riesz representer for ({type(dgp).__name__}, {type(functional).__name__})"
     )
+
+
+def monte_carlo_theta(dgp, functional, draws, seed):
+    """(mean, se) of m(X, gamma*) over ``draws`` fresh rows of a SparseLinearDgp's covariate law."""
+    rng = np.random.default_rng(seed)
+    shape = (draws, dgp.d)
+    X = rng.standard_normal(shape) if dgp.x_dist == "normal" else rng.uniform(-1.0, 1.0, shape)
+    if isinstance(functional, PolicyShift):
+        S, c = functional.transport_matrix, functional.shift
+        vals = dgp.gamma_values(X @ S.T + c) - dgp.gamma_values(X)
+    else:
+        vals = dgp.dictionary.directional_gradient_rows(X, functional.direction) @ dgp.beta_star
+    return vals.mean(), vals.std() / np.sqrt(draws)
 
 
 def _gaussian_shift_density_ratio(X, S, c):

@@ -708,12 +708,8 @@ def test_simulate_end_to_end(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_simulate_oracle_target_near_1e160_keeps_the_output_contract(tmp_path, monkeypatch, capsys):
-    # a two-dimensional policy shift takes theta* from the Monte Carlo oracle, whose
-    # values near 1e159 have squares past the float maximum
-    from rieszdml import simulation
-
-    monkeypatch.setattr(simulation, "_MC_DRAWS", 2_000)
+def test_simulate_oracle_target_near_1e160_keeps_the_output_contract(tmp_path, capsys):
+    # theta* = beta'c = 1e159, whose square is past the float maximum, is reported finite
     cfg = write(tmp_path / "c.cfg", "\n".join([
         "simulation.dgp = sparse_linear", "simulation.n = 40", "simulation.replications = 2",
         "simulation.d = 2", "simulation.beta_star = 1e160,0", "dictionary.kind = identity",
@@ -723,17 +719,13 @@ def test_simulate_oracle_target_near_1e160_keeps_the_output_contract(tmp_path, m
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["theta_star_method"] == "monte_carlo"
+    assert payload["theta_star_method"] == "analytic"
     assert np.isfinite(payload["theta_star"]) and np.isfinite(payload["theta_star_se"])
 
 
 @pytest.mark.filterwarnings("error")
-def test_simulate_oracle_target_near_the_float_maximum_is_reported(tmp_path, monkeypatch,
-                                                                   capsys):
-    # theta* = 1e308 >= 2^1023, where a power-of-two scale of 2^e would itself be inf
-    from rieszdml import simulation
-
-    monkeypatch.setattr(simulation, "_MC_DRAWS", 2_000)
+def test_simulate_oracle_target_near_the_float_maximum_is_reported(tmp_path, capsys):
+    # theta* = beta'c = 1e308 >= 2^1023
     cfg = write(tmp_path / "c.cfg", "\n".join([
         "simulation.dgp = sparse_linear", "simulation.n = 40", "simulation.replications = 2",
         "simulation.d = 2", "simulation.beta_star = 1e308,0", "dictionary.kind = identity",
@@ -743,11 +735,11 @@ def test_simulate_oracle_target_near_the_float_maximum_is_reported(tmp_path, mon
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["theta_star_method"] == "monte_carlo"
+    assert payload["theta_star_method"] == "analytic"
     assert payload["theta_star"] == pytest.approx(1e308, rel=1e-12)
 
 
-# S x squares past the float maximum, so m(X, gamma*) is not finite at any draw
+# S x squares past the float maximum, so E b(S X) is not finite
 _SHIFT_OVERFLOW_CFG = "\n".join([
     "simulation.dgp = sparse_linear", "simulation.n = 40", "simulation.replications = 2",
     "simulation.d = 2", "simulation.beta_star = 0,1,0,0,0", "dictionary.kind = polynomial",
@@ -761,7 +753,6 @@ def test_simulate_oracle_target_that_overflows_names_functional_type(tmp_path, m
                                                                       capsys):
     from rieszdml import simulation
 
-    monkeypatch.setattr(simulation, "_MC_DRAWS", 2_000)
     monkeypatch.setattr(simulation, "_replicate", None)  # the study stops before any replication
     cfg = write(tmp_path / "c.cfg", _SHIFT_OVERFLOW_CFG)
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
@@ -773,27 +764,21 @@ def test_simulate_oracle_target_that_overflows_names_functional_type(tmp_path, m
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("beta_star, target", [("0,1,0,0,0", "nan"), ("0,0,0,1,0", "inf")],
                          ids=["zero_times_an_inf_square_is_nan", "an_inf_square_is_inf"])
-def test_simulate_oracle_stops_at_its_first_non_finite_chunk(tmp_path, monkeypatch, capsys,
-                                                             beta_star, target):
+def test_simulate_overflowing_target_is_refused_without_a_draw(tmp_path, monkeypatch, capsys,
+                                                               beta_star, target):
     from rieszdml import simulation
 
-    monkeypatch.setattr(simulation, "_MC_DRAWS", 1_000_000)  # two chunks of 500,000 draws
+    def draw_x(*args):
+        raise AssertionError("the target of a study draws no covariates")
+
+    monkeypatch.setattr(simulation, "_draw_x", draw_x)
     monkeypatch.setattr(simulation, "_replicate", None)  # the study stops before any replication
-    sizes = []
-    draw_x = simulation._draw_x
-
-    def spy(rng, n, *args):
-        sizes.append(n)
-        return draw_x(rng, n, *args)
-
-    monkeypatch.setattr(simulation, "_draw_x", spy)
     cfg = write(tmp_path / "c.cfg", _SHIFT_OVERFLOW_CFG.replace("0,1,0,0,0", beta_star))
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 2 and out == ""
     assert error_line(err) == {"key": "functional.type", "error": (
         "functional.type: the target E m(X, gamma*) is not finite in floating point: "
-        f"monte_carlo gives {target} (se nan)")}
-    assert sizes == [500_000]
+        f"{target}")}
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):
@@ -1053,7 +1038,7 @@ del _SHIFT_STUDY["functional.direction"]
 
 
 @pytest.mark.parametrize("transport, value, method", [
-    ({"functional.transport_s": "0.9", "functional.transport_c": "0.3"}, -0.1, "quadrature"),
+    ({"functional.transport_s": "0.9", "functional.transport_c": "0.3"}, -0.1, "analytic"),
     ({}, 0.0, "analytic"),
 ], ids=["explicit", "identity_default"])
 def test_simulate_policy_shift_from_config(tmp_path, capsys, transport, value, method):
@@ -1132,6 +1117,11 @@ del _POLICY_STUDY["functional.direction"]
     (_POLICY_STUDY, {"functional.transport_c": "0,0"}, (), "functional.transport_c"),
     (_POLICY_STUDY, {"functional.transport_s": "1,0,0,0"}, (), "functional.transport_s"),
     (_POLICY_STUDY, {"functional.transport_s": "inf"}, (), "functional.transport_s"),
+    # E b(S X + c) - E b(X) has no closed form on (b(z), t b(z))
+    (_POLICY_STUDY, {"dictionary.kind": "treatment_interacted",
+                     "dictionary.inner.kind": "polynomial", "dictionary.inner.degree": "1",
+                     "simulation.beta_star": "0,1,0,0,0,0,0,0"},
+     ("dictionary.degree",), "functional.type"),
     (_DENSE, {"simulation.d": "0"}, (), "simulation.d"),
     (_DENSE, {"simulation.decay": "-400"}, (), "simulation.decay"),
     (_DENSE, {"simulation.scale": "inf"}, (), "simulation.scale"),
@@ -1148,9 +1138,10 @@ del _POLICY_STUDY["functional.direction"]
     (None, {"data.treatment": "nope"}, (), "data.treatment"),
 ], ids=["d", "degree", "with_interactions", "order", "noise_sd", "beta_star_length",
         "direction_zero", "direction_nan", "transport_c_nan", "transport_c_length",
-        "transport_s_not_square", "transport_s_inf", "dense_d", "decay", "scale", "d_z",
-        "outcome_coefs", "propensity_coefs", "ate_inner_degree", "ate_dictionary_kind",
-        "inner_degree", "inner_order", "outcome_column", "treatment_column"])
+        "transport_s_not_square", "transport_s_inf", "interacted_policy_shift", "dense_d",
+        "decay", "scale", "d_z", "outcome_coefs", "propensity_coefs", "ate_inner_degree",
+        "ate_dictionary_kind", "inner_degree", "inner_order", "outcome_column",
+        "treatment_column"])
 def test_parameter_fault_names_the_key_that_set_it(tmp_path, capsys, base, changes, drop, key):
     entries = {**(example_entries() if base is None else base), **changes}
     for k in drop:

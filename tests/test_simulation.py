@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from oracles import NoClosedFormError, true_riesz_rows
+from oracles import (NoClosedFormError, PerTermPolynomialDictionary, monte_carlo_theta,
+                     true_riesz_rows)
 from rieszdml import (
     AteLogisticDgp,
     AverageDerivative,
     AverageTreatmentEffect,
     EstimatorConfig,
+    FourierDictionary,
     IdentityDictionary,
     PolicyShift,
     PolynomialDictionary,
@@ -126,6 +128,19 @@ def test_true_theta_policy_identity_zero():
     assert info.value == 0.0 and info.method == "analytic"
 
 
+def test_true_theta_policy_shift_of_the_policy_study_is_exact():
+    # gamma = x1 + 0.5 x1^2 over N(0, I_3), x -> x + (0.3, 0, 0):
+    # E[0.3 + 0.5 (0.6 X_1 + 0.09)] = 0.3 + 0.045
+    dic = PolynomialDictionary(3, degree=2)
+    beta = np.zeros(dic.output_dim)
+    beta[1] = 1.0
+    beta[dic.power_columns(2).start] = 0.5
+    info = true_theta_info(SparseLinearDgp(dic, beta, "normal", 1.0),
+                           PolicyShift(np.eye(3), np.array([0.3, 0.0, 0.0])))
+    assert info.method == "analytic" and info.se == 0.0
+    assert info.value == pytest.approx(0.345, rel=1e-15)
+
+
 def test_true_theta_policy_shift_quadrature():
     # gamma(x) = x^2, shift c: E[(x+c)^2 - x^2] = 2 c E[x] + c^2 = c^2 for both
     # the standard normal and uniform[-1, 1] designs
@@ -135,12 +150,12 @@ def test_true_theta_policy_shift_quadrature():
     f = PolicyShift(np.eye(1), np.array([c]))
     for x_dist in ("normal", "uniform"):
         info = true_theta_info(SparseLinearDgp(dic, beta, x_dist, 1.0), f)
-        assert info.method == "quadrature"
+        assert info.method == "analytic"
         assert info.value == pytest.approx(c ** 2, abs=1e-10)
 
 
-def test_true_theta_policy_shift_monte_carlo_path(monkeypatch):
-    # two-dimensional shift falls back to the Monte Carlo oracle
+def test_true_theta_policy_shift_monte_carlo_path():
+    # a two-dimensional shift: E[(X_1 + 0.1)^2 - X_1^2] = 0.01
     dic = PolynomialDictionary(2, degree=2)
     beta = np.zeros(dic.output_dim)
     beta[3] = 1.0  # gamma = x1^2 (basis: 1, x1, x2, x1^2, x2^2)
@@ -148,26 +163,28 @@ def test_true_theta_policy_shift_monte_carlo_path(monkeypatch):
     np.testing.assert_array_equal(dic.evaluate_rows(np.array([[3.0, 5.0]]))[0], [1, 3, 5, 9, 25])
     dgp = SparseLinearDgp(dic, beta, "normal", 1.0)
     f = PolicyShift(np.eye(2), np.array([0.1, 0.0]))
-    monkeypatch.setattr(simulation, "_MC_DRAWS", 200_000)
     info = true_theta_info(dgp, f)
-    assert info.method == "monte_carlo"
-    assert info.se > 0.0
-    assert abs(info.value - 0.01) <= 5.0 * info.se
+    assert info.method == "analytic" and info.se == 0.0
+    assert info.value == pytest.approx(0.01, rel=1e-14)
 
 
-def test_true_theta_average_derivative_without_closed_form_uses_monte_carlo(monkeypatch):
+def test_true_theta_average_derivative_without_closed_form_uses_monte_carlo():
     # b(x) = (z, t z) with beta = (1, 0): gamma = z, so dgamma/dz = 1 everywhere
     dic = TreatmentInteractedDictionary(IdentityDictionary(1))
     dgp = SparseLinearDgp(dic, np.array([1.0, 0.0]), "normal", 1.0)
-    monkeypatch.setattr(simulation, "_MC_DRAWS", 1000)
     info = true_theta_info(dgp, AverageDerivative(np.array([0.0, 1.0])))
-    assert info.method == "monte_carlo"
+    assert info.method == "analytic"
     assert info.value == 1.0
 
 
 def test_true_theta_rejects_mismatched_pairs():
     with pytest.raises(ValueError):
         true_theta_info(ate_dgp(), AverageDerivative(np.array([1.0, 0.0, 0.0, 0.0])))
+    # a dictionary without a closed-form mean, for either functional
+    dgp = SparseLinearDgp(PerTermPolynomialDictionary(2, 2), np.ones(5))
+    for f in (AverageDerivative(np.array([1.0, 0.0])), PolicyShift(np.eye(2), np.ones(2))):
+        with pytest.raises(ValueError, match="no closed-form target on a PerTermPolynomial"):
+            true_theta_info(dgp, f)
 
 
 @pytest.mark.parametrize("x_dist", ["normal", "uniform"])
@@ -179,13 +196,53 @@ def test_true_theta_interaction_columns_match_monte_carlo(x_dist):
     np.testing.assert_array_equal(dic.evaluate_rows(np.array([[2.0, 3.0, 5.0]]))[0, pairs], [6, 10, 15])
     beta = np.linspace(-1.0, 1.5, dic.output_dim)
     f = AverageDerivative(np.array([1.0, -0.5, 0.3]))
-    info = true_theta_info(SparseLinearDgp(dic, beta, x_dist, 1.0), f)
+    dgp = SparseLinearDgp(dic, beta, x_dist, 1.0)
+    info = true_theta_info(dgp, f)
     assert info.method == "analytic"
-    rng = np.random.default_rng(7)
-    n = 400_000
-    X = rng.standard_normal((n, 3)) if x_dist == "normal" else rng.uniform(-1, 1, (n, 3))
-    vals = f.features(dic, X)[1] @ beta
-    assert abs(info.value - vals.mean()) <= 4.0 * vals.std() / np.sqrt(n)
+    mean, se = monte_carlo_theta(dgp, f, 400_000, seed=7)
+    assert abs(info.value - mean) <= 4.0 * se
+
+
+# a non-diagonal transport of R^3 and a shift
+_S = np.array([[0.9, 0.3, 0.0], [-0.2, 1.1, 0.4], [0.1, 0.0, 0.8]])
+_C = np.array([0.3, -0.2, 0.1])
+_EXACT_CASES = {
+    "polynomial": (PolynomialDictionary(3, degree=3, with_interactions=True), PolicyShift(_S, _C)),
+    "fourier": (FourierDictionary(3, order=2), PolicyShift(_S, _C)),
+    "identity": (IdentityDictionary(3), PolicyShift(_S, _C)),
+    # the t half of (b_in(z), t b_in(z)) averages to 0: E t = 0 and t is independent of z
+    "interacted_derivative": (TreatmentInteractedDictionary(
+        PolynomialDictionary(2, degree=3, with_interactions=True)),
+        AverageDerivative(np.array([0.0, 1.0, -0.5]))),
+}
+
+
+@pytest.mark.parametrize("x_dist", ["normal", "uniform"])
+@pytest.mark.parametrize("case", sorted(_EXACT_CASES))
+def test_true_theta_matches_the_monte_carlo_oracle(case, x_dist):
+    dic, f = _EXACT_CASES[case]
+    dgp = SparseLinearDgp(dic, np.linspace(-1.0, 1.5, dic.output_dim), x_dist, 1.0)
+    info = true_theta_info(dgp, f)
+    assert info.method == "analytic" and info.se == 0.0
+    mean, se = monte_carlo_theta(dgp, f, 200_000, seed=3)
+    assert abs(info.value - mean) <= 4.0 * se, (info.value, mean, se)
+
+
+@pytest.mark.parametrize("x_dist", ["normal", "uniform"])
+def test_true_theta_polynomial_shift_matches_tensor_gauss_quadrature(x_dist):
+    # an 8-node Gauss rule per coordinate integrates every polynomial of degree <= 15 exactly
+    if x_dist == "normal":
+        x, w = np.polynomial.hermite_e.hermegauss(8)
+        w = w / np.sqrt(2.0 * np.pi)
+    else:
+        x, w = np.polynomial.legendre.leggauss(8)
+        w = w / 2.0
+    X = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    W = np.einsum("i,j,k->ijk", w, w, w).ravel()
+    dic = PolynomialDictionary(3, degree=6, with_interactions=True)
+    dgp = SparseLinearDgp(dic, np.linspace(-1.0, 1.5, dic.output_dim), x_dist, 1.0)
+    expect = W @ (dgp.gamma_values(X @ _S.T + _C) - dgp.gamma_values(X))
+    assert true_theta_info(dgp, PolicyShift(_S, _C)).value == pytest.approx(expect, rel=1e-12)
 
 
 # -- true Riesz representers ------------------------------------------------------
