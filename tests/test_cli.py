@@ -177,9 +177,9 @@ def test_rmd_solve_overflow_names_both_files(tmp_path, capsys):
 # -- estimate ---------------------------------------------------------------------
 
 def test_estimate_matches_golden(capsys):
-    code, out, _ = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
-                           "--config", EXAMPLE_CFG)
-    assert code == 0
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
+                             "--config", EXAMPLE_CFG)
+    assert code == 0 and err == ""
     got = json.loads(out)
     golden = json.loads(pathlib.Path(GOLDEN).read_text())
     assert np.isfinite(got["theta_hat"])
@@ -869,6 +869,7 @@ def test_simulate_rejects_n_below_2k(tmp_path, capsys):
     assert code == 2 and out == ""
     payload = error_line(err)
     assert payload["key"] == "simulation.n" and "K = 5" in payload["error"]
+    assert "simulation.n" in payload["error"]
 
 
 # A small sparse_linear study: the base of the seed and DGP checks and the
@@ -988,17 +989,20 @@ def test_unset_keys_build_the_library_defaults(tmp_path, kind):
     assert cli.build_lambda_rule(cfg) == LambdaRule()
 
 
-@pytest.mark.parametrize("d, beta_star, direction", [
-    ("1", "0,0.5,0.8", "1"),
-    ("2", "0,0.5,0.8,0.1,0.2", "1,0"),
-], ids=["d1", "d2"])
+@pytest.mark.parametrize("d, beta_star, direction, extra", [
+    ("1", "0,0.5,0.8", "1", {}),
+    ("2", "0,0.5,0.8,0.1,0.2", "1,0", {}),
+    ("2", "0,0.5,0.8,0.1,0.2", "1,0", {"simulation.n": "200", "simulation.replications": "4",
+                                       "simulation.noise_sd": "1", "estimator.k_folds": "5",
+                                       "seed": "3"}),
+], ids=["d1", "d2", "d2_n200_k5"])
 def test_simulate_fourier_average_derivative_is_closed_form(tmp_path, capsys, d, beta_star,
-                                                            direction):
+                                                            direction, extra):
     # b(x) = (1, cos(pi x_1), sin(pi x_1), ...) over N(0, I): E[d/dx_1 sin(pi X_1)] =
     # pi e^{-pi^2 / 2}, and every other column's mean derivative along e_1 is 0
     entries = {**_STUDY, "simulation.d": d, "simulation.beta_star": beta_star,
                "dictionary.kind": "fourier", "dictionary.order": "1",
-               "functional.direction": direction}
+               "functional.direction": direction, **extra}
     del entries["dictionary.degree"]
     cfg = write_cfg(tmp_path / "sim.cfg", entries)
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
@@ -1136,12 +1140,14 @@ del _POLICY_STUDY["functional.direction"]
      ("dictionary.inner.degree",), "dictionary.inner.order"),
     (None, {"data.outcome": "nope"}, (), "data.outcome"),
     (None, {"data.treatment": "nope"}, (), "data.treatment"),
+    # in (0, 1), but 1 - alpha / 2 rounds to 1
+    (None, {"estimator.alpha": "1e-300"}, (), "estimator.alpha"),
 ], ids=["d", "degree", "with_interactions", "order", "noise_sd", "beta_star_length",
         "direction_zero", "direction_nan", "transport_c_nan", "transport_c_length",
         "transport_s_not_square", "transport_s_inf", "interacted_policy_shift", "dense_d",
         "decay", "scale", "d_z", "outcome_coefs", "propensity_coefs", "ate_inner_degree",
         "ate_dictionary_kind", "inner_degree", "inner_order", "outcome_column",
-        "treatment_column"])
+        "treatment_column", "alpha_rounds_to_one"])
 def test_parameter_fault_names_the_key_that_set_it(tmp_path, capsys, base, changes, drop, key):
     entries = {**(example_entries() if base is None else base), **changes}
     for k in drop:
@@ -1237,24 +1243,40 @@ def test_simulate_config_sweep_keeps_the_output_contract(entries):
 
 
 def fresh_python(*args, **env):
-    """Stdout of ``python *args`` in a fresh interpreter with src/ importable,
-    OPENBLAS_NUM_THREADS unset and ``env`` added."""
+    """(exit code, stdout, stderr) of ``python *args`` in a fresh interpreter
+    with src/ importable, OPENBLAS_NUM_THREADS unset and ``env`` added."""
     src = os.path.dirname(os.path.dirname(rieszdml.__file__))
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], capture_output=True, env={**base, **env})
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# Each subcommand once in a fresh interpreter under ``python -W error``: a warning
+# at import or start-up, or in a study's pool workers, is out of an in-process
+# test's sight.  The study is the bundled plug-in study on its default pool.
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--data", EXAMPLE_CSV, "--config", EXAMPLE_CFG],
+    ["simulate", "--config", os.path.join(PKG, "configs", "experiments", "dense_decay_plugin.cfg")],
+    ["rmd-solve", "--g-matrix", "{tmp}/G.txt", "--m-vector", "{tmp}/M.txt", "--lambda", "0.1"],
+], ids=["estimate", "simulate", "rmd-solve"])
+def test_cli_with_every_warning_an_error_exits_0_with_an_empty_stderr(tmp_path, argv):
+    write(tmp_path / "G.txt", "1 0.5\n0.5 1\n")
+    write(tmp_path / "M.txt", "1 1\n")
+    code, out, err = fresh_python("-W", "error", "-m", "rieszdml.cli",
+                                  *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, err) == (0, b""), err
+    assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
 
 
 def test_cli_import_leaves_process_pool_unloaded():
     code = "import sys, rieszdml.cli; print('concurrent.futures.process' in sys.modules)"
-    assert fresh_python("-c", code) == b"False\n"
+    assert fresh_python("-c", code) == (0, b"False\n", b"")
 
 
 def test_cli_import_leaves_simulation_unloaded():
     code = "import sys, rieszdml.cli; print('rieszdml.simulation' in sys.modules)"
-    assert fresh_python("-c", code) == b"False\n"
+    assert fresh_python("-c", code) == (0, b"False\n", b"")
 
 
 _LAZY_EXPORTS = """
@@ -1281,7 +1303,7 @@ print("ok")
 
 
 def test_package_exports_resolve_lazily_to_their_home_modules():
-    assert fresh_python("-c", _LAZY_EXPORTS) == b"ok\n"
+    assert fresh_python("-c", _LAZY_EXPORTS) == (0, b"ok\n", b"")
 
 
 _CLI_BLAS_THREADS = "import rieszdml.cli; from rieszdml import lp; print(lp._openblas_thread_calls()[0]())"
@@ -1294,21 +1316,25 @@ def test_cli_starts_openblas_on_one_thread_unless_the_count_is_set(env, threads)
         pytest.skip("numpy's bundled OpenBLAS or its thread-count symbols not found")
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("OpenBLAS caps its thread count at the cores it may run on")
-    assert fresh_python("-c", _CLI_BLAS_THREADS, **env) == threads
+    assert fresh_python("-c", _CLI_BLAS_THREADS, **env) == (0, threads, b"")
 
 
 def test_cli_import_after_numpy_leaves_the_environment_alone():
     code = "import os, numpy, rieszdml.cli; print('OPENBLAS_NUM_THREADS' in os.environ)"
-    assert fresh_python("-c", code) == b"False\n"
+    assert fresh_python("-c", code) == (0, b"False\n", b"")
 
 
 def stdout_at_blas_threads(threads, *argv):
-    return fresh_python("-m", "rieszdml.cli", *argv, OPENBLAS_NUM_THREADS=threads)
+    code, out, err = fresh_python("-m", "rieszdml.cli", *argv, OPENBLAS_NUM_THREADS=threads)
+    assert (code, err) == (0, b""), err
+    return out
 
 
 def test_estimate_stdout_does_not_depend_on_blas_threads():
     argv = ("estimate", "--data", EXAMPLE_CSV, "--config", EXAMPLE_CFG)
-    assert stdout_at_blas_threads("1", *argv) == stdout_at_blas_threads("2", *argv)
+    one = stdout_at_blas_threads("1", *argv)
+    for threads in ("2", "4"):
+        assert stdout_at_blas_threads(threads, *argv) == one, threads
 
 
 def test_rmd_solve_stdout_does_not_depend_on_blas_threads(tmp_path):

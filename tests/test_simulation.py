@@ -141,7 +141,7 @@ def test_true_theta_policy_shift_of_the_policy_study_is_exact():
     assert info.value == pytest.approx(0.345, rel=1e-15)
 
 
-def test_true_theta_policy_shift_quadrature():
+def test_true_theta_shift_of_a_square_is_c_squared_on_both_designs():
     # gamma(x) = x^2, shift c: E[(x+c)^2 - x^2] = 2 c E[x] + c^2 = c^2 for both
     # the standard normal and uniform[-1, 1] designs
     dic = PolynomialDictionary(1, degree=2)
@@ -154,7 +154,7 @@ def test_true_theta_policy_shift_quadrature():
         assert info.value == pytest.approx(c ** 2, abs=1e-10)
 
 
-def test_true_theta_policy_shift_monte_carlo_path():
+def test_true_theta_two_dimensional_shift_of_a_square_is_exact():
     # a two-dimensional shift: E[(X_1 + 0.1)^2 - X_1^2] = 0.01
     dic = PolynomialDictionary(2, degree=2)
     beta = np.zeros(dic.output_dim)
@@ -168,7 +168,7 @@ def test_true_theta_policy_shift_monte_carlo_path():
     assert info.value == pytest.approx(0.01, rel=1e-14)
 
 
-def test_true_theta_average_derivative_without_closed_form_uses_monte_carlo():
+def test_true_theta_average_derivative_on_an_interacted_dictionary_is_exact():
     # b(x) = (z, t z) with beta = (1, 0): gamma = z, so dgamma/dz = 1 everywhere
     dic = TreatmentInteractedDictionary(IdentityDictionary(1))
     dgp = SparseLinearDgp(dic, np.array([1.0, 0.0]), "normal", 1.0)

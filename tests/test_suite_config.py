@@ -1,10 +1,13 @@
-"""The suite's own pytest settings."""
+"""The suite's own settings: pytest's, and the CI workflow that runs it."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
-PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 _TWO_TESTS = """
 from hypothesis import given, strategies as st
@@ -30,3 +33,11 @@ def test_failing_property_test_does_not_stop_the_run(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+
+
+def test_workflow_runs_the_cli_only_through_the_tier1_tests():
+    # Every CLI contract check is a Tier-1 test, so the Tier-1 command alone
+    # runs them all; a CLI step in the workflow would be a second gate.
+    runs = re.findall(r"rieszdml\.cli|\brieszdml +(?:estimate|simulate|rmd-solve)\b",
+                      WORKFLOW.read_text())
+    assert runs == [], runs
