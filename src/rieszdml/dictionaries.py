@@ -18,7 +18,10 @@ Four families are provided:
 
 A dictionary is its two row-wise methods: ``evaluate_rows(X)``, the (n, p)
 array b(X), and ``directional_gradient_rows(X, a)``, the rows of
-a' grad b(x_i) that the average derivative runs on.  Everything else in
+a' grad b(x_i) that the average derivative runs on.  Both arrays are
+column-major (Fortran order), and each family writes them one block of whole
+columns at a time: the estimator reads them only through per-fold Grams and
+column sums, which then run over contiguous columns.  Everything else in
 m(x, b), such as the ATE contrast b(1, z) - b(0, z), belongs to the
 functional.
 
@@ -105,9 +108,11 @@ class PolynomialDictionary(Dictionary):
 
     def evaluate_rows(self, X):
         X = _check_rows(X, self.input_dim)
-        out = np.empty((X.shape[0], self.output_dim))
+        out = np.empty((X.shape[0], self.output_dim), order="F")
         out[:, 0] = 1.0
-        for g in range(1, self.degree + 1):
+        if self.degree:
+            out[:, self.power_columns(1)] = X  # x**1 is x bit for bit; a copy is cheaper
+        for g in range(2, self.degree + 1):
             np.power(X, g, out=out[:, self.power_columns(g)])
         if self.with_interactions:
             for j in range(self.input_dim - 1):
@@ -117,7 +122,7 @@ class PolynomialDictionary(Dictionary):
     def directional_gradient_rows(self, X, a):
         X = _check_rows(X, self.input_dim)
         a = np.asarray(a, dtype=float)
-        out = np.zeros((X.shape[0], self.output_dim))
+        out = np.zeros((X.shape[0], self.output_dim), order="F")
         moving = np.flatnonzero(a)  # the power columns of a zero a_k stay +0.0
         for g in range(1, self.degree + 1):
             out[:, self.power_columns(g).start + moving] = a[moving] * g * X[:, moving] ** (g - 1)
@@ -148,7 +153,7 @@ class FourierDictionary(Dictionary):
 
     def evaluate_rows(self, X):
         X = _check_rows(X, self.input_dim)
-        out = np.empty((X.shape[0], self.output_dim))
+        out = np.empty((X.shape[0], self.output_dim), order="F")
         out[:, 0] = 1.0
         arg = X[:, :, np.newaxis] * self.frequencies()
         cs = self.cos_sin(out)
@@ -159,7 +164,7 @@ class FourierDictionary(Dictionary):
     def directional_gradient_rows(self, X, a):
         X = _check_rows(X, self.input_dim)
         a = np.asarray(a, dtype=float)
-        out = np.zeros((X.shape[0], self.output_dim))
+        out = np.zeros((X.shape[0], self.output_dim), order="F")
         w = self.frequencies()
         arg = X[:, :, np.newaxis] * w
         cs = self.cos_sin(out)
@@ -176,12 +181,12 @@ class IdentityDictionary(Dictionary):
         self.output_dim = self.input_dim
 
     def evaluate_rows(self, X):
-        return _check_rows(X, self.input_dim).copy()
+        return _check_rows(X, self.input_dim).copy(order="F")
 
     def directional_gradient_rows(self, X, a):
         X = _check_rows(X, self.input_dim)
         a = np.asarray(a, dtype=float)
-        return np.tile(a, (X.shape[0], 1))
+        return np.broadcast_to(a, X.shape).copy(order="F")
 
 
 class TreatmentInteractedDictionary(Dictionary):
@@ -214,7 +219,7 @@ class TreatmentInteractedDictionary(Dictionary):
 def _interacted(t, inner):
     """(inner, t * inner) side by side, written into one preallocated array."""
     n, p = inner.shape
-    out = np.empty((n, 2 * p))
+    out = np.empty((n, 2 * p), order="F")
     out[:, :p] = inner
     np.multiply(t[:, np.newaxis], inner, out=out[:, p:])
     return out

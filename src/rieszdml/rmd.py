@@ -175,8 +175,10 @@ def solve_rmd(G, M, lam, l1_bound=np.inf):
 def gram_and_moments(B, y=None, Mx=None):
     """Row sums over one block A of rows: (sum b b', sum Y b, sum m(X, b)).
 
-    ``B`` holds the rows b(X_i), i in A, and ``y`` and ``Mx`` the matching
-    outcomes and m(X_i, b); a sum whose rows are not given is None.  The sums
+    ``B`` holds b(X_i), i in A, one row each, and ``y`` and ``Mx`` the matching
+    outcomes and m(X_i, b); a sum whose rows are not given is None.  The features
+    are column-major, so a fold's row block is a strided view that BLAS reads
+    without a copy and each column sum is contiguous.  The sums
     add across disjoint blocks, and dividing them by |A| gives G_hat = E_A[b b'],
     E_A[Y b] and E_A[m(X, b)].
     """

@@ -209,6 +209,42 @@ def test_block_dictionaries_match_per_term_reference(dics, data):
     assert _same_bits(block.directional_gradient_rows(X, a), ref.directional_gradient_rows(X, a))
 
 
+def layout_cases():
+    """(block-written dictionary, its per-term reference) for every family; None: b(x) = x."""
+    return [
+        (PolynomialDictionary(3, 3), PerTermPolynomialDictionary(3, 3)),
+        (PolynomialDictionary(3, 3, True), PerTermPolynomialDictionary(3, 3, True)),
+        (FourierDictionary(3, 2), PerTermFourierDictionary(3, 2)),
+        (IdentityDictionary(4), None),
+        (TreatmentInteractedDictionary(PolynomialDictionary(3, 2, True), treatment_index=1),
+         TreatmentInteractedDictionary(PerTermPolynomialDictionary(3, 2, True), treatment_index=1)),
+        (TreatmentInteractedDictionary(FourierDictionary(3, 2), treatment_index=0),
+         TreatmentInteractedDictionary(PerTermFourierDictionary(3, 2), treatment_index=0)),
+    ]
+
+
+@pytest.mark.parametrize("block, ref", layout_cases(), ids=[
+    "polynomial", "polynomial_pairs", "fourier", "identity", "interacted_polynomial",
+    "interacted_fourier"])
+def test_feature_arrays_are_column_major_with_the_reference_bits(block, ref):
+    # Every (n, p) feature array is Fortran-ordered, so each column is contiguous
+    # for the fold Grams and column sums; the bits must not depend on the layout.
+    # Fourier writes through a reshaped view of its output, so a copy in place of
+    # that view would leave the columns unwritten and fail the bit comparison.
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-1.0, 1.0, size=(7, block.input_dim))
+    if isinstance(block, TreatmentInteractedDictionary):
+        X[:, block.treatment_index] = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    a = rng.standard_normal(block.input_dim)
+    got = block.evaluate_rows(X), block.directional_gradient_rows(X, a)
+    want = ((X, np.tile(a, (len(X), 1))) if ref is None
+            else (ref.evaluate_rows(X), ref.directional_gradient_rows(X, a)))
+    for g, w in zip(got, want):
+        assert g.shape == (len(X), block.output_dim)
+        assert g.flags.f_contiguous
+        assert _same_bits(g, w)
+
+
 def test_evaluate_rejects_bad_input():
     dic = PolynomialDictionary(2, degree=1)
     with pytest.raises(ValueError):

@@ -186,6 +186,25 @@ def test_ate_features_match_two_evaluations_bit_for_bit(inner, treatment_index):
     np.testing.assert_array_equal(Mx, dic.evaluate_rows(X1) - dic.evaluate_rows(X0))
 
 
+@pytest.mark.parametrize("functional, dic", [
+    (AverageDerivative([0.5, -1.0, 0.0]), PolynomialDictionary(3, 3, with_interactions=True)),
+    (AverageDerivative([0.0, 0.5, -1.0]), TreatmentInteractedDictionary(FourierDictionary(2, 2))),
+    (PolicyShift(0.5 * np.eye(3), [0.1, 0.0, -0.2]), FourierDictionary(3, 2)),
+    (PolicyShift(np.eye(3)[::-1], [0.1, 0.0, -0.2]), IdentityDictionary(3)),
+    (AverageTreatmentEffect(0), TreatmentInteractedDictionary(PolynomialDictionary(2, 2))),
+], ids=["derivative_poly", "derivative_interacted_fourier", "shift_fourier", "shift_identity",
+        "ate_poly"])
+def test_features_keep_the_column_major_layout(functional, dic):
+    # b(X) and m(X, b) stay Fortran-ordered like the dictionary's own arrays, so the
+    # fold Grams and column sums read contiguous columns
+    X = np.random.default_rng(9).uniform(-1.0, 1.0, size=(6, 3))
+    X[:, 0] = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+    B, Mx = functional.features(dic, X)
+    assert B.shape == Mx.shape == (6, dic.output_dim)
+    assert B.flags.f_contiguous and Mx.flags.f_contiguous
+    np.testing.assert_array_equal(B, dic.evaluate_rows(X))
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: AverageDerivative([0.0, 0.0]), "direction"),
     (lambda: AverageDerivative([np.nan, 1.0]), "direction"),

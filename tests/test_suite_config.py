@@ -1,5 +1,6 @@
 """The suite's own settings: pytest's, and the CI workflow that runs it."""
 
+import ast
 import pathlib
 import re
 import subprocess
@@ -41,3 +42,28 @@ def test_workflow_runs_the_cli_only_through_the_tier1_tests():
     runs = re.findall(r"rieszdml\.cli|\brieszdml +(?:estimate|simulate|rmd-solve)\b",
                       WORKFLOW.read_text())
     assert runs == [], runs
+
+
+def _property_test_files():
+    """The tests/test_*.py files with a function decorated by hypothesis's ``@given``."""
+    found = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(dec, ast.Call)
+                    and "given" in (getattr(dec.func, "id", None), getattr(dec.func, "attr", None))
+                    for dec in node.decorator_list):
+                found.add(f"tests/{path.name}")
+    return found
+
+
+def test_explore_step_runs_every_property_test_file():
+    # The explore step names its files by hand, so a property test in a file it
+    # does not name would only ever run on the derandomized examples.
+    step = [line for line in WORKFLOW.read_text().splitlines()
+            if "--hypothesis-profile explore" in line]
+    assert len(step) == 1, step
+    named = set(re.findall(r"tests/test_\w+\.py", step[0]))
+    files = _property_test_files()
+    assert "tests/test_rmd.py" in files and "tests/test_suite_config.py" not in files
+    assert files <= named, sorted(files - named)
