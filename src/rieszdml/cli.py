@@ -85,7 +85,7 @@ class Config:
     def load(cls, path):
         entries, linenos = {}, {}
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:  # also reads a file saved with a BOM
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
@@ -375,7 +375,7 @@ def cmd_rmd_solve(args):
         warnings.simplefilter("ignore", UserWarning)
         for flag, path, ndmin in (("--g-matrix", args.g_matrix, 2), ("--m-vector", args.m_vector, 1)):
             try:
-                arrays.append(np.loadtxt(path, ndmin=ndmin))
+                arrays.append(np.loadtxt(path, ndmin=ndmin, encoding="utf-8-sig"))
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read {flag} file {path}: {exc}") from None
     try:

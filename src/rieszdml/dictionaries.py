@@ -235,8 +235,9 @@ class Dataset:
     covariate_names: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        y = np.asarray(self.outcome, dtype=float)
-        X = np.asarray(self.covariates, dtype=float)
+        # views, so freezing them leaves the caller's arrays writable without a copy
+        y = np.asarray(self.outcome, dtype=float).view()
+        X = np.asarray(self.covariates, dtype=float).view()
         if X.ndim != 2:
             raise ValueError("covariates must be a 2-d array")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
@@ -296,7 +297,7 @@ def load_csv(path, outcome, treatment=None, standardize=False):
     non-numeric cell, is a parse failure; a missing outcome or treatment
     column raises ``SettingError`` naming that role.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is not part of the header
         reader = csv.reader(fh)
         try:
             header = next(reader)

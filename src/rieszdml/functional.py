@@ -37,10 +37,11 @@ class AverageDerivative(Functional):
     """m(x, g) = a' grad g(x)."""
 
     def __init__(self, direction):
-        a = np.asarray(direction, dtype=float)
+        a = np.array(direction, dtype=float)  # a copy, so the caller cannot edit it past the check
         if a.ndim != 1 or not np.all(np.isfinite(a)) or not np.any(a):
             raise SettingError("direction", "direction must be a finite nonzero vector, "
                                             f"got {a.tolist()}")
+        a.setflags(write=False)
         self.direction = a
 
     def check_compatible(self, dictionary, data=None):
@@ -67,14 +68,17 @@ class PolicyShift(Functional):
     """
 
     def __init__(self, transport_matrix, shift):
-        S = np.asarray(transport_matrix, dtype=float)
-        c = np.asarray(shift, dtype=float)
+        # copies, so the caller cannot edit them past the checks
+        S = np.array(transport_matrix, dtype=float)
+        c = np.array(shift, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1] or not np.all(np.isfinite(S)):
             raise SettingError("transport_matrix", "transport_matrix must be a finite square "
                                                    f"matrix, got {S.tolist()}")
         if c.shape != S.shape[:1] or not np.all(np.isfinite(c)):
             raise SettingError("shift", f"shift must be a finite vector of length {S.shape[0]}, "
                                         f"got {c.tolist()}")
+        S.setflags(write=False)
+        c.setflags(write=False)
         self.transport_matrix = S
         self.shift = c
 

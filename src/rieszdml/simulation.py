@@ -64,7 +64,7 @@ class SparseLinearDgp:
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        beta = np.asarray(self.beta_star, dtype=float)
+        beta = np.array(self.beta_star, dtype=float)
         if beta.shape != (self.dictionary.output_dim,):
             raise SettingError("beta_star", "beta_star must have output_dim = "
                                             f"{self.dictionary.output_dim} entries, got {beta.size}")
@@ -104,7 +104,7 @@ class AteLogisticDgp:
         if self.d_z < 1:
             raise SettingError("d_z", f"d_z must be >= 1, got {self.d_z!r}")
         for name in ("outcome_coefs", "propensity_coefs"):
-            coefs = np.asarray(getattr(self, name), dtype=float)
+            coefs = np.array(getattr(self, name), dtype=float)
             if coefs.shape != (self.d_z,):
                 raise SettingError(name, f"{name} must have d_z = {self.d_z} entries, "
                                          f"got {coefs.size}")
@@ -304,9 +304,7 @@ class MonteCarloReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(self.per_rep[0])  # _replicate's keys; R >= 1
-            for r in self.per_rep:
-                writer.writerow(format(v, ".17g") if isinstance(v, float) else v
-                                for v in r.values())
+            writer.writerows(r.values() for r in self.per_rep)
 
 
 def rep_seeds(seed, rep):

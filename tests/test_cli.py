@@ -1,5 +1,8 @@
+import codecs
 import contextlib
+import csv
 import ctypes
+import dataclasses
 import io
 import json
 import os
@@ -16,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszdml
-from rieszdml import cli, lp
+from rieszdml import cli, jsonio, lp
 from rieszdml.cli import run
+from rieszdml.simulation import MonteCarloReport
 
 HERE = os.path.dirname(__file__)
 PKG = os.path.dirname(HERE)
@@ -536,6 +540,23 @@ def test_blank_data_lines_are_skipped(tmp_path, capsys):
     assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command", ["estimate", "rmd-solve"])
+def test_input_files_saved_with_a_byte_order_mark_read_as_without(tmp_path, capsys, command):
+    # Excel's "CSV UTF-8" starts the file with a UTF-8 BOM
+    files = ({"--data": EXAMPLE_CSV, "--config": EXAMPLE_CFG} if command == "estimate" else
+             {"--g-matrix": write(tmp_path / "G.txt", "1 0.5\n0.5 1\n"),
+              "--m-vector": write(tmp_path / "M.txt", "1 0.3\n")})
+    runs = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        argv = [command] if command == "estimate" else [command, "--lambda", "0.1"]
+        for flag, path in files.items():
+            copy = tmp_path / f"{len(prefix)}_{os.path.basename(path)}"
+            copy.write_bytes(prefix + pathlib.Path(path).read_bytes())
+            argv += [flag, str(copy)]
+        runs.append(run_cli(capsys, *argv))
+    assert runs[0][0] == 0 and runs[0][2] == "" and runs[1] == runs[0]
+
+
 def test_zero_l1_bound_names_its_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.cfg", {**example_entries(), "estimator.l1_bound": "0"})
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
@@ -817,6 +838,47 @@ def test_rmd_solve_stdout_is_strict_json(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["status"] == "infeasible" and payload["gap"] is None
+
+
+_NO_REPORT = dict.fromkeys(f.name for f in dataclasses.fields(MonteCarloReport))
+
+
+@settings(deadline=None)
+@given(x=st.floats())
+def test_every_float_reads_back_to_its_own_bits(x):
+    # JSON: a float, wrapped any way the CLI meets one, reads back as a float with
+    # the same bits, and a NaN or infinity as null
+    want = x.hex() if np.isfinite(x) else None
+    for wrapped in (x, np.float64(x), np.array([x]), (x,), {"x": x}):
+        got = json.loads(jsonio.dumps(wrapped), parse_constant=_reject_constant)
+        while isinstance(got, (list, dict)):
+            (got,) = got.values() if isinstance(got, dict) else got
+        assert (got.hex() if type(got) is float else got) == want, (wrapped, got)
+    # CSV: every cell reads back to the same bits with float()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "reps.csv")
+        MonteCarloReport(**{**_NO_REPORT, "per_rep": [{"a": x, "b": np.float64(x)}]}
+                         ).write_csv(path)
+        with open(path, newline="") as fh:
+            header, row = csv.reader(fh)
+    assert header == ["a", "b"] and [float(cell).hex() for cell in row] == [x.hex()] * 2, row
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("simulate", ["theta_star", "theta_star_se", "bias", "rmse", "coverage", "mean_ci_length",
+                  "mean_sigma"]),
+    ("rmd-solve", ["l1_norm", "max_residual", "gap", "lambda", "l1_bound"]),
+], ids=["simulate", "rmd-solve"])
+def test_float_fields_read_back_as_floats_when_they_are_whole(tmp_path, capsys, command, keys):
+    # theta* = 1 with se 0, and an l1 budget of 50 around t = 0
+    argv = (["simulate", "--config", simulate_cfg(tmp_path)] if command == "simulate" else
+            ["rmd-solve", "--g-matrix", write(tmp_path / "G.txt", "1 0\n0 1\n"), "--m-vector",
+             write(tmp_path / "M.txt", "0.25 -0.1\n"), "--lambda", "0.5", "--l1-bound", "50"])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert {k: type(payload[k]) for k in keys} == dict.fromkeys(keys, float), payload
+    assert all(type(t) is float for t in payload.get("t_hat", []))
 
 
 def test_estimate_unwritable_output_is_config_error(tmp_path, capsys):

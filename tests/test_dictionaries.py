@@ -307,6 +307,14 @@ def test_dataset_validation():
         ds.covariates[0, 0] = 5.0  # immutable
 
 
+def test_dataset_freezes_a_view_and_leaves_the_callers_arrays_writable():
+    y, X = np.zeros(5), np.ones((5, 2))
+    ds = Dataset(y, X)
+    assert y.flags.writeable and X.flags.writeable
+    assert not ds.outcome.flags.writeable and not ds.covariates.flags.writeable
+    assert np.shares_memory(ds.outcome, y) and np.shares_memory(ds.covariates, X)  # no copy
+
+
 @pytest.mark.parametrize("outcome, covariates, treatment_col, message", [
     (np.zeros(2), np.zeros(2), None, "covariates must be a 2-d array"),
     (np.zeros(3), np.zeros((2, 1)), None, "outcome and covariates disagree on n"),

@@ -220,6 +220,19 @@ def test_constructor_names_the_parameter_out_of_range(build, field):
     assert info.value.field == field
 
 
+def test_constructor_copies_and_freezes_its_parameter_arrays():
+    # a later write to the caller's array cannot get round the constructor's checks
+    direction, S, c = np.array([1.0, 0.0]), np.eye(2), np.zeros(2)
+    f, g = AverageDerivative(direction), PolicyShift(S, c)
+    direction[:] = 0.0
+    S[:] = np.nan
+    c[:] = np.nan
+    np.testing.assert_array_equal(f.direction, [1.0, 0.0])
+    np.testing.assert_array_equal(g.transport_matrix, np.eye(2))
+    np.testing.assert_array_equal(g.shift, np.zeros(2))
+    assert not any(a.flags.writeable for a in (f.direction, g.transport_matrix, g.shift))
+
+
 def test_average_derivative_direction_near_float_max_builds_without_a_warning():
     # the zero test must not square the entries: 1e300 ** 2 overflows (zero: ``direction_zero``)
     np.testing.assert_array_equal(AverageDerivative([1e300, 0.0]).direction, [1e300, 0.0])

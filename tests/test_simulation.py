@@ -96,6 +96,16 @@ def test_dgp_validation():
         sparse_linear().generate(1, seed=0)
 
 
+def test_dgp_copies_and_freezes_its_coefficient_vectors():
+    beta, oc, pc = np.array([1.0, 0.5]), np.array([0.8, -0.5]), np.array([0.7, -0.3])
+    dgp, ate = SparseLinearDgp(IdentityDictionary(2), beta), AteLogisticDgp(2, oc, 1.0, pc)
+    for caller, own in ((beta, dgp.beta_star), (oc, ate.outcome_coefs), (pc, ate.propensity_coefs)):
+        kept = own.copy()
+        caller[:] = np.nan  # the caller's array stays writable ...
+        np.testing.assert_array_equal(own, kept)  # ... and the DGP keeps what it checked
+        assert not own.flags.writeable
+
+
 # -- true theta ------------------------------------------------------------------
 
 def test_true_theta_constant_derivative():

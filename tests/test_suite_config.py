@@ -1,4 +1,4 @@
-"""The suite's own settings: pytest's, and the CI workflow that runs it."""
+"""The suite's own settings: pytest's, the CI workflow that runs it, and one source rule."""
 
 import ast
 import pathlib
@@ -67,3 +67,49 @@ def test_explore_step_runs_every_property_test_file():
     files = _property_test_files()
     assert "tests/test_rmd.py" in files and "tests/test_suite_config.py" not in files
     assert files <= named, sorted(files - named)
+
+
+# the spec of a float format: ".17g", "g", ".3f", "e", "%"
+_FLOAT_SPEC = re.compile(r"[-+ #0-9,_.<>=^]*[eEfFgG%]")
+_PRINTF_FLOAT = re.compile(r"%[-+ #0]*(?:\d+|\*)?(?:\.\d+)?[eEfFgG]")  # "%g", "%.17g"
+_TEMPLATE_FLOAT = re.compile(r"\{[^{}:]*:" + _FLOAT_SPEC.pattern + r"\}")  # "{:.17g}"
+
+
+def _literal(node):
+    """The text of a string literal, or "" for any other expression."""
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def _float_format_lines(source):
+    """The lines where ``source`` formats a float with a spec of its own:
+    f"{x:.3g}", format(x, ".17g"), "%g" % x or "{:g}".format(x)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            found = _FLOAT_SPEC.fullmatch("".join(_literal(v) for v in node.format_spec.values))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "format":
+            found = len(node.args) == 2 and _FLOAT_SPEC.fullmatch(_literal(node.args[1]))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            found = _PRINTF_FLOAT.search(_literal(node.left))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "format":
+            found = _TEMPLATE_FLOAT.search(_literal(node.func.value))
+        else:
+            found = None
+        if found:
+            yield node.lineno
+
+
+_FINDER_CASES = [
+    ('f"{x:.3g}"', [1]), ('format(x, ".17g")', [1]), ('"%g" % x', [1]),
+    ('"{:>8.2e}".format(x)', [1]), ('f"{n:d} {s!r:>8}"', []), ('"%d" % n', []),
+    ('"{:>8}".format(s)', []), ("g % 2", []),
+]
+
+
+def test_floats_have_one_writer():
+    # JSON and CSV both write a float as Python's repr, the shortest string that
+    # reads back to the same double; a spec of its own would be a second writer
+    assert [list(_float_format_lines(source)) for source, _ in _FINDER_CASES] == \
+        [lines for _, lines in _FINDER_CASES]
+    found = [f"{path.name}:{line}" for path in sorted((ROOT / "src" / "rieszdml").glob("*.py"))
+             for line in _float_format_lines(path.read_text())]
+    assert found == [], found
