@@ -109,22 +109,20 @@ class Config:
     def has(self, key):
         return key in self.entries
 
-    def raw(self, key, default=None, required=False):
+    def raw(self, key, required=False):
         self.read.add(key)
-        if key not in self.entries:
-            if required:
-                raise ConfigError(f"missing required config key {key!r}", key=key)
-            return default
-        return self.entries[key]
+        if required and key not in self.entries:
+            raise ConfigError(f"missing required config key {key!r}", key=key)
+        return self.entries.get(key)
 
-    def get_str(self, key, default=None, required=False, choices=None):
-        v = self.raw(key, default, required)
+    def get_str(self, key, required=False, choices=None):
+        v = self.raw(key, required)
         if v is not None and choices is not None and v not in choices:
             raise ConfigError(f"config key {key!r} must be one of {sorted(choices)}, got {v!r}", key=key)
         return v
 
     def _typed(self, key, default, required, convert, expected):
-        v = self.raw(key, None, required)
+        v = self.raw(key, required)
         if v is None:
             return default
         try:
@@ -135,14 +133,14 @@ class Config:
     def get_int(self, key, default=None, required=False):
         return self._typed(key, default, required, int, "an integer")
 
-    def get_float(self, key, default=None, required=False):
-        return self._typed(key, default, required, float, "a number")
+    def get_float(self, key, required=False):
+        return self._typed(key, None, required, float, "a number")
 
-    def get_bool(self, key, default=None, required=False):
-        return self._typed(key, default, required, lambda v: _BOOLEANS[v.lower()], "true/false")
+    def get_bool(self, key, required=False):
+        return self._typed(key, None, required, lambda v: _BOOLEANS[v.lower()], "true/false")
 
-    def get_vector(self, key, default=None, required=False):
-        return self._typed(key, default, required,
+    def get_vector(self, key, required=False):
+        return self._typed(key, None, required,
                            lambda v: np.array([float(tok) for tok in v.split(",")]),
                            "comma-separated numbers")
 

@@ -27,8 +27,9 @@ functional.
 
 All objects are immutable after construction and safe to share across
 workers; every operation is a pure function of its inputs.  A constructor
-checks its own arguments and raises ``SettingError`` naming the one at fault;
-the class lives here, in the module that every other module imports.
+checks its own arguments and raises ``SettingError`` naming the one at fault,
+and every count or index goes through ``check_int``; both live here, in the
+module that every other module imports.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ class SettingError(ValueError):
     def __init__(self, field, message):
         super().__init__(message)
         self.field = field
+
+
+def check_int(field, value, least):
+    """``int(value)`` for an int or numpy integer >= ``least``; anything else, a bool, any float
+    (2.0 too) or a string, raises ``SettingError(field)`` rather than being truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise SettingError(field, f"need an integer {field} >= {least}, got {value!r}")
 
 
 def pow2_scale(m):
@@ -82,14 +91,10 @@ class Dictionary:
 
 class PolynomialDictionary(Dictionary):
     def __init__(self, input_dim, degree, with_interactions=False):
-        if input_dim < 1:
-            raise SettingError("input_dim", f"input_dim must be positive, got {input_dim}")
-        if degree < 0:
-            raise SettingError("degree", f"degree must be >= 0, got {degree}")
-        if with_interactions and degree < 2:
+        self.input_dim = check_int("input_dim", input_dim, 1)
+        self.degree = check_int("degree", degree, 0)
+        if with_interactions and self.degree < 2:
             raise SettingError("with_interactions", "pairwise interactions require degree >= 2")
-        self.input_dim = int(input_dim)
-        self.degree = int(degree)
         self.with_interactions = bool(with_interactions)
         self.output_dim = self.power_columns(self.degree + 1).start  # one past the last column
 
@@ -135,12 +140,8 @@ class PolynomialDictionary(Dictionary):
 
 class FourierDictionary(Dictionary):
     def __init__(self, input_dim, order):
-        if input_dim < 1:
-            raise SettingError("input_dim", f"input_dim must be positive, got {input_dim}")
-        if order < 1:
-            raise SettingError("order", f"order must be >= 1, got {order}")
-        self.input_dim = int(input_dim)
-        self.order = int(order)
+        self.input_dim = check_int("input_dim", input_dim, 1)
+        self.order = check_int("order", order, 1)
         self.output_dim = 1 + 2 * self.input_dim * self.order
 
     def frequencies(self):
@@ -175,9 +176,7 @@ class FourierDictionary(Dictionary):
 
 class IdentityDictionary(Dictionary):
     def __init__(self, input_dim):
-        if input_dim < 1:
-            raise SettingError("input_dim", f"input_dim must be positive, got {input_dim}")
-        self.input_dim = int(input_dim)
+        self.input_dim = check_int("input_dim", input_dim, 1)
         self.output_dim = self.input_dim
 
     def evaluate_rows(self, X):
@@ -193,9 +192,9 @@ class TreatmentInteractedDictionary(Dictionary):
     def __init__(self, inner, treatment_index=0):
         self.inner = inner
         self.input_dim = inner.input_dim + 1
-        if not 0 <= treatment_index < self.input_dim:
+        self.treatment_index = check_int("treatment_index", treatment_index, 0)
+        if self.treatment_index >= self.input_dim:
             raise SettingError("treatment_index", f"treatment_index {treatment_index} out of range")
-        self.treatment_index = int(treatment_index)
         self.output_dim = 2 * inner.output_dim
 
     def _split_rows(self, X):
@@ -247,12 +246,13 @@ class Dataset:
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise ValueError("non-finite entries in dataset")
         if self.treatment_col is not None:
-            tc = int(self.treatment_col)
-            if not 0 <= tc < X.shape[1]:
+            tc = check_int("treatment_col", self.treatment_col, 0)
+            if tc >= X.shape[1]:
                 raise ValueError("treatment_col out of range")
             col = X[:, tc]
             if not np.all((col == 0.0) | (col == 1.0)):
                 raise ValueError("treatment column must contain only 0 or 1")
+            object.__setattr__(self, "treatment_col", tc)
         y.setflags(write=False)
         X.setflags(write=False)
         object.__setattr__(self, "outcome", y)

@@ -35,7 +35,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dictionaries import pow2_scale
+from .dictionaries import check_int, pow2_scale
 from .lp import INFEASIBLE, ITERATION_LIMIT, SolverError, _one_blas_thread
 from .rmd import (NUMERICAL_FAILURE, LambdaRule, RmdInfeasibleError, RmdSolution, SettingError,
                   fit_rmd, gram_and_moments)
@@ -45,9 +45,9 @@ from .rmd import (NUMERICAL_FAILURE, LambdaRule, RmdInfeasibleError, RmdSolution
 class EstimatorConfig:
     """Everything dml_estimate needs besides the data and the seed, under its keyword names.
 
-    Built, it defaults ``rule`` to ``LambdaRule()`` and ``riesz_rule`` to ``rule``,
-    then checks K >= 2, alpha, each rule at the dictionary's p, l1_bound > 0 and the functional
-    against the dictionary, once, raising a ``SettingError`` that names the bad field.
+    Built, it defaults ``rule`` to ``LambdaRule()`` and ``riesz_rule`` to ``rule``, then
+    checks K (an integer >= 2), alpha, each rule at the dictionary's p, l1_bound > 0 and the
+    functional against the dictionary, once, raising a ``SettingError`` that names the bad field.
     """
 
     dictionary: object
@@ -62,8 +62,7 @@ class EstimatorConfig:
     def __post_init__(self):
         object.__setattr__(self, "rule", self.rule or LambdaRule())
         object.__setattr__(self, "riesz_rule", self.riesz_rule or self.rule)
-        if not self.K >= 2:
-            raise SettingError("K", f"need K >= 2 folds, got {self.K!r}")
+        object.__setattr__(self, "K", check_int("K", self.K, 2))
         if not (0.0 < self.alpha < 1.0 and 1.0 - self.alpha / 2.0 < 1.0):
             raise SettingError("alpha", "alpha must lie in (0, 1), with 1 - alpha / 2 below 1 "
                                         f"in floating point, got {self.alpha!r}")
@@ -80,24 +79,16 @@ class EstimatorConfig:
             raise SettingError("functional", str(exc)) from None
 
 
-def check_seed(seed):
-    """Raise ``SettingError("seed")`` unless ``seed`` is an integer >= 0, as numpy's seeds are."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise SettingError("seed", f"seed must be an integer >= 0, got {seed!r}")
-
-
 def make_fold_plan(n, K, seed):
     """K seeded folds of {0..n-1} whose sizes differ by at most one, as sorted row arrays.
 
     Fold k is the k-th of K near-equal slices of one seeded permutation;
     deterministic given (n, K, seed).
     """
+    K = check_int("K", K, 2)
     if n < 2 * K:
         raise SettingError("K", f"need n >= 2K observations for K = {K} folds, got n = {n}")
-    if K < 2:
-        raise SettingError("K", f"need K >= 2 folds, got K = {K} for n = {n}")
-    check_seed(seed)
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(check_int("seed", seed, 0)).permutation(n)
     edges = np.linspace(0, n, K + 1).astype(int)
     return [np.sort(perm[a:b]) for a, b in zip(edges, edges[1:])]
 

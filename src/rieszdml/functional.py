@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dictionaries import SettingError, TreatmentInteractedDictionary
+from .dictionaries import SettingError, TreatmentInteractedDictionary, check_int
 
 
 class Functional:
@@ -97,7 +97,7 @@ class AverageTreatmentEffect(Functional):
     """m((t, z), g) = g(1, z) - g(0, z) on a treatment-interacted dictionary."""
 
     def __init__(self, treatment_col=0):
-        self.treatment_col = int(treatment_col)
+        self.treatment_col = check_int("treatment_col", treatment_col, 0)
 
     def check_compatible(self, dictionary, data=None):
         if not isinstance(dictionary, TreatmentInteractedDictionary):

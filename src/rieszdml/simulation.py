@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dictionaries import (Dataset, FourierDictionary, IdentityDictionary, PolynomialDictionary,
-                           TreatmentInteractedDictionary)
-from .dml import check_seed, dml_estimate
+                           TreatmentInteractedDictionary, check_int)
+from .dml import dml_estimate
 from .functional import AverageDerivative, AverageTreatmentEffect, PolicyShift
 from .lp import SolverError
 from .rmd import RmdInfeasibleError, SettingError
@@ -101,8 +101,7 @@ class AteLogisticDgp:
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        if self.d_z < 1:
-            raise SettingError("d_z", f"d_z must be >= 1, got {self.d_z!r}")
+        object.__setattr__(self, "d_z", check_int("d_z", self.d_z, 1))
         for name in ("outcome_coefs", "propensity_coefs"):
             coefs = np.array(getattr(self, name), dtype=float)
             if coefs.shape != (self.d_z,):
@@ -337,13 +336,11 @@ def _replicate(task):
 
 def resolve_workers(requested=None):
     """Pool processes, not BLAS threads: ``requested`` (default: all) capped at the usable CPUs."""
-    if requested is not None and requested < 1:
-        raise SettingError("workers", f"need workers >= 1, got {requested}")
     try:
         cap = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity (macOS, Windows): all cores
         cap = os.cpu_count() or 1
-    return cap if requested is None else min(int(requested), cap)
+    return cap if requested is None else min(check_int("workers", requested, 1), cap)
 
 
 def run_monte_carlo(dgp, est, R, n, seed=0, workers=None, config_echo=None):
@@ -356,9 +353,7 @@ def run_monte_carlo(dgp, est, R, n, seed=0, workers=None, config_echo=None):
     FloatingPointError) is recorded as "failed"; any other exception
     propagates.  A bad R, n (< 2K), seed or workers raises ``SettingError`` before any work.
     """
-    check_seed(seed)
-    if R < 1:
-        raise SettingError("R", f"need R >= 1 replications, got {R}")
+    seed, R, n = check_int("seed", seed, 0), check_int("R", R, 1), check_int("n", n, 1)
     if n < 2 * est.K:
         raise SettingError("n", f"need n >= 2K observations for K = {est.K} folds, got n = {n}")
     workers = resolve_workers(workers)

@@ -255,6 +255,29 @@ def test_estimate_solver_failure_exit_code(monkeypatch, capsys, failure):
             else "unbounded direction") in message
 
 
+def test_singular_basis_at_refactorization_is_a_solver_error(monkeypatch, capsys):
+    # the real simplex refactorizes after every pivot and finds each basis singular
+    monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)
+    monkeypatch.setattr(lp, "_basis_matrix", lambda G, basis: np.zeros((len(basis),) * 2))
+    message = "simplex: singular basis at refactorization"
+    get, put = lp._openblas_thread_calls()
+    caller = get()
+    try:
+        put(2)
+        with pytest.raises(lp.SolverError, match=message):
+            rieszdml.solve_rmd(np.eye(3), np.array([0.9, 0.1, 0.0]), 0.2)
+        after = get()  # lp's own one-thread scope, outside dml_estimate's
+    finally:
+        put(caller)
+    code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV,
+                             "--config", EXAMPLE_CFG)
+    assert code == 4 and out == ""
+    assert message in error_line(err)["error"]
+    if not isinstance(get, ctypes._CFuncPtr):
+        pytest.skip("numpy's bundled OpenBLAS or its thread-count symbols not found")
+    assert after == 2
+
+
 def test_estimate_uncertified_optimum_exit_code(monkeypatch, capsys):
     from rieszdml import lp
 

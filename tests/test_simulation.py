@@ -10,6 +10,7 @@ from rieszdml import (
     AteLogisticDgp,
     AverageDerivative,
     AverageTreatmentEffect,
+    Dataset,
     EstimatorConfig,
     FourierDictionary,
     IdentityDictionary,
@@ -441,6 +442,51 @@ def test_run_monte_carlo_refuses_a_bad_study_before_any_replication(monkeypatch,
     with pytest.raises(SettingError) as info:
         run_monte_carlo(dgp, est, R=R, n=n, seed=seed, workers=workers)
     assert info.value.field == field and started == []
+
+
+def _study(**settings):
+    dgp = sparse_linear()
+    est = EstimatorConfig(dgp.dictionary, AverageDerivative([1.0, 0, 0, 0]), K=2)
+    return run_monte_carlo(dgp, est, **{"R": 1, "n": 40, "seed": 0, "workers": 1, **settings})
+
+
+_BINARY_COLUMNS = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
+
+# every count and index a caller can set: (its field, an accepted value, a build at value v)
+_INTEGER_SITES = {
+    "polynomial_input_dim": ("input_dim", 3, lambda v: PolynomialDictionary(v, 2)),
+    "fourier_input_dim": ("input_dim", 3, lambda v: FourierDictionary(v, 2)),
+    "identity_input_dim": ("input_dim", 3, lambda v: IdentityDictionary(v)),
+    "degree": ("degree", 3, lambda v: PolynomialDictionary(2, v)),
+    "order": ("order", 3, lambda v: FourierDictionary(2, v)),
+    "treatment_index": ("treatment_index", 3,
+                        lambda v: TreatmentInteractedDictionary(IdentityDictionary(3), v)),
+    "dataset_treatment_col": ("treatment_col", 3,
+                              lambda v: Dataset(np.zeros(2), _BINARY_COLUMNS, v)),
+    "ate_treatment_col": ("treatment_col", 3, lambda v: AverageTreatmentEffect(v)),
+    "dml_estimate_K": ("K", 3, lambda v: dml.dml_estimate(
+        sparse_linear().generate(40, 0), IdentityDictionary(4),
+        AverageDerivative([1.0, 0, 0, 0]), K=v)),
+    "fold_plan_K": ("K", 3, lambda v: dml.make_fold_plan(10, v, 0)),
+    "fold_plan_seed": ("seed", 3, lambda v: dml.make_fold_plan(10, 2, v)),
+    "study_seed": ("seed", 3, lambda v: _study(seed=v)),
+    "R": ("R", 3, lambda v: _study(R=v)),
+    "n": ("n", 40, lambda v: _study(n=v)),
+    "workers": ("workers", 3, lambda v: _study(workers=v)),
+    "d_z": ("d_z", 3, lambda v: AteLogisticDgp(v, np.zeros(3), 1.0, np.zeros(3))),
+}
+
+
+@pytest.mark.parametrize("field, accepted, build", _INTEGER_SITES.values(),
+                         ids=_INTEGER_SITES.keys())
+def test_every_count_and_index_is_an_integer_never_truncated(field, accepted, build):
+    for value in (1.5, 2.0, True, "3"):
+        with pytest.raises(SettingError) as info:
+            build(value)
+        assert info.value.field == field, value
+    built = build(np.int64(accepted))
+    stored = getattr(built, field, accepted)  # the checked int, where the result keeps it
+    assert type(stored) is int and stored == accepted
 
 
 @pytest.mark.parametrize("build, field", [

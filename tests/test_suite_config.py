@@ -1,10 +1,12 @@
-"""The suite's own settings: pytest's, the CI workflow that runs it, and one source rule."""
+"""The suite's own settings: pytest's, the CI workflow that runs it, and two source rules."""
 
 import ast
 import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -67,6 +69,24 @@ def test_explore_step_runs_every_property_test_file():
     files = _property_test_files()
     assert "tests/test_rmd.py" in files and "tests/test_suite_config.py" not in files
     assert files <= named, sorted(files - named)
+
+
+def test_every_source_file_parses_at_the_declared_python_floor():
+    # Checks syntax only, such as except* (3.11): a call into a newer standard
+    # library API still parses, and would first fail when run on the floor.
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    floor = tuple(int(part) for part in floor.groups())
+    matrix = re.search(r"python-version: \[(.*)\]", WORKFLOW.read_text()).group(1)
+    versions = [tuple(int(part) for part in v.split("."))
+                for v in re.findall(r"\d+\.\d+", matrix)]
+    assert min(versions) == floor, (versions, floor)
+    with pytest.raises(SyntaxError):  # the check can see newer syntax
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    files = [path for pattern in ("src/rieszdml/*.py", "tests/*.py", "perfbench/*.py")
+             for path in sorted(ROOT.glob(pattern))]
+    assert len(files) > 20, files
+    for path in files:
+        ast.parse(path.read_text(), str(path.relative_to(ROOT)), feature_version=floor)
 
 
 # the spec of a float format: ".17g", "g", ".3f", "e", "%"
