@@ -221,9 +221,8 @@ def build_functional(cfg, input_dim, treatment_col=None):
 _RULE_PREFIXES = {"rule": "estimator.lambda", "riesz_rule": "estimator.riesz_lambda"}
 _RULE_FIELDS = ("method", "value", "c", "alpha")
 _SETTING_KEYS = {"seed": "seed", "K": "estimator.k_folds", "alpha": "estimator.alpha",
-                 "l1_bound": "estimator.l1_bound", "functional": "functional.type",
-                 "R": "simulation.replications", "n": "simulation.n",
-                 "workers": "simulation.workers",
+                 "functional": "functional.type", "R": "simulation.replications",
+                 "n": "simulation.n", "workers": "simulation.workers",
                  **{f"{rule}.{f}": f"{prefix}_{f}" for rule, prefix in _RULE_PREFIXES.items()
                     for f in _RULE_FIELDS}}
 
@@ -248,7 +247,6 @@ def build_estimator(cfg, dictionary, functional):
         alpha=cfg.get_float("estimator.alpha"),
         rule=build_lambda_rule(cfg),
         riesz_rule=build_lambda_rule(cfg, "riesz_rule"),
-        l1_bound=cfg.get_float("estimator.l1_bound"),
         plugin_only=cfg.get_bool("estimator.plugin_only"),
     ))
 
@@ -367,7 +365,7 @@ def cmd_simulate(args):
 
 def cmd_rmd_solve(args):
     flags = {"G_hat": f"--g-matrix {args.g_matrix}", "M_hat": f"--m-vector {args.m_vector}",
-             "lam": "--lambda", "l1_bound": "--l1-bound"}
+             "lam": "--lambda"}
     arrays = []
     with warnings.catch_warnings():  # an empty file is reported as an empty Gram
         warnings.simplefilter("ignore", UserWarning)
@@ -378,9 +376,7 @@ def cmd_rmd_solve(args):
                 raise ConfigError(f"cannot read {flag} file {path}: {exc}") from None
     try:
         with np.errstate(over="raise"):
-            G, M, lam, l1_bound = check_problem(*arrays, args.lambda_,
-                                                **_given(l1_bound=args.l1_bound))
-            solution = solve_rmd(G, M, lam, l1_bound)
+            solution = solve_rmd(*check_problem(*arrays, args.lambda_))
     except SettingError as exc:
         raise ConfigError(f"{flags[exc.field]}: {exc}") from None
     except FloatingPointError as exc:
@@ -388,7 +384,7 @@ def cmd_rmd_solve(args):
                           f"and --m-vector {args.m_vector}: {exc}") from None
     payload = asdict(solution)
     payload["lambda"] = payload.pop("lam")
-    _emit({**payload, "l1_bound": l1_bound, "p": M.shape[0]}, args.output)
+    _emit({**payload, "p": solution.t_hat.shape[0]}, args.output)
     return 0
 
 
@@ -422,7 +418,6 @@ def build_parser():
     p_rmd.add_argument("--g-matrix", required=True, help="dense row-major text matrix")
     p_rmd.add_argument("--m-vector", required=True, help="text vector")
     p_rmd.add_argument("--lambda", dest="lambda_", type=float, required=True)
-    p_rmd.add_argument("--l1-bound", dest="l1_bound", type=float)
     p_rmd.add_argument("--output", help="also write the JSON solution to this path")
     p_rmd.set_defaults(func=cmd_rmd_solve)
     return parser

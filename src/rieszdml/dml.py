@@ -46,8 +46,8 @@ class EstimatorConfig:
     """Everything dml_estimate needs besides the data and the seed, under its keyword names.
 
     Built, it defaults ``rule`` to ``LambdaRule()`` and ``riesz_rule`` to ``rule``, then
-    checks K (an integer >= 2), alpha, each rule at the dictionary's p, l1_bound > 0 and the
-    functional against the dictionary, once, raising a ``SettingError`` that names the bad field.
+    checks K (an integer >= 2), alpha, each rule at the dictionary's p and the functional
+    against the dictionary, once, raising a ``SettingError`` that names the bad field.
     """
 
     dictionary: object
@@ -55,9 +55,11 @@ class EstimatorConfig:
     K: int = 5
     rule: LambdaRule | None = None
     riesz_rule: LambdaRule | None = None
-    l1_bound: float = np.inf
     alpha: float = 0.05
     plugin_only: bool = False
+    # The frozen benchmark passes l1_bound=est.l1_bound (perfbench/workloads.py), so the field
+    # stays, accepting only inf; ROADMAP direction 5b deletes it together with that keyword.
+    l1_bound: float = np.inf
 
     def __post_init__(self):
         object.__setattr__(self, "rule", self.rule or LambdaRule())
@@ -71,8 +73,8 @@ class EstimatorConfig:
                 getattr(self, name).lam(1, self.dictionary.output_dim)
             except SettingError as exc:
                 raise SettingError(f"{name}.{exc.field}", str(exc)) from None
-        if not self.l1_bound > 0.0:
-            raise SettingError("l1_bound", f"l1_bound must be positive, got {self.l1_bound!r}")
+        if self.l1_bound != np.inf:
+            raise SettingError("l1_bound", f"l1_bound must be inf, got {self.l1_bound!r}")
         try:
             self.functional.check_compatible(self.dictionary)
         except ValueError as exc:
@@ -206,12 +208,12 @@ def fit_and_score_fold(B, Mx, y, complement, est, fold_id=0):
         raise ValueError("empty fold")
     n_train, BB, By, m_sum = complement
     G = BB / n_train
-    blp = _require_solved(fit_rmd(G, By / n_train, est.rule, n_train, est.l1_bound), "BLP", fold_id)
+    blp = _require_solved(fit_rmd(G, By / n_train, est.rule, n_train), "BLP", fold_id)
     if est.plugin_only:
         riesz = RmdSolution(np.zeros(B.shape[1]), 0.0, 0.0, "not_fitted", 0, np.nan, 0.0)
     else:
-        riesz = _require_solved(fit_rmd(G, m_sum / n_train, est.riesz_rule, n_train,
-                                        est.l1_bound), "Riesz", fold_id)
+        riesz = _require_solved(fit_rmd(G, m_sum / n_train, est.riesz_rule, n_train),
+                                "Riesz", fold_id)
 
     contrib = _fold_contributions(B, Mx, y, blp.t_hat, riesz.t_hat)
     record = FoldRecord(fold=fold_id, n_eval=int(B.shape[0]), n_train=int(n_train),
@@ -241,8 +243,8 @@ def _mean_lambda(lams):
 def dml_estimate(data, dictionary, functional, seed=0, **settings):
     """Cross-fitted estimate with standard error and Gaussian confidence interval.
 
-    ``settings`` are ``EstimatorConfig``'s fields (K, rule, riesz_rule, l1_bound, alpha,
-    plugin_only), defaults included.  ``rule`` drives the BLP lambda and, unless
+    ``settings`` are ``EstimatorConfig``'s fields (K, rule, riesz_rule, alpha, plugin_only),
+    defaults included.  ``rule`` drives the BLP lambda and, unless
     ``riesz_rule`` is given, the Riesz lambda as well.  ``plugin_only`` forces rho_hat = 0
     (no debiasing term); it exists as a comparison baseline for simulation studies.
     The K folds are ``make_fold_plan(n, K, seed)``, so the result is deterministic given

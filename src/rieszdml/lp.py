@@ -4,11 +4,9 @@ Solves min 1'(t+ + t-) s.t. G (t+ - t-) - s = M, -lam <= s <= lam, t+- >= 0,
 over the columns z = (t+, t-, s) of A = [G, -G, -I]: p rows, 3p columns.
 A is never formed: G is symmetric, so a column of A, and a row of B^-1 A, is
 read off G, a unit vector or a row of B^-1.  The slack basis (t = 0) is dual
-feasible as the costs are >= 0, and its inverse is known (-I).  There is no
-l1-budget row: the objective is ||t||_1 itself, so a budget ||t||_1 <= B can
-only make the problem infeasible, and ``rmd.solve_rmd`` decides that from
-the dual bound of the unbudgeted solve.  The column layout stays in here:
-the result carries t = t+ - t-, and the pivot budget is ``MAX_ITERS``.
+feasible as the costs are >= 0, and its inverse is known (-I).  The column
+layout stays in here: the result carries t = t+ - t-, and the pivot budget
+is ``MAX_ITERS``.
 
 Each pivot follows the dual simplex with bounded variables (Vanderbei,
 *Linear Programming: Foundations and Extensions*): the basic variable

@@ -1,8 +1,7 @@
 """Regularized minimum distance problems: min ||t||_1 s.t. ||G t - M||_inf <= lambda.
 
 The residual convention is g(t) = G_hat t - M_hat, so the sup-norm constraint
-reads ``|(G_hat t - M_hat)_j| <= lambda`` for every j, with an optional
-l1-budget ||t||_1 <= B (B = inf drops it).  Two instantiations are exposed:
+reads ``|(G_hat t - M_hat)_j| <= lambda`` for every j.  Two instantiations are exposed:
 
 * ``estimate_blp``   -- G_hat = E_A[b b'],  M_hat = E_A[Y b]   (sparse regression)
 * ``estimate_riesz`` -- G_hat = E_A[b b'],  M_hat = E_A[m(X, b)] (sparse Riesz representer)
@@ -18,7 +17,7 @@ G (t+ - t-) - s = M, |s| <= lambda, t+- >= 0 that pivots on G and starts from
 t = 0; ``lp`` owns its statuses, pivot budget and ``SolverError``, and this
 module adds "numerical_failure" for an answer that fails its certificate,
 which is checked outside the solver from G_hat, M_hat, lambda and the row
-duals alone.  The budget B never enters the LP; it only decides feasibility.
+duals alone.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from . import lp
 from .dictionaries import SettingError, design_matrix
 
 NUMERICAL_FAILURE = "numerical_failure"
-FEAS_TOL = 1e-7  # slack allowed in the residual, l1-budget and duality-gap checks
+FEAS_TOL = 1e-7  # slack allowed in the residual and duality-gap checks
 
 
 class RmdInfeasibleError(RuntimeError):
@@ -104,9 +103,9 @@ class LambdaRule:
         return out
 
 
-def check_problem(G_hat, M_hat, lam, l1_bound=np.inf):
-    """Check an RMD instance from outside the library; return (G, M, lam, l1_bound), G
-    symmetrized, for ``solve_rmd``.  A fault raises ``SettingError`` naming its argument."""
+def check_problem(G_hat, M_hat, lam):
+    """Check an RMD instance from outside the library; return (G, M, lam), G symmetrized,
+    for ``solve_rmd``.  A fault raises ``SettingError`` naming its argument."""
     G, M = np.asarray(G_hat, dtype=float), np.asarray(M_hat, dtype=float)
     if G.size == 0:
         raise SettingError("G_hat", "G_hat is empty: an RMD problem needs a p x p Gram with p >= 1")
@@ -123,10 +122,7 @@ def check_problem(G_hat, M_hat, lam, l1_bound=np.inf):
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0.0:
         raise SettingError("lam", "lambda must be finite and >= 0")
-    l1_bound = float(l1_bound)
-    if not l1_bound > 0.0:
-        raise SettingError("l1_bound", "l1_bound must be positive (inf drops the constraint)")
-    return half + half.T, M, lam, l1_bound
+    return half + half.T, M, lam
 
 
 def _lower_bound(G, M, lam, y):
@@ -140,17 +136,13 @@ def _lower_bound(G, M, lam, y):
     return (M @ y - lam * np.abs(y).sum()) / scale
 
 
-def solve_rmd(G, M, lam, l1_bound=np.inf):
+def solve_rmd(G, M, lam):
     """Solve one RMD instance; the answer is certified outside the solver.
 
-    The LP is always solved without the l1 budget: the objective is ||t||_1
-    itself, so a budget never changes the optimum, it only decides
-    feasibility.  ``status`` is "optimal" only when the returned point passes
-    an independent residual and budget check and its duality gap is closed;
-    "numerical_failure" when the simplex finished but a check failed;
-    "infeasible" when the certified lower bound on ||t||_1 exceeds l1_bound,
-    or when the dual simplex proves M_hat unreachable within lambda (possible
-    for a singular G_hat).
+    ``status`` is "optimal" only when the returned point passes an independent
+    residual check and its duality gap is closed; "numerical_failure" when the
+    simplex finished but a check failed; "infeasible" when the dual simplex
+    proves M_hat unreachable within lambda (possible for a singular G_hat).
     """
     res = lp.solve_standard_form(G, M, lam)
     t, status = res.t, res.status
@@ -158,14 +150,9 @@ def solve_rmd(G, M, lam, l1_bound=np.inf):
     l1 = float(np.abs(t).sum())
     gap = float("nan")
     if status == lp.OPTIMAL:
-        lower = float(_lower_bound(G, M, lam, res.y))
-        if lower > l1_bound + FEAS_TOL:
-            status = lp.INFEASIBLE
-        else:
-            gap = l1 - lower
-            feasible = max_resid <= lam + FEAS_TOL and l1 <= l1_bound + FEAS_TOL
-            if not (feasible and gap <= FEAS_TOL * (1.0 + l1)):
-                status = NUMERICAL_FAILURE
+        gap = l1 - float(_lower_bound(G, M, lam, res.y))
+        if not (max_resid <= lam + FEAS_TOL and gap <= FEAS_TOL * (1.0 + l1)):
+            status = NUMERICAL_FAILURE
     if status == lp.INFEASIBLE:
         t, l1, max_resid = np.zeros(M.shape[0]), 0.0, float(np.abs(M).max())
     return RmdSolution(t_hat=t, l1_norm=l1, max_residual=max_resid,
@@ -185,18 +172,18 @@ def gram_and_moments(B, y=None, Mx=None):
     return B.T @ B, (None if y is None else B.T @ y), (None if Mx is None else Mx.sum(axis=0))
 
 
-def fit_rmd(G, M, rule, n_rows, l1_bound=np.inf):
+def fit_rmd(G, M, rule, n_rows):
     """Solve the RMD instance (G_hat, M_hat) at the lambda ``rule`` picks.
 
-    G_hat and M_hat are the library's means over ``n_rows`` rows of b(X) and the caller checked
-    ``l1_bound``, so only the means' finiteness is checked.  The RmdSolution carries ``lam``.
+    G_hat and M_hat are the library's means over ``n_rows`` rows of b(X), so only their
+    finiteness is checked.  The RmdSolution carries ``lam``.
     """
     if n_rows < 2:
         raise ValueError("need at least 2 rows to fit")
     lam = rule.lam(n_rows, M.shape[0])
     if not (np.isfinite(G).all() and np.isfinite(M).all()):
         raise ValueError("non-finite entries in RMD problem")
-    return solve_rmd(G, M, float(lam), float(l1_bound))
+    return solve_rmd(G, M, float(lam))
 
 
 def estimate_blp(data, rows, dictionary, rule):

@@ -307,8 +307,9 @@ class MonteCarloReport:
 
 
 def rep_seeds(seed, rep):
-    """Documented splitting rule: data and fold-plan seeds for one replication."""
-    data_seed, fold_seed = np.random.SeedSequence([int(seed), int(rep)]).generate_state(2)
+    """Documented splitting rule: data and fold-plan seeds for one replication (ints >= 0)."""
+    seed, rep = check_int("seed", seed, 0), check_int("rep", rep, 0)
+    data_seed, fold_seed = np.random.SeedSequence([seed, rep]).generate_state(2)
     return int(data_seed), int(fold_seed)
 
 

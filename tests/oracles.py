@@ -38,13 +38,10 @@ from rieszdml import (
 from rieszdml.dictionaries import Dictionary, _check_rows
 
 
-def rmd_standard_form(G, M, lam, l1_bound=np.inf):
+def rmd_standard_form(G, M, lam):
     """Standard form min c'z, Az = b, z >= 0 of one RMD instance."""
     p = len(M)
-    bounded = np.isfinite(l1_bound)
-    m = 2 * p + (1 if bounded else 0)
-    ncols = 4 * p + (1 if bounded else 0)
-    A = np.zeros((m, ncols))
+    A = np.zeros((2 * p, 4 * p))
     A[:p, :p] = G
     A[:p, p:2 * p] = -G
     A[:p, 2 * p:3 * p] = np.eye(p)
@@ -52,19 +49,14 @@ def rmd_standard_form(G, M, lam, l1_bound=np.inf):
     A[p:2 * p, p:2 * p] = G
     A[p:2 * p, 3 * p:4 * p] = np.eye(p)
     b = np.concatenate([M + lam, lam - M])
-    if bounded:
-        A[2 * p, :2 * p] = 1.0
-        A[2 * p, 4 * p] = 1.0
-        b = np.append(b, l1_bound)
-    c = np.zeros(ncols)
+    c = np.zeros(4 * p)
     c[:2 * p] = 1.0
     return A, b, c
 
 
-def lp_vertex_oracle(G, M, lam, l1_bound=np.inf):
+def lp_vertex_oracle(G, M, lam):
     """Brute-force optimum of the RMD LP by basic-solution enumeration."""
-    A, b, c = rmd_standard_form(np.asarray(G, float), np.asarray(M, float),
-                                float(lam), float(l1_bound))
+    A, b, c = rmd_standard_form(np.asarray(G, float), np.asarray(M, float), float(lam))
     m, ncols = A.shape
     bases = np.array(list(combinations(range(ncols), m)))
     mats = A[:, bases].transpose(1, 0, 2)  # (N, m, m)
@@ -86,14 +78,11 @@ def lp_vertex_oracle(G, M, lam, l1_bound=np.inf):
     return float(objs[feasible].min())
 
 
-def highs_l1(G, M, lam, l1_bound=np.inf):
+def highs_l1(G, M, lam):
     """Optimal l1 norm from scipy's HiGHS on the 2p-inequality form, or None if infeasible."""
     p = len(M)
     A_ub = np.vstack([np.hstack([G, -G]), np.hstack([-G, G])])
     b_ub = np.concatenate([M + lam, lam - M])
-    if np.isfinite(l1_bound):
-        A_ub = np.vstack([A_ub, np.ones(2 * p)])
-        b_ub = np.append(b_ub, l1_bound)
     res = linprog(np.ones(2 * p), A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     assert res.status in (0, 2), res.message
     return res.fun if res.status == 0 else None

@@ -56,7 +56,9 @@ def error_line(err):
     (["rmd-solve", "--g-matrix", "G.txt", "--m-vector", "M.txt", "--lambda", "abc"],
      "argument --lambda: invalid float value: 'abc'"),
     (["fit", "--config", EXAMPLE_CFG], "invalid choice: 'fit'"),
-], ids=["missing-data", "lambda-not-a-number", "unknown-subcommand"])
+    (["rmd-solve", "--g-matrix", "G.txt", "--m-vector", "M.txt", "--lambda", "0.1",
+      "--l1-bound", "5"], "unrecognized arguments: --l1-bound 5"),
+], ids=["missing-data", "lambda-not-a-number", "unknown-subcommand", "removed-l1-bound"])
 def test_usage_error_is_one_json_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -150,12 +152,10 @@ def test_rmd_solve_gram_near_float_max_keeps_the_output_contract(tmp_path, capsy
 @pytest.mark.parametrize("flag, g_text, m_text, extra", [
     ("--lambda", "1 0\n0 1\n", "1 0\n", ["--lambda", "-1"]),
     ("--lambda", "1 0\n0 1\n", "1 0\n", ["--lambda", "nan"]),
-    ("--l1-bound", "1 0\n0 1\n", "1 0\n", ["--lambda", "0.1", "--l1-bound", "0"]),
     ("--g-matrix", "1 0.5\n0 1\n", "1 0\n", ["--lambda", "0.1"]),
     ("--m-vector", "1 0\n0 1\n", "1 nan\n", ["--lambda", "0.1"]),
     ("--m-vector", "1 0\n0 1\n", "1 0 0\n", ["--lambda", "0.1"]),
-], ids=["lambda-negative", "lambda-nan", "l1-bound-zero", "g-asymmetric", "m-non-finite",
-        "m-mis-sized"])
+], ids=["lambda-negative", "lambda-nan", "g-asymmetric", "m-non-finite", "m-mis-sized"])
 def test_rmd_solve_bad_problem_names_the_flag_at_fault(tmp_path, capsys, flag, g_text, m_text,
                                                        extra):
     g = write(tmp_path / "G.txt", g_text)
@@ -301,8 +301,9 @@ def test_estimate_unknown_config_key(tmp_path, capsys):
 
 
 def test_estimate_infeasible_exit_code(tmp_path, capsys):
+    # x1 is 0 on every row, so no Riesz fit reaches E[m] = e_1 within lambda = 0
     rng = np.random.default_rng(0)
-    rows = "\n".join(f"{rng.normal() + 1},{rng.normal()},{rng.normal()}" for _ in range(30))
+    rows = "\n".join(f"{rng.normal() + 1},0.0,{rng.normal()}" for _ in range(30))
     csv = write(tmp_path / "d.csv", "y,x1,x2\n" + rows)
     cfg = write(tmp_path / "c.cfg", "\n".join([
         "dictionary.kind = identity",
@@ -312,12 +313,11 @@ def test_estimate_infeasible_exit_code(tmp_path, capsys):
         "estimator.k_folds = 2",
         "estimator.lambda_method = fixed",
         "estimator.lambda_value = 0",
-        "estimator.l1_bound = 1e-9",
         "seed = 1",
     ]))
     code, out, err = run_cli(capsys, "estimate", "--data", csv, "--config", cfg)
     assert code == 3
-    assert "fold" in json.loads(err.strip())["error"]
+    assert "Riesz RMD fit certified infeasible in fold 1" in json.loads(err.strip())["error"]
 
 
 def test_estimate_rejects_bad_k(tmp_path, capsys):
@@ -581,11 +581,12 @@ def test_input_files_saved_with_a_byte_order_mark_read_as_without(tmp_path, caps
 
 
 def test_zero_l1_bound_names_its_key(tmp_path, capsys):
+    # the l1 budget is no setting: a config that still sets it is refused like any unused key
     cfg = write_cfg(tmp_path / "c.cfg", {**example_entries(), "estimator.l1_bound": "0"})
     code, out, err = run_cli(capsys, "estimate", "--data", EXAMPLE_CSV, "--config", cfg)
     assert code == 2 and out == ""
     payload = error_line(err)
-    assert payload["key"] == "estimator.l1_bound" and "positive" in payload["error"]
+    assert payload["key"] == "estimator.l1_bound" and "is not used by estimate" in payload["error"]
 
 
 def test_estimate_ate_without_treatment_names_data_treatment(tmp_path, capsys):
@@ -646,7 +647,6 @@ _ESTIMATOR_VALUES = {
     "estimator.riesz_lambda_c": ["0", "2", "1e308", "-1", "inf", "c"],
     "estimator.riesz_lambda_alpha": ["0.2", "1e-300", "0", "1", "nan", "a"],
     "estimator.riesz_lambda_value": ["0", "0.1", "-1", "nan", "v"],
-    "estimator.l1_bound": ["1e-9", "0.5", "1e6", "inf", "0", "-1", "nan", "big"],
     "estimator.plugin_only": ["true", "false", "yes", "0", "maybe", "2"],
 }
 _FLOAT_KEYS = sorted(k for k in _ESTIMATOR_VALUES
@@ -657,8 +657,8 @@ _FLIPPED = {"true": "false", "false": "true", "yes": "no", "no": "yes", "1": "0"
 
 def _estimate_applied(entries):
     """The estimator.* keys that the example applies, given its lambda rules."""
-    keys = ["estimator.alpha", "estimator.k_folds", "estimator.l1_bound",
-            "estimator.lambda_method", "estimator.plugin_only", "estimator.riesz_lambda_method"]
+    keys = ["estimator.alpha", "estimator.k_folds", "estimator.lambda_method",
+            "estimator.plugin_only", "estimator.riesz_lambda_method"]
     for prefix in ("estimator.lambda", "estimator.riesz_lambda"):
         if entries.get(f"{prefix}_method") == "fixed":
             keys.append(f"{prefix}_value")
@@ -849,15 +849,15 @@ def _reject_constant(token):
 
 
 def test_rmd_solve_stdout_is_strict_json(tmp_path, capsys):
-    # G = I, M = (1, 0), lambda = 0.5: the optimum has l1 norm 0.5, so no
-    # --l1-bound leaves l1_bound infinite and --l1-bound 0.1 is infeasible (gap nan).
-    g = write(tmp_path / "G.txt", "1 0\n0 1\n")
-    m = write(tmp_path / "M.txt", "1 0\n")
-    base = ["rmd-solve", "--g-matrix", g, "--m-vector", m, "--lambda", "0.5"]
-    code, out, _ = run_cli(capsys, *base)
+    # G = diag(1, 0), lambda = 0.5: M = (1, 0) has the optimum (0.5, 0), and M = (1, 1)
+    # is out of reach, so that solve is infeasible (gap nan).
+    base = ["rmd-solve", "--g-matrix", write(tmp_path / "G.txt", "1 0\n0 0\n"),
+            "--lambda", "0.5", "--m-vector"]
+    code, out, _ = run_cli(capsys, *base, write(tmp_path / "M.txt", "1 0\n"))
     assert code == 0
-    assert json.loads(out, parse_constant=_reject_constant)["l1_bound"] is None
-    code, out, _ = run_cli(capsys, *base, "--l1-bound", "0.1")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["status"] == "optimal" and payload["t_hat"] == [0.5, 0.0]
+    code, out, _ = run_cli(capsys, *base, write(tmp_path / "M1.txt", "1 1\n"))
     assert code == 0
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["status"] == "infeasible" and payload["gap"] is None
@@ -890,13 +890,13 @@ def test_every_float_reads_back_to_its_own_bits(x):
 @pytest.mark.parametrize("command, keys", [
     ("simulate", ["theta_star", "theta_star_se", "bias", "rmse", "coverage", "mean_ci_length",
                   "mean_sigma"]),
-    ("rmd-solve", ["l1_norm", "max_residual", "gap", "lambda", "l1_bound"]),
+    ("rmd-solve", ["l1_norm", "max_residual", "gap", "lambda"]),
 ], ids=["simulate", "rmd-solve"])
 def test_float_fields_read_back_as_floats_when_they_are_whole(tmp_path, capsys, command, keys):
-    # theta* = 1 with se 0, and an l1 budget of 50 around t = 0
+    # theta* = 1 with se 0, and lambda = 0.5 around t = 0
     argv = (["simulate", "--config", simulate_cfg(tmp_path)] if command == "simulate" else
             ["rmd-solve", "--g-matrix", write(tmp_path / "G.txt", "1 0\n0 1\n"), "--m-vector",
-             write(tmp_path / "M.txt", "0.25 -0.1\n"), "--lambda", "0.5", "--l1-bound", "50"])
+             write(tmp_path / "M.txt", "0.25 -0.1\n"), "--lambda", "0.5"])
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     payload = json.loads(out)

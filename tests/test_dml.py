@@ -1,6 +1,7 @@
 import ctypes
 import os
 import platform
+import shutil
 import subprocess
 import sys
 
@@ -262,11 +263,12 @@ def test_dml_checks_alpha_before_any_fit(monkeypatch):
     ({"K": 1}, "K"),
     ({"l1_bound": 0.0}, "l1_bound"),
     ({"l1_bound": np.nan}, "l1_bound"),
+    ({"l1_bound": 5.0}, "l1_bound"),
     ({"alpha": 7.0}, "alpha"),
     ({"rule": LambdaRule.gaussian_quantile(alpha=1e-300)}, "rule.alpha"),
     ({"riesz_rule": LambdaRule.gaussian_quantile(c=1e308, alpha=1e-12)}, "riesz_rule.c"),
     ({"functional": AverageDerivative(np.ones(3))}, "functional"),
-], ids=["K=1", "l1_bound=0", "l1_bound=nan", "alpha=7", "rule_alpha_rounds",
+], ids=["K=1", "l1_bound=0", "l1_bound=nan", "l1_bound=5", "alpha=7", "rule_alpha_rounds",
         "riesz_rule_c_overflows", "direction_length"])
 def test_estimator_config_names_the_setting_out_of_range(settings, field):
     _, dic, f, _ = small_setup()
@@ -400,11 +402,16 @@ def test_fold_complement_statistics_match_direct_sums(monkeypatch, f):
         np.testing.assert_allclose(m_sum, Mx[rest].sum(axis=0), rtol=1e-13)
 
 
-def test_infeasible_fold_names_the_fold():
+def unreachable_setup():
+    """small_setup with X's first column 0: no rho reaches E[m] = e_1 within lambda = 0."""
     data, dic, f, _ = small_setup(n=50, noise=0.5)
-    with pytest.raises(RmdInfeasibleError, match="fold 1"):
-        dml_estimate(data, dic, f, K=2, rule=LambdaRule.fixed(0.0),
-                     l1_bound=1e-9, seed=0)
+    return Dataset(data.outcome, data.covariates * [0.0, 1.0, 1.0, 1.0]), dic, f
+
+
+def test_infeasible_fold_names_the_fold():
+    data, dic, f = unreachable_setup()
+    with pytest.raises(RmdInfeasibleError, match="Riesz RMD fit certified infeasible in fold 1"):
+        dml_estimate(data, dic, f, K=2, rule=LambdaRule.fixed(0.0), seed=0)
 
 
 class BlasThreadRecorder(AverageDerivative):
@@ -424,6 +431,7 @@ def test_estimate_runs_blas_on_one_thread_and_restores_the_callers_count():
     if not isinstance(get, ctypes._CFuncPtr):
         pytest.skip("numpy's bundled OpenBLAS or its thread-count symbols not found")
     data, dic, _, _ = small_setup(n=50, noise=0.5)
+    unreachable = unreachable_setup()[0]
     f = BlasThreadRecorder(np.eye(4)[0], get)
     caller = get()
     try:
@@ -432,7 +440,7 @@ def test_estimate_runs_blas_on_one_thread_and_restores_the_callers_count():
         assert f.seen == [1]
         assert get() == 2
         with pytest.raises(RmdInfeasibleError):
-            dml_estimate(data, dic, f, K=2, rule=LambdaRule.fixed(0.0), l1_bound=1e-9, seed=0)
+            dml_estimate(unreachable, dic, f, K=2, rule=LambdaRule.fixed(0.0), seed=0)
         assert f.seen == [1, 1]
         assert get() == 2
     finally:
@@ -605,12 +613,13 @@ def test_estimate_solves_fold_grams_without_rmd_problem_checks(monkeypatch, plug
 
 
 # Two identical n = 8000 ate_logistic estimates in a fresh interpreter; prints
-# the minor page faults of the second.  Its n x p arrays are larger than
-# glibc's dynamic malloc thresholds settle at, so unless the thresholds are
-# pinned each estimate faults about 2000 fresh pages in.
+# the package's path and the minor page faults of the second.  Its n x p arrays
+# are larger than glibc's dynamic malloc thresholds settle at, so unless the
+# thresholds are pinned each estimate faults about 2000 fresh pages in.
 _REPEATED_ESTIMATE = """
 import resource
 import numpy as np
+import rieszdml
 from rieszdml import (AteLogisticDgp, AverageTreatmentEffect, PolynomialDictionary,
                       TreatmentInteractedDictionary, dml_estimate)
 from rieszdml.rmd import LambdaRule
@@ -627,19 +636,25 @@ for _ in range(2):
                                rule=LambdaRule.gaussian_quantile(), seed=4).theta_hat)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 assert thetas[0] == thetas[1], thetas
-print(faults)
+print(rieszdml.__file__, faults)
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the malloc thresholds that rieszdml pins are glibc's")
-def test_repeated_estimate_reuses_freed_pages():
-    src = os.path.dirname(os.path.dirname(rieszdml.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_repeated_estimate_reuses_freed_pages(tmp_path):
+    # The count reads about 55 when the process compiles the package and 0 with cached .pyc
+    # files, so the script imports a fresh copy without bytecode and always compiles it.
+    shutil.copytree(os.path.dirname(rieszdml.__file__), tmp_path / "rieszdml",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", _REPEATED_ESTIMATE],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 200, proc.stdout
+    where, faults = proc.stdout.split()
+    assert where == str(tmp_path / "rieszdml" / "__init__.py"), where
+    assert int(faults) < 200, proc.stdout
 
 
 def test_dml_k2_vs_k5_coverage():

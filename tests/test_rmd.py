@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -22,15 +22,14 @@ from rieszdml.rmd import LambdaRule, SettingError, check_problem, fit_rmd
 from oracles import highs_l1, lp_vertex_oracle
 
 
-def random_problem(rng, p, lam_scale=0.4, allow_bound=True):
+def random_problem(rng, p, lam_scale=0.4, rank_deficient=False):
     A = rng.standard_normal((p + 2, p))
+    if rank_deficient:  # G's last row a copy of its first, so M may be out of reach
+        A[:, -1] = A[:, 0]
     G = A.T @ A / (p + 2)
     M = rng.standard_normal(p)
     lam = float(abs(rng.standard_normal()) * lam_scale)
-    B = np.inf
-    if allow_bound and rng.random() < 0.3:
-        B = float(abs(rng.standard_normal()) * 2.0 + 0.5)
-    return check_problem(G, M, lam, B)
+    return check_problem(G, M, lam)
 
 
 # -- solve_rmd examples -------------------------------------------------------
@@ -44,7 +43,7 @@ def test_identity_soft_threshold_example():
 def test_large_lambda_gives_zero():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        G, M, _, _ = random_problem(rng, 4, allow_bound=False)
+        G, M, _ = random_problem(rng, 4)
         sol = solve_rmd(*check_problem(G, M, np.abs(M).max() + 0.1))
         np.testing.assert_allclose(sol.t_hat, 0.0)
         assert sol.status == "optimal"
@@ -76,7 +75,7 @@ def test_oracle_equivalence_100_random():
     rng = np.random.default_rng(42)
     for i in range(100):
         p = int(rng.integers(1, 5))
-        prob = random_problem(rng, p)
+        prob = random_problem(rng, p, rank_deficient=rng.random() < 0.3)
         oracle = lp_vertex_oracle(*prob)
         sol = solve_rmd(*prob)
         if oracle is None:
@@ -89,7 +88,7 @@ def test_oracle_equivalence_100_random():
 def test_homogeneity_of_optimal_value():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        G, M, lam, _ = random_problem(rng, 5, allow_bound=False)
+        G, M, lam = random_problem(rng, 5)
         c = float(rng.uniform(0.2, 5.0))
         base = solve_rmd(G, M, lam)
         scaled = solve_rmd(*check_problem(G, c * M, c * lam))
@@ -99,13 +98,12 @@ def test_homogeneity_of_optimal_value():
 def test_feasibility_postcheck_direct():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        G, M, lam, l1_bound = random_problem(rng, 8)
-        sol = solve_rmd(G, M, lam, l1_bound)
+        G, M, lam = random_problem(rng, 8, rank_deficient=rng.random() < 0.3)
+        sol = solve_rmd(G, M, lam)
         if sol.status != "optimal":
             continue
         resid = np.abs(G @ sol.t_hat - M).max()
         assert resid <= lam + 1e-7
-        assert sol.l1_norm <= l1_bound + 1e-7
         assert sol.max_residual == pytest.approx(resid, abs=1e-12)
 
 
@@ -153,7 +151,7 @@ def test_refactorization_path_rank_deficient_gram():
     X = np.hstack([X, X[:, :1]])
     y = X[:, :5] @ np.array([1.0, -0.8, 0.5, 0.3, -0.2]) + rng.standard_normal(n)
     prob = check_problem(X.T @ X / n, X.T @ y / n, 0.25 * np.sqrt(np.log(p) / n))
-    res = lp.solve_standard_form(*prob[:3])
+    res = lp.solve_standard_form(*prob)
     assert res.iterations > lp._REFACTOR_EVERY and res.refactorizations > 0
     _assert_matches_highs(prob)
 
@@ -166,7 +164,7 @@ def test_bland_path_duplicated_columns(monkeypatch):
     X[:, 4:] = X[:, :4]
     prob = check_problem(X.T @ X / 3, X.T @ rng.integers(-2, 3, size=3) / 3, 0.125)
     monkeypatch.setattr(lp, "_STALL_LIMIT_FACTOR", 0)
-    res = lp.solve_standard_form(*prob[:3])
+    res = lp.solve_standard_form(*prob)
     assert res.bland_switches > 0
     _assert_matches_highs(prob)
 
@@ -178,7 +176,7 @@ def test_drifted_basic_solution_is_refactorized_before_optimal():
     G = np.array([[0, 0, 0, 0, 0, 0], [0, 13, 7, -11, 5, 4], [0, 7, 13, 1, -1, 11],
                   [0, -11, 1, 25, -3, 0], [0, 5, -1, -3, 23, 9], [0, 4, 11, 0, 9, 19]]) / 24.0
     prob = check_problem(G, np.array([0, 0, 0, 0, 0, 0.25]), 0.0)
-    res = lp.solve_standard_form(*prob[:3])
+    res = lp.solve_standard_form(*prob)
     assert res.status == "optimal" and res.refactorizations == 1
     sol = solve_rmd(*prob)
     assert sol.status == "optimal" and sol.max_residual <= 1e-9
@@ -202,7 +200,7 @@ def test_basis_matrix_is_the_column_products_bit_for_bit():
 
 def test_iteration_limit_status(monkeypatch):
     rng = np.random.default_rng(9)
-    prob = random_problem(rng, 10, allow_bound=False)
+    prob = random_problem(rng, 10)
     monkeypatch.setattr(lp, "MAX_ITERS", 1)
     sol = solve_rmd(*prob)
     assert sol.status == "iteration_limit"
@@ -210,7 +208,7 @@ def test_iteration_limit_status(monkeypatch):
 
 def test_problem_validation():
     # each fault is a SettingError (a ValueError) naming the value at fault; checks run
-    # in this order: G empty or not square, M's length, finiteness, symmetry, lambda, budget
+    # in this order: G empty or not square, M's length, finiteness, symmetry, lambda
     G, M, asym = np.eye(2), np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])
     for args, field in [((np.zeros((0, 0)), np.zeros(0), 0.1), "G_hat"),
                         ((np.ones(3), M, 0.1), "G_hat"),
@@ -222,26 +220,22 @@ def test_problem_validation():
                         ((G, M, -0.1), "lam"),
                         ((G, M, np.nan), "lam"),
                         ((G, M, np.inf), "lam"),
-                        ((G, M, 0.1, 0.0), "l1_bound"),
-                        ((G, M, 0.1, -1.0), "l1_bound"),
-                        ((G, M, 0.1, np.nan), "l1_bound"),
-                        ((asym, np.zeros(3), -0.1, 0.0), "M_hat"),
-                        ((asym, np.array([np.nan, 0.0]), -0.1, 0.0), "M_hat"),
-                        ((asym, M, -0.1, 0.0), "G_hat"),
-                        ((G, M, -0.1, 0.0), "lam")]:
+                        ((asym, np.zeros(3), -0.1), "M_hat"),
+                        ((asym, np.array([np.nan, 0.0]), -0.1), "M_hat"),
+                        ((asym, M, -0.1), "G_hat")]:
         with pytest.raises(SettingError) as info:
             check_problem(*args)
         assert isinstance(info.value, ValueError) and info.value.field == field, (args, field)
 
 
 def test_check_problem_returns_what_solve_rmd_takes():
-    # G is symmetrized as half + half', so it is symmetric bit for bit; both scalars are floats
+    # G is symmetrized as half + half', so it is symmetric bit for bit; lambda is a float
     G = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
-    G_out, M_out, lam, l1_bound = check_problem(G, [1, 0], 1, 3)
+    G_out, M_out, lam = check_problem(G, [1, 0], 1)
     np.testing.assert_array_equal(G_out, G_out.T)
     np.testing.assert_array_equal(G_out, 0.5 * G + 0.5 * G.T)
     assert M_out.dtype == float and M_out.tolist() == [1.0, 0.0]
-    assert type(lam) is float and type(l1_bound) is float and (lam, l1_bound) == (1.0, 3.0)
+    assert type(lam) is float and lam == 1.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -257,21 +251,23 @@ def test_fit_rmd_solves_the_instance_rmd_problem_would():
     X = rng.standard_normal((40, 6))
     G, M = X.T @ X / 40, X.T @ (X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(40)) / 40
     rule = LambdaRule.gaussian_quantile(c=0.5)
-    for l1_bound, status in ((np.inf, "optimal"), (0.5, "infeasible")):
-        sol = fit_rmd(G, M, rule, 40, l1_bound)
+    G_zero = G.copy()  # a feature that is 0 on every row cannot reach M_0 = 1
+    G_zero[0] = G_zero[:, 0] = 0.0
+    for G, M, status in ((G, M, "optimal"), (G_zero, np.append(1.0, M[1:]), "infeasible")):
+        sol = fit_rmd(G, M, rule, 40)
         assert sol.status == status and type(sol.lam) is float
-        checked = check_problem(G, M, rule.lam(40, 6), l1_bound)
+        checked = check_problem(G, M, rule.lam(40, 6))
         np.testing.assert_equal(vars(sol), vars(solve_rmd(*checked)))
 
 
-@pytest.mark.parametrize("G, M, n_rows, l1_bound, message", [
-    (np.eye(2), np.zeros(2), 1, np.inf, "need at least 2 rows"),
-    (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.zeros(2), 10, np.inf, "non-finite entries"),
-    (np.eye(2), np.array([np.nan, 0.0]), 10, np.inf, "non-finite entries"),
+@pytest.mark.parametrize("G, M, n_rows, message", [
+    (np.eye(2), np.zeros(2), 1, "need at least 2 rows"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.zeros(2), 10, "non-finite entries"),
+    (np.eye(2), np.array([np.nan, 0.0]), 10, "non-finite entries"),
 ], ids=["one_row", "G_inf", "M_nan"])
-def test_fit_rmd_checks_what_summed_means_can_get_wrong(G, M, n_rows, l1_bound, message):
+def test_fit_rmd_checks_what_summed_means_can_get_wrong(G, M, n_rows, message):
     with pytest.raises(ValueError, match=message):
-        fit_rmd(G, M, LambdaRule.fixed(0.1), n_rows, l1_bound)
+        fit_rmd(G, M, LambdaRule.fixed(0.1), n_rows)
 
 
 def test_problem_rejects_empty_gram():
@@ -303,29 +299,14 @@ def test_uncertified_optimum_is_numerical_failure(monkeypatch):
 # -- differential test against HiGHS ------------------------------------------------
 
 @pytest.mark.parametrize("p", [30, 80, 160, 250])
-@pytest.mark.parametrize("budget", [None, 1.5, 0.5])
-def test_differential_against_highs(p, budget):
+def test_differential_against_highs(p):
     # Realistic Dantzig instances: a sparse regression Gram at n = 2p rows.
-    # ``budget`` scales the unconstrained optimum into an l1_bound: 1.5 leaves
-    # it slack, 0.5 makes the LP infeasible.  Objectives are compared, not t,
-    # since Dantzig LPs can have tied optima.
+    # Objectives are compared, not t, since Dantzig LPs can have tied optima.
     rng = np.random.default_rng(p)
     n = 2 * p
     X = rng.standard_normal((n, p))
     y = X[:, :5] @ np.array([1.0, -0.8, 0.5, 0.3, -0.2]) + rng.standard_normal(n)
-    G, M = X.T @ X / n, X.T @ y / n
-    lam = 0.5 * np.sqrt(np.log(p) / n)
-    l1_bound = np.inf
-    if budget is not None:
-        l1_bound = budget * solve_rmd(*check_problem(G, M, lam)).l1_norm
-    sol = solve_rmd(*check_problem(G, M, lam, l1_bound))
-    expect = highs_l1(G, M, lam, l1_bound)
-    if expect is None:
-        assert sol.status == "infeasible"
-        return
-    assert sol.status == "optimal"
-    assert sol.l1_norm == pytest.approx(expect, rel=1e-7)
-    assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
+    _assert_matches_highs(check_problem(X.T @ X / n, X.T @ y / n, 0.5 * np.sqrt(np.log(p) / n)))
 
 
 @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated_column"])
@@ -341,41 +322,27 @@ def test_differential_against_highs_more_columns_than_rows(duplicated):
     _assert_matches_highs(check_problem(X.T @ X / n, X.T @ y / n, 0.5 * np.sqrt(np.log(p) / n)))
 
 
-def test_budget_at_the_optimum_is_feasible():
-    # The budget ||t||_1 <= B with B the certified unbudgeted optimum, l1 ~ 4438.46.
-    rng = np.random.default_rng(12)
-    X = rng.standard_normal((31, 30))
-    G, M, lam = X.T @ X / 31, rng.standard_normal(30), 0.05
-    l1_bound = solve_rmd(*check_problem(G, M, lam)).l1_norm
-    sol = solve_rmd(*check_problem(G, M, lam, l1_bound))
-    assert sol.status == "optimal"
-    assert sol.l1_norm == pytest.approx(highs_l1(G, M, lam, l1_bound), rel=1e-7)
-
-
 # -- property tests ------------------------------------------------------------------
 # Problems are drawn on a coarse grid so that degenerate vertices, tied ratios
 # and singular Grams come up often.
 
 @st.composite
-def rmd_problems(draw, bounded=True):
+def rmd_problems(draw):
     p = draw(st.integers(1, 6))
     k = draw(st.integers(1, p + 3))
     X = np.array(draw(st.lists(st.integers(-4, 4), min_size=k * p, max_size=k * p)),
                  dtype=float).reshape(k, p) / 2.0
     M = np.array(draw(st.lists(st.integers(-8, 8), min_size=p, max_size=p)), dtype=float) / 4.0
     lam = draw(st.integers(0, 8)) / 8.0
-    l1_bound = np.inf
-    if bounded and draw(st.booleans()):
-        l1_bound = draw(st.integers(1, 16)) / 4.0
-    return check_problem(X.T @ X / k, M, lam, l1_bound)
+    return check_problem(X.T @ X / k, M, lam)
 
 
 @settings(max_examples=50, deadline=None)
 @given(prob=rmd_problems(), a=st.floats(0.1, 10.0))
 def test_property_positive_homogeneity(prob, a):
-    G, M, lam, l1_bound = prob
-    base = solve_rmd(G, M, lam, l1_bound)
-    scaled = solve_rmd(*check_problem(G, a * M, a * lam, a * l1_bound))
+    G, M, lam = prob
+    base = solve_rmd(G, M, lam)
+    scaled = solve_rmd(*check_problem(G, a * M, a * lam))
     assert scaled.status == base.status
     assert scaled.l1_norm == pytest.approx(a * base.l1_norm, rel=1e-9, abs=1e-9)
 
@@ -383,18 +350,18 @@ def test_property_positive_homogeneity(prob, a):
 @settings(max_examples=50, deadline=None)
 @given(prob=rmd_problems(), data=st.data())
 def test_property_permutation_invariance(prob, data):
-    G, M, lam, l1_bound = prob
+    G, M, lam = prob
     perm = np.array(data.draw(st.permutations(range(len(M)))))
-    base = solve_rmd(G, M, lam, l1_bound)
-    permuted = solve_rmd(*check_problem(G[np.ix_(perm, perm)], M[perm], lam, l1_bound))
+    base = solve_rmd(G, M, lam)
+    permuted = solve_rmd(*check_problem(G[np.ix_(perm, perm)], M[perm], lam))
     assert permuted.status == base.status
     assert permuted.l1_norm == pytest.approx(base.l1_norm, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
-@given(prob=rmd_problems(bounded=False), extra=st.integers(0, 4))
+@given(prob=rmd_problems(), extra=st.integers(0, 4))
 def test_property_large_lambda_gives_zero(prob, extra):
-    G, M, _, _ = prob
+    G, M, _ = prob
     sol = solve_rmd(*check_problem(G, M, np.abs(M).max() + extra / 4.0))
     assert sol.status == "optimal"
     assert np.all(sol.t_hat == 0.0)
@@ -403,38 +370,12 @@ def test_property_large_lambda_gives_zero(prob, extra):
 @settings(max_examples=50, deadline=None)
 @given(prob=rmd_problems())
 def test_property_optimum_is_certified(prob):
-    G, M, lam, l1_bound = prob
-    sol = solve_rmd(G, M, lam, l1_bound)
+    sol = solve_rmd(*prob)
     assert sol.status in ("optimal", "infeasible")
     if sol.status == "optimal":
+        G, M, lam = prob
         assert np.abs(G @ sol.t_hat - M).max() <= lam + 1e-7
-        assert sol.l1_norm <= l1_bound + 1e-7
         assert sol.gap <= 1e-7 * (1.0 + sol.l1_norm)
-
-
-@st.composite
-def sample_gram_problems(draw):
-    """Sample Grams with one row more than columns: ill-conditioned, many pivots."""
-    p = draw(st.integers(2, 30))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    X = rng.standard_normal((p + 1, p))
-    return check_problem(X.T @ X / (p + 1), rng.standard_normal(p),
-                         draw(st.sampled_from([0.05, 0.2])))
-
-
-@settings(max_examples=50, deadline=None)
-@given(prob=st.one_of(rmd_problems(bounded=False), sample_gram_problems()),
-       slack=st.integers(0, 8))
-def test_property_slack_budget_keeps_the_fit(prob, slack):
-    # The objective is ||t||_1 itself, so a budget at or above the optimum
-    # cannot change the fitted coefficients.
-    G, M, lam, _ = prob
-    free = solve_rmd(G, M, lam)
-    l1_bound = free.l1_norm + slack / 4.0
-    assume(free.status == "optimal" and l1_bound > 0.0)
-    sol = solve_rmd(*check_problem(G, M, lam, l1_bound))
-    assert sol.status == "optimal"
-    assert sol.t_hat.tobytes() == free.t_hat.tobytes()
 
 
 # -- lambda rules ----------------------------------------------------------------

@@ -24,6 +24,7 @@ from rieszdml import (
     true_theta_info,
 )
 from rieszdml import dml, simulation
+from rieszdml.functional import Functional
 from rieszdml.rmd import LambdaRule
 from rieszdml.rmd import SettingError
 from rieszdml.simulation import rep_seeds
@@ -198,6 +199,15 @@ def test_true_theta_rejects_mismatched_pairs():
             true_theta_info(dgp, f)
 
 
+@pytest.mark.parametrize("dgp, functional, message", [
+    (object(), AverageDerivative([1.0]), "unsupported dgp object"),
+    (sparse_linear(), Functional(), "unsupported functional Functional for this dgp"),
+], ids=["dgp", "functional"])
+def test_true_theta_refuses_what_it_has_no_target_for(dgp, functional, message):
+    with pytest.raises(ValueError, match=message):
+        true_theta_info(dgp, functional)
+
+
 @pytest.mark.parametrize("x_dist", ["normal", "uniform"])
 def test_true_theta_interaction_columns_match_monte_carlo(x_dist):
     # every column of a degree-3 dictionary with interactions carries weight;
@@ -365,15 +375,10 @@ def test_run_monte_carlo_deterministic_and_worker_independent():
 
 
 def test_run_monte_carlo_records_failures():
-    dgp = sparse_linear(noise=0.5)
-    est = EstimatorConfig(
-        dictionary=dgp.dictionary,
-        functional=AverageDerivative(np.array([1.0, 0.0, 0.0, 0.0])),
-        K=2,
-        rule=LambdaRule.fixed(0.0),
-        l1_bound=1e-12,
-    )
-    rep = run_monte_carlo(dgp, est, R=3, n=50, seed=1, workers=1)
+    # p = 30 from 10 rows a fold: the Riesz fit cannot reach E[m] = e_1 within lambda = 0
+    dgp = sparse_linear(p=30, noise=0.5)
+    est = quick_estimator(dgp, rule=LambdaRule.fixed(0.0))
+    rep = run_monte_carlo(dgp, est, R=3, n=20, seed=1, workers=1)
     assert rep.failures == 3
     assert all(r["status"] == "failed" for r in rep.per_rep)
     assert all("fold" in r["error"] for r in rep.per_rep)
@@ -426,6 +431,15 @@ def test_rep_seeds_documented_rule():
     assert rep_seeds(7, 3) == rep_seeds(7, 3)
     assert rep_seeds(7, 3) != rep_seeds(7, 4)
     assert rep_seeds(8, 3) != rep_seeds(7, 3)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "1"], ids=["1.5", "2.0", "True", "'1'"])
+@pytest.mark.parametrize("field", ["seed", "rep"])
+def test_rep_seeds_refuses_a_value_that_is_no_integer(field, value):
+    # int() would truncate each of these to a valid seed; check_int refuses them
+    with pytest.raises(SettingError) as info:
+        rep_seeds(**{"seed": 7, "rep": 3, field: value})
+    assert info.value.field == field
 
 
 @pytest.mark.parametrize("R, n, workers, seed, field", [

@@ -1,6 +1,7 @@
 """The suite's own settings: pytest's, the CI workflow that runs it, and two source rules."""
 
 import ast
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+PERFBENCH = ROOT / "perfbench"
 
 _TWO_TESTS = """
 from hypothesis import given, strategies as st
@@ -133,3 +135,30 @@ def test_floats_have_one_writer():
     found = [f"{path.name}:{line}" for path in sorted((ROOT / "src" / "rieszdml").glob("*.py"))
              for line in _float_format_lines(path.read_text())]
     assert found == [], found
+
+
+def _perfbench(name):
+    """perfbench/<name>.py imported by path, as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frozen_benchmark_calls_still_run(tmp_path):
+    # perfbench/ is frozen with the benchmark but calls the package by name: workloads.py
+    # passes dml_estimate(..., l1_bound=est.l1_bound, ...), and spans.py patches design_matrix,
+    # m_hat_vector, estimate_blp, estimate_riesz, solve_rmd and the rest by name.
+    from rieszdml import rmd
+
+    workloads, spans = _perfbench("workloads"), _perfbench("spans")
+    for name in ("mc_sparse_p50", "mc_ate_n8000"):
+        assert workloads.setup(name).op(0) == (1, 0), name
+    work, recorder, solve = workloads.setup("mc_sparse_p50"), spans.Recorder(tmp_path), rmd.solve_rmd
+    try:
+        recorder.install()
+        assert work.op(0) == (1, 0)
+    finally:
+        recorder.uninstall()
+    assert rmd.solve_rmd is solve
+    assert {"dml.estimate", "rmd.solve", "lp.solve"} <= {span[0] for span in recorder.drain()}
